@@ -17,7 +17,6 @@ from cqcsp import (
     nae_boolean,
     path,
     reflexive_cycle,
-    render_verdict,
     single_quantifier_template,
     threshold_set,
 )
@@ -71,4 +70,4 @@ rows = [
 ]
 for family, frag in rows:
     verdict = classify(family, frag)
-    print(f"  {str(family):>22} {str(frag):>16} -> {render_verdict(verdict)}")
+    print(f"  {str(family):>22} {str(frag):>16} -> {verdict}")

@@ -1,33 +1,31 @@
 """Command-line front end.
 
 Exit codes: 0 yes/success, 1 no (or verification disagreement), 2
-usage/parse error, 3 node budget exceeded.  The environment variable
-CQ_NODE_BUDGET overrides the default oracle node budget.
+usage/parse error, 3 node budget exceeded, 4 internal error (a crash,
+never a verdict).  The environment variable CQ_NODE_BUDGET overrides the
+default oracle node budget.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
+import traceback
 from pathlib import Path
 
 from . import fastpath, oracle, reductions, textio
 from .model import (
     InvalidStructureError,
     build_template,
-    clique,
-    cycle,
-    nae_boolean,
     parse_family_spec,
     parse_fragment_spec,
-    reflexive_cycle,
 )
 
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def _read(path: str) -> str:
@@ -57,16 +55,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     template = textio.parse_structure(_read(args.template))
     s = textio.parse_sentence(_read(args.sentence))
     budget = args.node_budget
-    engine = "oracle"
-    if args.engine == "auto":
-        match = fastpath.dispatch(template, s)
-        if match is not None:
-            engine, thunk = match
-            verdict = thunk()
-        else:
-            verdict = oracle.evaluate(template, s, budget=budget)
-    else:
-        verdict = oracle.evaluate(template, s, budget=budget)
+    match = fastpath.dispatch(template, s) if args.engine == "auto" else None
+    engine, thunk = match or ("oracle", lambda: oracle.evaluate(template, s, budget=budget))
+    verdict = thunk()
     print("yes" if verdict else "no")
     print(f"engine: {engine}")
     if args.strategy_out:
@@ -82,7 +73,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     family = parse_family_spec(args.family)
     fragment = parse_fragment_spec(" ".join(args.fragment))
     verdict = fastpath.classify(family, fragment)
-    print(textio.render_verdict(verdict))
+    print(verdict)
     return EXIT_YES
 
 
@@ -96,47 +87,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_YES
 
 
-def _rule_from_args(name: str, params: dict) -> reductions.ReductionRule:
-    return reductions.ReductionRule(name, tuple(sorted(params.items())))
-
-
-def rule_source_template(rule: reductions.ReductionRule):
-    """The source template a rule's input sentences are evaluated on."""
-    name = rule.name
-    if name == "nae":
-        return build_template(nae_boolean())
-    if name == "clique-gj":
-        j = rule.get("j")
-        return build_template(clique(math.comb(2 * j + 1, j)))
-    if name == "clique-pad":
-        return build_template(clique(2 * rule.get("j") + 1))
-    if name == "clique-1j":
-        return build_template(clique(rule.get("n")))
-    if name in ("even-cycle", "even-cycle-csp"):
-        return build_template(clique(rule.get("n") // 2))
-    if name == "girth-isolation":
-        h = rule.get("h")
-        if h is None:
-            raise InvalidStructureError("girth isolation needs h=<family>")
-        from .model import require_graph
-
-        girth = require_graph(h).girth()
-        if girth is None:
-            raise InvalidStructureError("h is acyclic")
-        return build_template(clique(girth // 2))
-    if name == "reflexive-c4":
-        return build_template(clique(4))
-    if name == "c4star-macros":
-        return build_template(reflexive_cycle(4))
-    if name == "odd-cycle-path":
-        return build_template(cycle(rule.get("n")))
-    raise InvalidStructureError(f"unknown rule {name!r}")
-
-
 def cmd_reduce(args: argparse.Namespace) -> int:
-    params = _parse_params(args.params)
-    rule = _rule_from_args(args.rule, params)
-    source_template = rule_source_template(rule)
+    rule = reductions.rule(args.rule, **_parse_params(args.params))
+    source_template = rule.source_template()
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for source_path in args.sources:
@@ -156,9 +109,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    params = _parse_params(args.params)
-    rule = _rule_from_args(args.rule, params)
-    source_template = rule_source_template(rule)
+    rule = reductions.rule(args.rule, **_parse_params(args.params))
+    source_template = rule.source_template()
     sources = reductions.default_sources(rule, trials=args.trials, seed=args.seed)
     report = reductions.verify_reduction(
         rule,
@@ -207,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("reduce", help="compile source sentences under a reduction rule")
-    p.add_argument("rule", choices=reductions.RULE_NAMES)
+    p.add_argument("rule", choices=tuple(reductions.RULES))
     p.add_argument("params", nargs="*", default=[], metavar="key=value")
     p.add_argument("--sources", nargs="+", required=True)
     p.add_argument("--out-dir", required=True)
@@ -215,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("verify", help="oracle-check a reduction rule on a source suite")
-    p.add_argument("rule", choices=reductions.RULE_NAMES)
+    p.add_argument("rule", choices=tuple(reductions.RULES))
     p.add_argument("params", nargs="*", default=[], metavar="key=value")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=1)
@@ -240,6 +192,10 @@ def main(argv: list[str] | None = None) -> int:
     except (textio.ParseError, InvalidStructureError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: internal: {exc!r}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import enum
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import oracle
 from .model import (
@@ -72,16 +72,6 @@ class ComplexityVerdict:
         return self.complexity.label
 
 
-def _resolve(s: Sentence, n: int) -> Sentence:
-    rs = s.resolved(n)
-    for q in rs.prefix:
-        if not 1 <= q.threshold <= n:
-            raise oracle.ThresholdError(
-                f"threshold {q.threshold} for {q.variable!r} outside 1..{n}"
-            )
-    return rs
-
-
 # ---------------------------------------------------------------------------
 # Deciders
 
@@ -90,7 +80,7 @@ def decide_all_universal(b: Structure, s: Sentence) -> bool:
     """All-universal sentences: true iff every atom holds under every
     assignment consistent with its variable-repetition pattern."""
     n = b.domain_size
-    rs = _resolve(s, n)
+    rs = oracle.resolve_thresholds(s, n)
     if any(q.threshold != n for q in rs.prefix):
         raise PreconditionError("decider needs every threshold equal to |B|")
     for name, vs in rs.atoms:
@@ -112,7 +102,7 @@ def decide_clique_high_thresholds(n: int, s: Sentence) -> bool:
     neighbours in the instance graph (or the matrix has a loop)."""
     if n < 1:
         raise PreconditionError("clique size must be >= 1")
-    rs = _resolve(s, n)
+    rs = oracle.resolve_thresholds(s, n)
     th = [q.threshold for q in rs.prefix]
     if any(t <= n // 2 for t in th):
         raise PreconditionError("decider needs every threshold above n/2")
@@ -125,15 +115,6 @@ def decide_clique_high_thresholds(n: int, s: Sentence) -> bool:
     return True
 
 
-def _first_of_component(ig: InstanceGraph) -> dict[int, int]:
-    first = {}
-    for comp in ig.components():
-        f = min(comp)
-        for v in comp:
-            first[v] = f
-    return first
-
-
 def _cycle_claims(n: int, ig: InstanceGraph, th: list[int]) -> bool:
     """Necessary conditions for yes-instances on the n-cycle:
     (1a) a threshold >= 3 variable has no predecessors;
@@ -144,7 +125,7 @@ def _cycle_claims(n: int, ig: InstanceGraph, th: list[int]) -> bool:
         if t >= 3 and ig.predecessors(i):
             return False
     if n % 2 == 0:
-        first = _first_of_component(ig)
+        first = {v: comp[0] for comp in ig.components() for v in comp}
         for i, t in enumerate(th):
             if t > n // 2 and first[i] != i:
                 return False
@@ -167,7 +148,7 @@ def decide_cycle_tractable(n: int, s: Sentence) -> bool:
     """
     if n < 3:
         raise PreconditionError("cycles need n >= 3")
-    rs = _resolve(s, n)
+    rs = oracle.resolve_thresholds(s, n)
     th = [q.threshold for q in rs.prefix]
     ig = instance_graph(rs)
     if ig.loops:
@@ -175,15 +156,19 @@ def decide_cycle_tractable(n: int, s: Sentence) -> bool:
     if not _cycle_claims(n, ig, th):
         return False
     used = set(th)
-    if n == 4:
-        return ig.bipartition() is not None
-    if 1 not in used:
+    if not _cycle_tractable(n, used):
+        raise PreconditionError(f"threshold set {sorted(used)} on the {n}-cycle is not tractable")
+    if n != 4 and 1 not in used:
         # claims (1a) and (1c) leave at most one predecessor per vertex,
         # which a walk-following strategy always satisfies
         return True
-    if n % 2 == 0 and not (used & set(range(2, n // 2 + 1))):
-        return ig.bipartition() is not None
-    raise PreconditionError(f"threshold set {sorted(used)} on the {n}-cycle is not tractable")
+    return ig.bipartition() is not None
+
+
+def _cycle_tractable(n: int, used: set[int]) -> bool:
+    """Theorem 2(i): n = 4, or no plain existential, or even n with no
+    threshold in 2..n/2."""
+    return n == 4 or 1 not in used or (n % 2 == 0 and not (used & set(range(2, n // 2 + 1))))
 
 
 def decide_complete_bipartite(k: int, l: int, s: Sentence) -> bool:
@@ -198,7 +183,7 @@ def decide_complete_bipartite(k: int, l: int, s: Sentence) -> bool:
     if k < 1 or l < 1:
         raise PreconditionError("complete bipartite sides must be >= 1")
     n = k + l
-    rs = _resolve(s, n)
+    rs = oracle.resolve_thresholds(s, n)
     lo, hi = min(k, l), max(k, l)
     roles = []
     for q in rs.prefix:
@@ -229,48 +214,27 @@ def decide_complete_bipartite(k: int, l: int, s: Sentence) -> bool:
     return True
 
 
-def _named_copy(h: Structure, pins: dict[str, int]) -> Structure:
-    return Structure(h.signature, h.domain_size, dict(h.relations), dict(pins))
-
-
 def _component_instance(
-    g: GraphView, ig: InstanceGraph, comp: list[int], pins: dict[int, int]
+    h: Structure, relation: str, ig: InstanceGraph, comp: list[int], pins: dict[int, int]
 ) -> tuple[Structure, Structure]:
     """Instance/target pair for one instance-graph component with some
     variables pinned to template elements."""
     local = {v: i for i, v in enumerate(comp)}
-    edges = {
-        (local[a], local[b])
-        for a, b in ig.edges
-        if a in local and b in local
-    }
     inst_consts = {}
     h_consts = {}
     for i, (var, value) in enumerate(sorted(pins.items())):
         inst_consts[f"pin{i}"] = local[var]
         h_consts[f"pin{i}"] = value
     tuples = set()
-    for a, b in edges:
-        tuples.add((a, b))
-        tuples.add((b, a))
-    inst = make_structure([(g.relation, 2)], max(1, len(comp)), {g.relation: tuples}, inst_consts)
+    for a, b in ig.edges:
+        if a in local and b in local:
+            tuples.add((local[a], local[b]))
+            tuples.add((local[b], local[a]))
+    inst = make_structure([(relation, 2)], max(1, len(comp)), {relation: tuples}, inst_consts)
     target = make_structure(
-        [(g.relation, 2)],
-        g.n,
-        {g.relation: {t for t in _graph_tuples(g)}},
-        h_consts,
+        [(relation, 2)], h.domain_size, {relation: h.tuples(relation)}, h_consts
     )
     return target, inst
-
-
-def _graph_tuples(g: GraphView) -> set[tuple[int, int]]:
-    out = set()
-    for v in range(g.n):
-        for u in g.adj[v]:
-            out.add((v, u))
-    for v in g.loops:
-        out.add((v, v))
-    return out
 
 
 def decide_bipartite_small_partition(h: Structure, j: int, s: Sentence) -> bool:
@@ -286,17 +250,11 @@ def decide_bipartite_small_partition(h: Structure, j: int, s: Sentence) -> bool:
     if j < 2:
         raise PreconditionError("needs j >= 2")
     g = require_graph(h)
-    colors = g.bipartition()
-    if colors is None:
+    if g.bipartition() is None:
         raise PreconditionError("template is not bipartite")
-    for comp in g.components():
-        big = max(
-            sum(1 for v in comp if colors[v] == 0),
-            sum(1 for v in comp if colors[v] == 1),
-        )
-        if big >= j:
-            raise PreconditionError("a component has a colour class of size >= j")
-    rs = _resolve(s, h.domain_size)
+    if g.largest_colour_class() >= j:
+        raise PreconditionError("a component has a colour class of size >= j")
+    rs = oracle.resolve_thresholds(s, h.domain_size)
     th = [q.threshold for q in rs.prefix]
     if any(t not in (1, j) for t in th):
         raise PreconditionError(f"thresholds must lie in {{1, {j}}}")
@@ -315,7 +273,7 @@ def decide_bipartite_small_partition(h: Structure, j: int, s: Sentence) -> bool:
             x = heavy[0]
             extendable = 0
             for value in range(h.domain_size):
-                target, inst = _component_instance(g, ig, comp, {x: value})
+                target, inst = _component_instance(h, g.relation, ig, comp, {x: value})
                 if oracle.solve_retraction(target, inst):
                     extendable += 1
                 if extendable >= j:
@@ -323,7 +281,7 @@ def decide_bipartite_small_partition(h: Structure, j: int, s: Sentence) -> bool:
             if extendable < j:
                 return False
         else:
-            target, inst = _component_instance(g, ig, comp, {})
+            target, inst = _component_instance(h, g.relation, ig, comp, {})
             if not oracle.solve_retraction(target, inst):
                 return False
     return True
@@ -337,7 +295,7 @@ def decide_bipartite_with_c4(h: Structure, s: Sentence) -> bool:
         raise PreconditionError("template is not bipartite")
     if not g.contains_c4():
         raise PreconditionError("template contains no 4-cycle")
-    rs = _resolve(s, h.domain_size)
+    rs = oracle.resolve_thresholds(s, h.domain_size)
     if any(q.threshold not in (1, 2) for q in rs.prefix):
         raise PreconditionError("thresholds must lie in {1, 2}")
     ig = instance_graph(rs)
@@ -355,7 +313,7 @@ def decide_forest_bounded_prefix(h: Structure, m: int, s: Sentence) -> bool:
     g = require_graph(h)
     if not g.is_forest():
         raise PreconditionError("template is not a forest")
-    rs = _resolve(s, h.domain_size)
+    rs = oracle.resolve_thresholds(s, h.domain_size)
     th = [q.threshold for q in rs.prefix]
     if any(t not in (1, 2) for t in th):
         raise PreconditionError("prefix is not in the bounded 2-then-1 fragment")
@@ -373,10 +331,9 @@ def decide_forest_bounded_prefix(h: Structure, m: int, s: Sentence) -> bool:
     n = h.domain_size
 
     def leaf(pins: dict[int, int]) -> bool:
-        comps = ig.components()
-        for comp in comps:
+        for comp in ig.components():
             target, inst = _component_instance(
-                g, ig, comp, {v: val for v, val in pins.items() if v in comp}
+                h, g.relation, ig, comp, {v: val for v, val in pins.items() if v in comp}
             )
             if not oracle.solve_retraction(target, inst):
                 return False
@@ -401,7 +358,7 @@ def decide_path5_one_three(s: Sentence) -> bool:
     threshold-3 variables sits at even distance at least 4, and no
     existential variable precedes an adjacent threshold-3 variable.
     """
-    rs = _resolve(s, 5)
+    rs = oracle.resolve_thresholds(s, 5)
     th = [q.threshold for q in rs.prefix]
     if any(t not in (1, 3) for t in th):
         raise PreconditionError("thresholds must lie in {1, 3}")
@@ -425,158 +382,103 @@ def decide_path5_one_three(s: Sentence) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Classifier
+# The tractable cases, read by `dispatch` (the CLI's `auto` engine) and by
+# `classify`
 
 
-def _classify_clique(n: int, X: frozenset[int]) -> ComplexityVerdict:
-    if n <= 2 or not (X & set(range(1, n // 2 + 1))):
-        return ComplexityVerdict(ComplexityClass.IN_L, "Thm 1 i")
-    if X == frozenset({1}):
-        return ComplexityVerdict(ComplexityClass.NP_COMPLETE, "Thm 1 ii")
-    if any(j > 1 and 2 * j < n for j in X):
-        return ComplexityVerdict(ComplexityClass.PSPACE_COMPLETE, "Thm 1 iii")
-    if 1 in X and any(2 * j >= n and j > 1 for j in X):
-        return ComplexityVerdict(ComplexityClass.PSPACE_COMPLETE, "Thm 1 iii")
-    return ComplexityVerdict(ComplexityClass.OPEN, "")
+class Tractable(NamedTuple):
+    """One tractable case: its dispatch tag, the citation ``classify``
+    gives it, the condition on (|B|, template graph, thresholds in prefix
+    order) under which its decider applies, and the decider.  An entry
+    with ``graph=False`` uses no graph, is passed None for it, and also
+    covers templates that are not loop-free graphs; `dispatch` tests it
+    before building the graph."""
+
+    tag: str
+    citation: str
+    applies: Callable[[int, Optional[GraphView], Sequence[int]], bool]
+    decide: Callable[[Structure, Optional[GraphView], Sentence], bool]
+    graph: bool = True
 
 
-def _classify_cycle(n: int, X: frozenset[int]) -> ComplexityVerdict:
-    if n == 4 or 1 not in X or (n % 2 == 0 and not (X & set(range(2, n // 2 + 1)))):
-        return ComplexityVerdict(ComplexityClass.IN_L, "Thm 2 i")
-    if n % 2 == 1 and X == frozenset({1}):
-        return ComplexityVerdict(ComplexityClass.NP_COMPLETE, "Thm 2 ii")
-    return ComplexityVerdict(ComplexityClass.PSPACE_COMPLETE, "Thm 2 iii")
+def _leading_twos(th: Sequence[int]) -> Optional[int]:
+    """The length of the leading threshold-2 block when ``th`` is 2*1*."""
+    block = 0
+    while block < len(th) and th[block] == 2:
+        block += 1
+    return block if all(t == 1 for t in th[block:]) else None
 
 
-def _classify_bipartite_threshold_set(
-    family: TemplateFamily, g: GraphView, size: int, X: frozenset[int]
-) -> ComplexityVerdict:
-    colors = g.bipartition()
-    if X == frozenset({size}):
-        return ComplexityVerdict(ComplexityClass.IN_L, "universal-only")
-    if colors is None:
-        if X == frozenset({1}):
-            return ComplexityVerdict(ComplexityClass.NP_COMPLETE, "CSP dichotomy (cited)")
-        if 1 in X:
-            return ComplexityVerdict(ComplexityClass.NP_HARD, "non-bipartite template (cited)")
-        return ComplexityVerdict(ComplexityClass.OPEN, "")
-    if X == frozenset({1}):
-        return ComplexityVerdict(ComplexityClass.IN_L, "bipartite CSP (cited)")
-    if g.complete_bipartite_sides() is not None:
-        return ComplexityVerdict(ComplexityClass.IN_L, "Prop complete-bipartite")
-    if 1 in X and len(X) == 2:
-        j = max(X)
-        if j == size:
-            return ComplexityVerdict(ComplexityClass.IN_L, "bipartite QCSP (cited)")
-        if family.kind == "hj" and j == family.j:
-            return ComplexityVerdict(ComplexityClass.PSPACE_COMPLETE, "Prop bipartite H_j")
-        big = 0
-        for comp in g.components():
-            big = max(
-                big,
-                sum(1 for v in comp if colors[v] == 0),
-                sum(1 for v in comp if colors[v] == 1),
-            )
-        if big < j:
-            return ComplexityVerdict(ComplexityClass.IN_L, "Prop small-bipartition")
-        if j == 2 and g.contains_c4():
-            return ComplexityVerdict(ComplexityClass.IN_L, "Prop C4-containment")
-        if g.is_path_graph() and size == 5 and j == 3:
-            return ComplexityVerdict(ComplexityClass.IN_L, "Prop P5 {1,3}")
-        if j >= size - 2:
-            return ComplexityVerdict(
-                ComplexityClass.IN_L, "near-universal thresholds (experimental)"
-            )
-    return ComplexityVerdict(ComplexityClass.OPEN, "")
+def _small_bipartition(g: GraphView, th: Sequence[int]) -> bool:
+    heavy = set(th) - {1}
+    return (
+        len(heavy) == 1
+        and g.bipartition() is not None
+        and g.largest_colour_class() < min(heavy)
+    )
 
 
-_GRAPH_KINDS = {
-    "clique",
-    "cycle",
-    "path",
-    "star",
-    "complete_bipartite",
-    "forest",
-    "graph",
-    "hairy",
-    "hj",
-}
+ALL_UNIVERSAL = Tractable(
+    "all-universal",
+    "universal-only",
+    lambda n, g, th: all(t == n for t in th),
+    lambda b, g, rs: decide_all_universal(b, rs),
+    graph=False,
+)
+CLIQUE_HIGH = Tractable(
+    "clique high thresholds",
+    "Thm 1 i",
+    lambda n, g, th: all(t > n // 2 for t in th) and g.is_complete(),
+    lambda b, g, rs: decide_clique_high_thresholds(b.domain_size, rs),
+)
+CYCLE = Tractable(
+    "cycle tractable",
+    "Thm 2 i",
+    lambda n, g, th: _cycle_tractable(n, set(th)) and g.is_cycle(),
+    lambda b, g, rs: decide_cycle_tractable(b.domain_size, rs),
+)
+COMPLETE_BIPARTITE = Tractable(
+    "complete bipartite",
+    "Prop complete-bipartite",
+    lambda n, g, th: g.complete_bipartite_sides() is not None,
+    lambda b, g, rs: decide_complete_bipartite(*g.complete_bipartite_sides(), rs),
+)
+C4_CONTAINMENT = Tractable(
+    "C4 containment",
+    "Prop C4-containment",
+    lambda n, g, th: set(th) <= {1, 2} and g.bipartition() is not None and g.contains_c4(),
+    lambda b, g, rs: decide_bipartite_with_c4(b, rs),
+)
+SMALL_BIPARTITION = Tractable(
+    "small bipartition",
+    "Prop small-bipartition",
+    lambda n, g, th: _small_bipartition(g, th),
+    lambda b, g, rs: decide_bipartite_small_partition(b, max(rs.thresholds()), rs),
+)
+P5_ONE_THREE = Tractable(
+    "P5 {1,3}",
+    "Prop P5 {1,3}",
+    lambda n, g, th: n == 5 and set(th) <= {1, 3} and g.is_path_graph(),
+    lambda b, g, rs: decide_path5_one_three(rs),
+)
+FOREST = Tractable(
+    "forest bounded prefix",
+    "Thm 4",
+    lambda n, g, th: _leading_twos(th) is not None and g.is_forest(),
+    lambda b, g, rs: decide_forest_bounded_prefix(b, _leading_twos(rs.thresholds()), rs),
+)
 
-
-def classify(family: TemplateFamily, fragment: FragmentSpec) -> ComplexityVerdict:
-    """The complexity classification of the (template family, fragment)
-    pair, with a citation tag; Open where no covered result applies."""
-    b = build_template(family)
-    size = b.domain_size
-    if isinstance(fragment, ThresholdSet):
-        X = fragment.thresholds
-        if max(X) > size:
-            raise InvalidStructureError(
-                f"threshold {max(X)} exceeds template size {size}"
-            )
-        if family.kind == "clique":
-            return _classify_clique(family.n, X)
-        if family.kind == "cycle":
-            return _classify_cycle(family.n, X)
-        if family.kind == "complete_bipartite" or family.kind == "star":
-            return ComplexityVerdict(ComplexityClass.IN_L, "Prop complete-bipartite")
-        if family.kind == "path":
-            if family.n == 1:
-                return _classify_clique(1, X)
-            if family.n <= 3:
-                return ComplexityVerdict(ComplexityClass.IN_L, "Prop complete-bipartite")
-            return _classify_bipartite_threshold_set(family, require_graph(b), size, X)
-        if family.kind == "reflexive_cycle":
-            if X == frozenset({size}):
-                return ComplexityVerdict(ComplexityClass.IN_L, "universal-only")
-            if family.n == 4:
-                if X == frozenset({1, 2, 3, 4}):
-                    return ComplexityVerdict(
-                        ComplexityClass.PSPACE_COMPLETE, "Prop reflexive-C4"
-                    )
-                if X == frozenset({1, 4}):
-                    return ComplexityVerdict(
-                        ComplexityClass.PSPACE_COMPLETE, "Cor reflexive-C4 QCSP"
-                    )
-            return ComplexityVerdict(ComplexityClass.OPEN, "")
-        if family.kind == "nae":
-            if X == frozenset({1}):
-                return ComplexityVerdict(ComplexityClass.NP_COMPLETE, "NAE-3SAT (cited)")
-            if X == frozenset({2}):
-                return ComplexityVerdict(ComplexityClass.IN_L, "universal-only")
-            if X == frozenset({1, 2}):
-                return ComplexityVerdict(
-                    ComplexityClass.PSPACE_COMPLETE, "quantified NAE-3SAT (cited)"
-                )
-            return ComplexityVerdict(ComplexityClass.OPEN, "")
-        if family.kind == "single_quantifier":
-            if X == frozenset({family.j}):
-                return ComplexityVerdict(
-                    ComplexityClass.PSPACE_COMPLETE, "single middle quantifier"
-                )
-            if X == frozenset({size}):
-                return ComplexityVerdict(ComplexityClass.IN_L, "universal-only")
-            return ComplexityVerdict(ComplexityClass.OPEN, "")
-        if family.kind in _GRAPH_KINDS:
-            return _classify_bipartite_threshold_set(family, require_graph(b), size, X)
-        return ComplexityVerdict(ComplexityClass.OPEN, "")
-
-    if isinstance(fragment, BoundedPrefix):
-        if family.kind not in _GRAPH_KINDS:
-            return ComplexityVerdict(ComplexityClass.OPEN, "")
-        g = require_graph(b)
-        if g.is_forest():
-            return ComplexityVerdict(ComplexityClass.IN_P, "Thm 4")
-        if g.bipartition() is not None and g.contains_c4():
-            return ComplexityVerdict(ComplexityClass.IN_P, "Thm 4")
-        return ComplexityVerdict(ComplexityClass.NP_COMPLETE, "Thm 4")
-
-    raise InvalidStructureError(f"unknown fragment {fragment!r}")
-
-
-# ---------------------------------------------------------------------------
-# Automatic dispatch (the CLI's `auto` engine)
-
+# In matching order: `dispatch` takes the first entry that applies.
+TRACTABLE = (
+    ALL_UNIVERSAL,
+    CLIQUE_HIGH,
+    CYCLE,
+    COMPLETE_BIPARTITE,
+    C4_CONTAINMENT,
+    SMALL_BIPARTITION,
+    P5_ONE_THREE,
+    FOREST,
+)
 
 _complete_bipartite_enabled = True
 
@@ -600,63 +502,133 @@ def dispatch(b: Structure, s: Sentence) -> Optional[tuple[str, Callable[[], bool
     report which result fired.
     """
     n = b.domain_size
-    rs = _resolve(s, n)
-    th = [q.threshold for q in rs.prefix]
-    used = set(th)
-
-    if all(t == n for t in th):
-        return ("all-universal", lambda: decide_all_universal(b, rs))
-
-    g = graph_view(b)
-    if g is None or g.loops:
-        return None
-    if any(name != g.relation or len(vs) != 2 for name, vs in rs.atoms):
-        return None
-
-    if g.is_complete() and all(t > n // 2 for t in th):
-        return ("clique high thresholds", lambda: decide_clique_high_thresholds(n, rs))
-
-    if g.is_cycle():
-        if n == 4 or 1 not in used or (n % 2 == 0 and not (used & set(range(2, n // 2 + 1)))):
-            return ("cycle tractable", lambda: decide_cycle_tractable(n, rs))
-
-    sides = g.complete_bipartite_sides()
-    if sides is not None and _complete_bipartite_enabled:
-        k, l = sides
-        return ("complete bipartite", lambda: decide_complete_bipartite(k, l, rs))
-
-    colors = g.bipartition()
-    if colors is not None:
-        if used <= {1, 2} and g.contains_c4():
-            return ("C4 containment", lambda: decide_bipartite_with_c4(b, rs))
-        heavy = used - {1}
-        if len(heavy) == 1:
-            j = next(iter(heavy))
-            if j >= 2:
-                big = 0
-                for comp in g.components():
-                    big = max(
-                        big,
-                        sum(1 for v in comp if colors[v] == 0),
-                        sum(1 for v in comp if colors[v] == 1),
-                    )
-                if big < j:
-                    return (
-                        "small bipartition",
-                        lambda: decide_bipartite_small_partition(b, j, rs),
-                    )
-        if g.is_path_graph() and n == 5 and used <= {1, 3}:
-            return ("P5 {1,3}", lambda: decide_path5_one_three(rs))
-        if g.is_forest() and used <= {1, 2}:
-            block = 0
-            while block < len(th) and th[block] == 2:
-                block += 1
-            if all(t == 1 for t in th[block:]):
-                return (
-                    "forest bounded prefix",
-                    lambda: decide_forest_bounded_prefix(b, block, rs),
-                )
+    rs = oracle.resolve_thresholds(s, n)
+    th = rs.thresholds()
+    g = None
+    for case in TRACTABLE:
+        if case.graph and g is None:
+            g = graph_view(b)
+            if g is None or g.loops:
+                return None
+            if any(name != g.relation or len(vs) != 2 for name, vs in rs.atoms):
+                return None
+        if case is COMPLETE_BIPARTITE and not _complete_bipartite_enabled:
+            continue
+        if case.applies(n, g, th):
+            return case.tag, lambda: case.decide(b, g, rs)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Classifier
+
+
+def _verdict(case: Tractable) -> ComplexityVerdict:
+    return ComplexityVerdict(ComplexityClass.IN_L, case.citation)
+
+
+def _classify_clique(n: int, g: GraphView, X: frozenset[int]) -> ComplexityVerdict:
+    if n <= 2 or CLIQUE_HIGH.applies(n, g, sorted(X)):
+        return _verdict(CLIQUE_HIGH)
+    if X == frozenset({1}):
+        return ComplexityVerdict(ComplexityClass.NP_COMPLETE, "Thm 1 ii")
+    if any(j > 1 and 2 * j < n for j in X):
+        return ComplexityVerdict(ComplexityClass.PSPACE_COMPLETE, "Thm 1 iii")
+    if 1 in X and any(2 * j >= n and j > 1 for j in X):
+        return ComplexityVerdict(ComplexityClass.PSPACE_COMPLETE, "Thm 1 iii")
+    return ComplexityVerdict(ComplexityClass.OPEN, "")
+
+
+def _classify_cycle(n: int, g: GraphView, X: frozenset[int]) -> ComplexityVerdict:
+    if CYCLE.applies(n, g, sorted(X)):
+        return _verdict(CYCLE)
+    if n % 2 == 1 and X == frozenset({1}):
+        return ComplexityVerdict(ComplexityClass.NP_COMPLETE, "Thm 2 ii")
+    return ComplexityVerdict(ComplexityClass.PSPACE_COMPLETE, "Thm 2 iii")
+
+
+def _classify_bipartite_threshold_set(
+    family: TemplateFamily, g: GraphView, size: int, X: frozenset[int]
+) -> ComplexityVerdict:
+    th = sorted(X)
+    if ALL_UNIVERSAL.applies(size, g, th):
+        return _verdict(ALL_UNIVERSAL)
+    if g.bipartition() is None:
+        if X == frozenset({1}):
+            return ComplexityVerdict(ComplexityClass.NP_COMPLETE, "CSP dichotomy (cited)")
+        if 1 in X:
+            return ComplexityVerdict(ComplexityClass.NP_HARD, "non-bipartite template (cited)")
+        return ComplexityVerdict(ComplexityClass.OPEN, "")
+    if X == frozenset({1}):
+        return ComplexityVerdict(ComplexityClass.IN_L, "bipartite CSP (cited)")
+    if COMPLETE_BIPARTITE.applies(size, g, th):
+        return _verdict(COMPLETE_BIPARTITE)
+    if 1 in X and len(X) == 2:
+        j = max(X)
+        if j == size:
+            return ComplexityVerdict(ComplexityClass.IN_L, "bipartite QCSP (cited)")
+        if family.kind == "hj" and j == family.j:
+            return ComplexityVerdict(ComplexityClass.PSPACE_COMPLETE, "Prop bipartite H_j")
+        for case in (SMALL_BIPARTITION, C4_CONTAINMENT, P5_ONE_THREE):
+            if case.applies(size, g, th):
+                return _verdict(case)
+        if j >= size - 2:
+            return ComplexityVerdict(
+                ComplexityClass.IN_L, "near-universal thresholds (experimental)"
+            )
+    return ComplexityVerdict(ComplexityClass.OPEN, "")
+
+
+def classify(family: TemplateFamily, fragment: FragmentSpec) -> ComplexityVerdict:
+    """The complexity classification of the (template family, fragment)
+    pair, with a citation tag; Open where no covered result applies."""
+    b = build_template(family)
+    size = b.domain_size
+    g = graph_view(b)
+    if isinstance(fragment, ThresholdSet):
+        X = fragment.thresholds
+        if max(X) > size:
+            raise InvalidStructureError(
+                f"threshold {max(X)} exceeds template size {size}"
+            )
+        if family.kind == "clique" or (family.kind == "path" and family.n == 1):
+            return _classify_clique(size, g, X)
+        if family.kind == "cycle":
+            return _classify_cycle(family.n, g, X)
+        bipartite_kind = family.kind in ("complete_bipartite", "star", "path")
+        if bipartite_kind and COMPLETE_BIPARTITE.applies(size, g, sorted(X)):
+            return _verdict(COMPLETE_BIPARTITE)
+        if g is not None and not g.loops:
+            return _classify_bipartite_threshold_set(family, g, size, X)
+        if ALL_UNIVERSAL.applies(size, g, sorted(X)):
+            return _verdict(ALL_UNIVERSAL)
+        if family.kind == "reflexive_cycle" and family.n == 4:
+            if X == frozenset({1, 2, 3, 4}):
+                return ComplexityVerdict(ComplexityClass.PSPACE_COMPLETE, "Prop reflexive-C4")
+            if X == frozenset({1, 4}):
+                return ComplexityVerdict(
+                    ComplexityClass.PSPACE_COMPLETE, "Cor reflexive-C4 QCSP"
+                )
+        if family.kind == "nae":
+            if X == frozenset({1}):
+                return ComplexityVerdict(ComplexityClass.NP_COMPLETE, "NAE-3SAT (cited)")
+            if X == frozenset({1, 2}):
+                return ComplexityVerdict(
+                    ComplexityClass.PSPACE_COMPLETE, "quantified NAE-3SAT (cited)"
+                )
+        if family.kind == "single_quantifier" and X == frozenset({family.j}):
+            return ComplexityVerdict(ComplexityClass.PSPACE_COMPLETE, "single middle quantifier")
+        return ComplexityVerdict(ComplexityClass.OPEN, "")
+
+    if isinstance(fragment, BoundedPrefix):
+        if g is None or g.loops:
+            return ComplexityVerdict(ComplexityClass.OPEN, "")
+        prefix = (2,) * fragment.m + (1,)
+        if FOREST.applies(size, g, prefix) or C4_CONTAINMENT.applies(size, g, prefix):
+            return ComplexityVerdict(ComplexityClass.IN_P, FOREST.citation)
+        return ComplexityVerdict(ComplexityClass.NP_COMPLETE, FOREST.citation)
+
+    raise InvalidStructureError(f"unknown fragment {fragment!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -712,10 +684,3 @@ def complete_bipartite_gate_failures(
             if decide_complete_bipartite(k, l, s) != oracle.evaluate(b, s):
                 failures.append(((k, l), s))
     return failures
-
-
-def apply_complete_bipartite_gate(**kwargs) -> bool:
-    """Run the gate and enable/disable the decider in `auto` accordingly."""
-    ok = not complete_bipartite_gate_failures(**kwargs)
-    set_complete_bipartite_enabled(ok)
-    return ok

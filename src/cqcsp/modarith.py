@@ -1,4 +1,6 @@
-"""Modular sumset arithmetic used by the cycle reducers and their tests.
+"""Modular sumset arithmetic: the walk-endpoint sets on cycles whose sizes
+the universal-path and even-cycle gadget arguments rest on.  No decider or
+reducer imports it; it is exported for the tests and the sumset demo.
 
 Residue sets are bitmasks over the modulus; negative inputs are reduced on
 construction.

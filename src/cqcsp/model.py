@@ -239,8 +239,66 @@ def sentence(prefix: Sequence[tuple[Optional[int], str]], atoms: Sequence[Atom])
 # Instance graphs
 
 
+class _Graph:
+    """Traversals shared by template and instance graphs, over ``adj``: one
+    neighbour set per vertex, loops left out."""
+
+    adj: tuple[frozenset[int], ...]
+
+    def components(self) -> list[list[int]]:
+        seen: set[int] = set()
+        comps = []
+        for start in range(len(self.adj)):
+            if start in seen:
+                continue
+            comp = [start]
+            seen.add(start)
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                for u in self.adj[v]:
+                    if u not in seen:
+                        seen.add(u)
+                        comp.append(u)
+                        stack.append(u)
+            comps.append(sorted(comp))
+        return comps
+
+    def _two_colouring(self) -> Optional[list[int]]:
+        """Colour classes by parity, or None on an odd cycle; loops are not
+        in ``adj`` and so are ignored here."""
+        colors = [-1] * len(self.adj)
+        for start in range(len(self.adj)):
+            if colors[start] != -1:
+                continue
+            colors[start] = 0
+            queue = [start]
+            while queue:
+                v = queue.pop()
+                for u in self.adj[v]:
+                    if colors[u] == -1:
+                        colors[u] = 1 - colors[v]
+                        queue.append(u)
+                    elif colors[u] == colors[v]:
+                        return None
+        return colors
+
+    def distances_from(self, source: int) -> dict[int, int]:
+        dist = {source: 0}
+        frontier = [source]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in self.adj[v]:
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+            frontier = nxt
+        return dist
+
+
 @dataclass(frozen=True)
-class InstanceGraph:
+class InstanceGraph(_Graph):
     """The graph induced by a sentence's matrix over a single binary symbol.
 
     Vertices are the prefix variables in quantifier order; proper edges are
@@ -252,79 +310,19 @@ class InstanceGraph:
     thresholds: tuple[Optional[int], ...]
     edges: frozenset[tuple[int, int]]
     loops: frozenset[int]
-
-    def n_vars(self) -> int:
-        return len(self.variables)
+    adj: tuple[frozenset[int], ...]
 
     def neighbors(self, i: int) -> list[int]:
-        out = set()
-        for a, b in self.edges:
-            if a == i:
-                out.add(b)
-            elif b == i:
-                out.add(a)
-        return sorted(out)
+        return sorted(self.adj[i])
 
     def predecessors(self, i: int) -> list[int]:
         """Earlier-quantified neighbours of vertex ``i``."""
         return [v for v in self.neighbors(i) if v < i]
 
-    def components(self) -> list[list[int]]:
-        seen: set[int] = set()
-        comps = []
-        for start in range(len(self.variables)):
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in self.neighbors(v):
-                    if u not in seen:
-                        seen.add(u)
-                        comp.append(u)
-                        stack.append(u)
-            comps.append(sorted(comp))
-        return comps
-
-    def component_of(self, i: int) -> list[int]:
-        for comp in self.components():
-            if i in comp:
-                return comp
-        raise IndexError(i)
-
     def bipartition(self) -> Optional[list[int]]:
-        """Two-colouring by parity over proper edges, or None on an odd
-        cycle.  Loops are ignored here; callers reject them separately."""
-        colors: list[int] = [-1] * len(self.variables)
-        for start in range(len(self.variables)):
-            if colors[start] != -1:
-                continue
-            colors[start] = 0
-            queue = [start]
-            while queue:
-                v = queue.pop()
-                for u in self.neighbors(v):
-                    if colors[u] == -1:
-                        colors[u] = 1 - colors[v]
-                        queue.append(u)
-                    elif colors[u] == colors[v]:
-                        return None
-        return colors
-
-    def distances_from(self, i: int) -> dict[int, int]:
-        dist = {i: 0}
-        frontier = [i]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in self.neighbors(v):
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        return dist
+        """Two-colouring over proper edges, or None on an odd cycle.  Loops
+        are ignored here; callers reject them separately."""
+        return self._two_colouring()
 
 
 def instance_graph(s: Sentence) -> InstanceGraph:
@@ -338,13 +336,22 @@ def instance_graph(s: Sentence) -> InstanceGraph:
     index = s.var_index()
     edges: set[tuple[int, int]] = set()
     loops: set[int] = set()
+    adj: list[set[int]] = [set() for _ in s.prefix]
     for _, (a, b) in s.atoms:
         i, j = index[a], index[b]
         if i == j:
             loops.add(i)
         else:
             edges.add((min(i, j), max(i, j)))
-    return InstanceGraph(s.variables(), s.thresholds(), frozenset(edges), frozenset(loops))
+            adj[i].add(j)
+            adj[j].add(i)
+    return InstanceGraph(
+        s.variables(),
+        s.thresholds(),
+        frozenset(edges),
+        frozenset(loops),
+        tuple(frozenset(a) for a in adj),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -393,29 +400,14 @@ class TemplateFamily:
     edges: Optional[tuple[tuple[int, int], ...]] = None
 
     def __str__(self) -> str:
-        if self.kind == "clique":
-            return f"clique:{self.n}"
-        if self.kind == "cycle":
-            return f"cycle:{self.n}"
-        if self.kind == "reflexive_cycle":
-            return f"reflexive-cycle:{self.n}"
-        if self.kind == "path":
-            return f"path:{self.n}"
-        if self.kind == "star":
-            return f"star:{self.n}"
-        if self.kind == "complete_bipartite":
-            return f"bipartite:{self.k},{self.l}"
-        if self.kind == "nae":
-            return "nae"
-        if self.kind == "single_quantifier":
-            return f"single:{self.n},{self.j}"
-        if self.kind == "hairy":
-            return f"hairy:{self.n}"
-        if self.kind == "hj":
-            return f"hj:{self.j}"
-        if self.kind in ("forest", "graph"):
-            body = ",".join(f"{a}-{b}" for a, b in (self.edges or ()))
-            return f"{self.kind}:{body}"
+        for head, (kind, fields, _) in _FAMILY_SPECS.items():
+            if kind != self.kind:
+                continue
+            if fields == "edges":
+                body = ",".join(f"{a}-{b}" for a, b in (self.edges or ()))
+            else:
+                body = ",".join(str(getattr(self, f)) for f in fields)
+            return f"{head}:{body}" if fields else head
         return self.kind
 
 
@@ -578,6 +570,22 @@ def build_template(family: TemplateFamily) -> Structure:
     raise InvalidStructureError(f"unknown template family {kind!r}")
 
 
+# spec head -> (kind, the parameters the spec lists in order, factory)
+_FAMILY_SPECS = {
+    "clique": ("clique", ("n",), clique),
+    "cycle": ("cycle", ("n",), cycle),
+    "reflexive-cycle": ("reflexive_cycle", ("n",), reflexive_cycle),
+    "path": ("path", ("n",), path),
+    "star": ("star", ("n",), star),
+    "bipartite": ("complete_bipartite", ("k", "l"), complete_bipartite),
+    "nae": ("nae", (), nae_boolean),
+    "single": ("single_quantifier", ("n", "j"), single_quantifier_template),
+    "hairy": ("hairy", ("n",), hairy_cycle),
+    "hj": ("hj", ("j",), hj_template),
+    "forest": ("forest", "edges", forest_from_edges),
+    "graph": ("graph", "edges", general_graph),
+}
+
 _FAMILY_RE = re.compile(r"([a-z0-9*-]+)(?::(.*))?\Z")
 
 
@@ -613,33 +621,12 @@ def parse_family_spec(text: str) -> TemplateFamily:
                 raise InvalidStructureError(f"bad edge {part!r} in family spec") from None
         return out
 
-    if head == "clique":
-        return clique(ints(1)[0])
-    if head == "cycle":
-        return cycle(ints(1)[0])
-    if head == "reflexive-cycle":
-        return reflexive_cycle(ints(1)[0])
-    if head == "path":
-        return path(ints(1)[0])
-    if head == "star":
-        return star(ints(1)[0])
-    if head == "bipartite":
-        k, l = ints(2)
-        return complete_bipartite(k, l)
-    if head == "nae":
-        return nae_boolean()
-    if head == "single":
-        n, j = ints(2)
-        return single_quantifier_template(n, j)
-    if head == "hairy":
-        return hairy_cycle(ints(1)[0])
-    if head == "hj":
-        return hj_template(ints(1)[0])
-    if head == "forest":
-        return forest_from_edges(edge_list())
-    if head == "graph":
-        return general_graph(edge_list())
-    raise InvalidStructureError(f"unknown family {head!r}")
+    if head not in _FAMILY_SPECS:
+        raise InvalidStructureError(f"unknown family {head!r}")
+    _, fields, factory = _FAMILY_SPECS[head]
+    if fields == "edges":
+        return factory(edge_list())
+    return factory(*ints(len(fields))) if fields else factory()
 
 
 # ---------------------------------------------------------------------------
@@ -704,7 +691,7 @@ def parse_fragment_spec(text: str) -> FragmentSpec:
 
 
 @dataclass(frozen=True)
-class GraphView:
+class GraphView(_Graph):
     """Adjacency view of a structure with one symmetric binary relation."""
 
     n: int
@@ -712,63 +699,21 @@ class GraphView:
     loops: frozenset[int]
     relation: str
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    def components(self) -> list[list[int]]:
-        seen: set[int] = set()
-        comps = []
-        for start in range(self.n):
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in self.adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        comp.append(u)
-                        stack.append(u)
-            comps.append(sorted(comp))
-        return comps
-
     def bipartition(self) -> Optional[list[int]]:
         """Colour classes, or None if the graph has a loop or odd cycle."""
-        if self.loops:
-            return None
-        colors = [-1] * self.n
-        for start in range(self.n):
-            if colors[start] != -1:
-                continue
-            colors[start] = 0
-            queue = [start]
-            while queue:
-                v = queue.pop()
-                for u in self.adj[v]:
-                    if colors[u] == -1:
-                        colors[u] = 1 - colors[v]
-                        queue.append(u)
-                    elif colors[u] == colors[v]:
-                        return None
-        return colors
+        return None if self.loops else self._two_colouring()
 
-    def distances_from(self, source: int) -> dict[int, int]:
-        dist = {source: 0}
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in self.adj[v]:
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        return dist
+    def largest_colour_class(self) -> int:
+        """The most vertices one colour class has inside one component;
+        the graph must be bipartite."""
+        colors = self.bipartition()
+        return max(
+            max(sum(1 for v in comp if colors[v] == c) for c in (0, 1))
+            for comp in self.components()
+        )
 
     def is_connected(self) -> bool:
         return len(self.components()) == 1

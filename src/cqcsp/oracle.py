@@ -48,6 +48,16 @@ class StrategyShapeError(ValueError):
     """A strategy tree does not structurally match the sentence prefix."""
 
 
+def resolve_thresholds(s: Sentence, n: int) -> Sentence:
+    """``s`` with the for-all sugar resolved to ``n``; every threshold must
+    lie in 1..n."""
+    rs = s.resolved(n)
+    for q in rs.prefix:
+        if not 1 <= q.threshold <= n:
+            raise ThresholdError(f"threshold {q.threshold} for {q.variable!r} outside 1..{n}")
+    return rs
+
+
 def effective_budget(budget: Optional[int]) -> int:
     if budget is not None:
         return budget
@@ -113,13 +123,8 @@ class _Search:
     """Compiled evaluation state for one (structure, sentence) pair."""
 
     def __init__(self, b: Structure, s: Sentence, budget: Optional[int]) -> None:
-        rs = s.resolved(b.domain_size)
         n = b.domain_size
-        for q in rs.prefix:
-            if not 1 <= q.threshold <= n:
-                raise ThresholdError(
-                    f"threshold {q.threshold} for {q.variable!r} outside 1..{n}"
-                )
+        rs = resolve_thresholds(s, n)
         sig = b.signature
         for name, vs in rs.atoms:
             if name not in sig:
@@ -272,12 +277,9 @@ def verify_strategy(b: Structure, s: Sentence, w: StrategyNode) -> bool:
     """Replay every adversary play of ``w``; true iff all plays satisfy
     the matrix.  Raises StrategyShapeError when the tree does not match
     the prefix."""
-    rs = s.resolved(b.domain_size)
     n = b.domain_size
+    rs = resolve_thresholds(s, n)
     m = len(rs.prefix)
-    for q in rs.prefix:
-        if not 1 <= q.threshold <= n:
-            raise ThresholdError(f"threshold {q.threshold} outside 1..{n}")
     index = rs.var_index()
     atoms = []
     for name, vs in rs.atoms:

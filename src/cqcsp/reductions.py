@@ -10,10 +10,12 @@ input, and identical inputs render byte-identically.
 
 from __future__ import annotations
 
+import itertools
 import math
+import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import oracle
 from .model import (
@@ -31,20 +33,7 @@ from .model import (
     require_graph,
     single_quantifier_template,
 )
-
-RULE_NAMES = (
-    "nae",
-    "clique-gj",
-    "clique-pad",
-    "clique-1j",
-    "odd-cycle-path",
-    "even-cycle",
-    "even-cycle-csp",
-    "girth-isolation",
-    "reflexive-c4",
-    "c4star-macros",
-)
-
+from .textio import parse_sentence
 
 @dataclass(frozen=True)
 class ReductionRule:
@@ -54,14 +43,21 @@ class ReductionRule:
     params: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.name not in RULE_NAMES:
+        if self.name not in RULES:
             raise InvalidStructureError(f"unknown reduction rule {self.name!r}")
+        for key in RULES[self.name].params:
+            if self.get(key) is None:
+                raise InvalidStructureError(f"rule {self.name!r} needs {key}=<value>")
 
     def get(self, key: str, default=None):
         for k, v in self.params:
             if k == key:
                 return v
         return default
+
+    def source_template(self) -> Structure:
+        """The template this rule's source sentences are evaluated on."""
+        return RULES[self.name].source_template(self)
 
     def __str__(self) -> str:
         body = " ".join(f"{k}={v}" for k, v in self.params)
@@ -130,6 +126,11 @@ def _dedup_edges(s: Sentence) -> list[tuple[str, str]]:
             seen.add(key)
             out.append((vs[0], vs[1]))
     return out
+
+
+def _clique_atoms(members: Sequence[str]) -> list[Atom]:
+    """An edge atom for every pair of ``members``, in lexicographic order."""
+    return [("E", pair) for pair in itertools.combinations(members, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +213,7 @@ def reduce_clique_single_threshold(j: int, s: Sentence) -> tuple[Structure, Sent
                 forcing = [names.make(f"{q.variable}~u{i}~{t}") for t in range(1, j + 2)]
                 prefix.extend(Quantifier(j, f) for f in forcing)
                 members = forcing + [blocks[q.variable][i - 1]]
-                for a in range(len(members)):
-                    for b in range(a + 1, len(members)):
-                        atoms.append(("E", (members[a], members[b])))
+                atoms.extend(_clique_atoms(members))
         prefix.extend(Quantifier(j, v) for v in blocks[q.variable])
     for e, (x, y) in enumerate(_dedup_edges(rs)):
         gadget = block_distinctness_gadget(j, blocks[x], blocks[y], f"e{e}", names)
@@ -234,9 +233,7 @@ def pad_clique(j: int, n: int, s: Sentence) -> tuple[Structure, Sentence]:
     pads = [names.make(f"pad~c~{i}") for i in range(1, n - 2 * j)]
     prefix = tuple(Quantifier(j, p) for p in pads) + rs.prefix
     atoms = list(rs.atoms)
-    for a in range(len(pads)):
-        for b in range(a + 1, len(pads)):
-            atoms.append(("E", (pads[a], pads[b])))
+    atoms.extend(_clique_atoms(pads))
     for p in pads:
         for q in rs.prefix:
             atoms.append(("E", (p, q.variable)))
@@ -259,9 +256,7 @@ def reduce_clique_one_j(n: int, j: int, s: Sentence) -> tuple[Structure, Sentenc
             prefix.extend(Quantifier(j, c) for c in companions)
             prefix.append(Quantifier(j, q.variable))
             members = companions + [q.variable]
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    atoms.append(("E", (members[a], members[b])))
+            atoms.extend(_clique_atoms(members))
         else:
             prefix.append(Quantifier(1, q.variable))
     return build_template(clique(n)), Sentence(tuple(prefix), tuple(atoms))
@@ -342,48 +337,59 @@ def reduce_even_cycle(
     rest = [w[i] for i in range(1, r + 1)] + [v[i] for i in range(n) if i not in set(alpha)]
     prefix.extend(Quantifier(1, u) for u in rest)
 
-    inner: list[Quantifier] = []
     for q in rs.prefix:
         if source_is_qcsp and q.threshold == half:
             gadget = universal_path_gadget(n, j, q.variable, names)
-            inner.extend(gadget.quantifiers)
+            prefix.extend(gadget.quantifiers)
             atoms.extend(gadget.atoms)
         else:
-            inner.append(Quantifier(1, q.variable))
-    prefix.extend(inner)
+            prefix.append(Quantifier(1, q.variable))
 
-    copies = 3 * half
-    gadget_vars: list[str] = []
     for e, (x, y) in enumerate(_dedup_edges(rs)):
-        vertex: dict[tuple[int, int], str] = {(1, i): v[i] for i in range(n)}
-        for c in range(2, copies + 1):
-            for i in range(n):
-                if c == copies and i == half:
-                    vertex[(c, i)] = y
-                else:
-                    name = names.make(f"e{e}~g{c}~{i}")
-                    vertex[(c, i)] = name
-                    gadget_vars.append(name)
-        for c in range(1, copies):
-            for i in range(n):
-                atoms.append(("E", (vertex[(c, i)], vertex[(c + 1, i)])))
-        for c in range(2, copies + 1):
-            for i in range(n):
-                atoms.append(("E", (vertex[(c, i)], vertex[(c, (i + 1) % n)])))
-        tail = [names.make(f"e{e}~x~{t}") for t in range(1, half - 2)] + [x]
-        gadget_vars.extend(tail[:-1])
-        chain = [vertex[(copies, 0)]] + tail
-        for t in range(len(chain) - 1):
-            atoms.append(("E", (chain[t], chain[t + 1])))
-    prefix.extend(Quantifier(1, u) for u in gadget_vars)
+        fresh = _chain_of_copies(names, v, x, y, f"e{e}", atoms)
+        prefix.extend(Quantifier(1, u) for u in fresh)
     return build_template(cycle(n)), Sentence(tuple(prefix), tuple(atoms))
+
+
+def _chain_of_copies(
+    names: _Names, base: Sequence[str], x: str, y: str, tag: str, atoms: list[Atom]
+) -> list[str]:
+    """The edge gadget of the cycle reductions: 3n/2 stacked copies of the
+    n-cycle ``base`` (itself the first copy), each vertex joined to its
+    copy in the next layer; vertex n/2 of the last copy is y, and a path
+    of n/2-2 edges runs from its vertex 0 to x.  Appends the atoms and
+    returns the fresh variables in creation order."""
+    n = len(base)
+    half = n // 2
+    copies = 3 * half
+    fresh: list[str] = []
+    layers = [list(base)]
+    for c in range(2, copies + 1):
+        layer = []
+        for i in range(n):
+            if c == copies and i == half:
+                layer.append(y)
+            else:
+                layer.append(names.make(f"{tag}~g{c}~{i}"))
+                fresh.append(layer[-1])
+        layers.append(layer)
+    for lower, upper in zip(layers, layers[1:]):
+        atoms.extend(("E", (lower[i], upper[i])) for i in range(n))
+    for layer in layers[1:]:
+        atoms.extend(("E", (layer[i], layer[(i + 1) % n])) for i in range(n))
+    tail = [names.make(f"{tag}~x~{t}") for t in range(1, half - 2)]
+    chain = [layers[-1][0], *tail, x]
+    atoms.extend(("E", edge) for edge in zip(chain, chain[1:]))
+    return fresh + tail
 
 
 # ---------------------------------------------------------------------------
 # Girth isolation for bipartite templates of girth >= 6
 
 
-def _isolation_plan(g) -> tuple[int, int]:
+def _isolation(h: Structure) -> tuple[int, Sentence, list[list[str]]]:
+    """girth/2, the spine sentence and its candidate cycles."""
+    g = require_graph(h)
     girth = g.girth()
     if girth is None:
         raise InvalidStructureError("template is acyclic; nothing to isolate")
@@ -394,7 +400,21 @@ def _isolation_plan(g) -> tuple[int, int]:
     d = g.diameter()
     if d is None:
         raise InvalidStructureError("template must be connected")
-    return girth // 2, d
+    j = girth // 2
+    spine = [f"v~s~{i}" for i in range(1, d + 2)]
+    prefix = [Quantifier(2, u) for u in spine]
+    atoms: list[Atom] = [("E", (spine[i], spine[i + 1])) for i in range(d)]
+    tail_quantifiers: list[Quantifier] = []
+    cycles = []
+    for i in range(1, d - j + 2):
+        block = [f"x{i}~b~{t}" for t in range(1, j)]
+        prefix.append(Quantifier(2, block[0]))
+        tail_quantifiers.extend(Quantifier(1, u) for u in block[1:])
+        atoms.append(("E", (block[0], spine[i - 1])))
+        atoms.extend(("E", edge) for edge in zip(block, block[1:]))
+        atoms.append(("E", (block[-1], spine[i - 1 + j])))
+        cycles.append(spine[i - 1 : i + j] + list(reversed(block)))
+    return j, Sentence(tuple(prefix) + tuple(tail_quantifiers), tuple(atoms)), cycles
 
 
 def isolation_spine(h: Structure) -> Sentence:
@@ -407,33 +427,12 @@ def isolation_spine(h: Structure) -> Sentence:
     remaining chain vertices are existential, since their completions along
     a tight arc are forced anyway.
     """
-    g = require_graph(h)
-    j, d = _isolation_plan(g)
-    spine = [f"v~s~{i}" for i in range(1, d + 2)]
-    prefix = [Quantifier(2, u) for u in spine]
-    atoms: list[Atom] = [("E", (spine[i], spine[i + 1])) for i in range(d)]
-    tail_quantifiers: list[Quantifier] = []
-    for i in range(1, d - j + 2):
-        block = [f"x{i}~b~{t}" for t in range(1, j)]
-        prefix.append(Quantifier(2, block[0]))
-        tail_quantifiers.extend(Quantifier(1, u) for u in block[1:])
-        atoms.append(("E", (block[0], spine[i - 1])))
-        for t in range(len(block) - 1):
-            atoms.append(("E", (block[t], block[t + 1])))
-        atoms.append(("E", (block[-1], spine[i - 1 + j])))
-    return Sentence(tuple(prefix) + tuple(tail_quantifiers), tuple(atoms))
+    return _isolation(h)[1]
 
 
 def isolation_blocks(h: Structure) -> list[list[str]]:
     """The candidate 2j-cycles of the spine, each in cyclic vertex order."""
-    g = require_graph(h)
-    j, d = _isolation_plan(g)
-    spine = [f"v~s~{i}" for i in range(1, d + 2)]
-    out = []
-    for i in range(1, d - j + 2):
-        block = [f"x{i}~b~{t}" for t in range(1, j)]
-        out.append(spine[i - 1 : i + j] + list(reversed(block)))
-    return out
+    return _isolation(h)[2]
 
 
 def girth_isolation(h: Structure, s: Sentence) -> tuple[Structure, Sentence]:
@@ -445,17 +444,11 @@ def girth_isolation(h: Structure, s: Sentence) -> tuple[Structure, Sentence]:
     own copy of the downstream chain construction and of the source
     variables.
     """
-    g = require_graph(h)
-    j, d = _isolation_plan(g)
+    j, spine_sentence, blocks = _isolation(h)
     rs = _resolve_for(s, j, {1}, "girth isolation")
-    spine_sentence = isolation_spine(h)
-    blocks = isolation_blocks(h)
-    names = _Names(v for v in spine_sentence.variables())
+    names = _Names(spine_sentence.variables())
     prefix = list(spine_sentence.prefix)
     atoms = list(spine_sentence.atoms)
-
-    n = 2 * j
-    copies = 3 * j
     edges = _dedup_edges(rs)
     for bi, cyc in enumerate(blocks, start=1):
         copy_of = {q.variable: names.make(f"b{bi}~{q.variable}") for q in rs.prefix}
@@ -464,28 +457,8 @@ def girth_isolation(h: Structure, s: Sentence) -> tuple[Structure, Sentence]:
         atoms.append(("E", (w0, cyc[0])))
         prefix.extend(Quantifier(1, copy_of[q.variable]) for q in rs.prefix)
         for e, (x, y) in enumerate(edges):
-            vertex: dict[tuple[int, int], str] = {(1, i): cyc[i] for i in range(n)}
-            tail_names: list[str] = []
-            for c in range(2, copies + 1):
-                for i in range(n):
-                    if c == copies and i == j:
-                        vertex[(c, i)] = copy_of[y]
-                    else:
-                        name = names.make(f"b{bi}~e{e}~g{c}~{i}")
-                        vertex[(c, i)] = name
-                        tail_names.append(name)
-            for c in range(1, copies):
-                for i in range(n):
-                    atoms.append(("E", (vertex[(c, i)], vertex[(c + 1, i)])))
-            for c in range(2, copies + 1):
-                for i in range(n):
-                    atoms.append(("E", (vertex[(c, i)], vertex[(c, (i + 1) % n)])))
-            tail = [names.make(f"b{bi}~e{e}~x~{t}") for t in range(1, j - 2)] + [copy_of[x]]
-            tail_names.extend(tail[:-1])
-            chain = [vertex[(copies, 0)]] + tail
-            for t in range(len(chain) - 1):
-                atoms.append(("E", (chain[t], chain[t + 1])))
-            prefix.extend(Quantifier(1, u) for u in tail_names)
+            fresh = _chain_of_copies(names, cyc, copy_of[x], copy_of[y], f"b{bi}~e{e}", atoms)
+            prefix.extend(Quantifier(1, u) for u in fresh)
     return h, Sentence(tuple(prefix), tuple(atoms))
 
 
@@ -602,51 +575,12 @@ def compile_rule(
     rule_: ReductionRule, source_template: Structure, source: Sentence
 ) -> tuple[Structure, Sentence]:
     """Compile one source under the rule; raises on precondition failure."""
-    name = rule_.name
-    if name == "nae":
-        if source_template != build_template(nae_boolean()):
-            raise InvalidStructureError("nae sources live on the not-all-equal template")
-        return reduce_nae(rule_.get("j"), rule_.get("n"), source)
-    if name == "clique-gj":
-        j = rule_.get("j")
-        expected = build_template(clique(math.comb(2 * j + 1, j)))
-        if source_template != expected:
-            raise InvalidStructureError("clique size mismatch for the block reduction")
-        return reduce_clique_single_threshold(j, source)
-    if name == "clique-pad":
-        j, n = rule_.get("j"), rule_.get("n")
-        if source_template != build_template(clique(2 * j + 1)):
-            raise InvalidStructureError("padding sources live on the (2j+1)-clique")
-        return pad_clique(j, n, source)
-    if name == "clique-1j":
-        j, n = rule_.get("j"), rule_.get("n")
-        if source_template != build_template(clique(n)):
-            raise InvalidStructureError("clique size mismatch")
-        return reduce_clique_one_j(n, j, source)
-    if name == "even-cycle":
-        n, j = rule_.get("n"), rule_.get("j")
-        if source_template != build_template(clique(n // 2)):
-            raise InvalidStructureError("source template must be the n/2 clique")
-        return reduce_even_cycle(n, j, source, True)
-    if name == "even-cycle-csp":
-        n, j = rule_.get("n"), rule_.get("j")
-        if source_template != build_template(clique(n // 2)):
-            raise InvalidStructureError("source template must be the n/2 clique")
-        return reduce_even_cycle(n, j, source, False)
-    if name == "girth-isolation":
-        h = rule_.get("h")
-        if h is None:
-            raise InvalidStructureError("girth isolation needs the target template h")
-        return girth_isolation(h, source)
-    if name == "reflexive-c4":
-        if source_template != build_template(clique(4)):
-            raise InvalidStructureError("sources live on the 4-clique")
-        return reduce_reflexive_c4(source)
-    if name == "c4star-macros":
-        if source_template != build_template(reflexive_cycle(4)):
-            raise InvalidStructureError("macro sources live on the reflexive 4-cycle")
-        return build_template(reflexive_cycle(4)), expand_reflexive_c4_macros(source)
-    raise InvalidStructureError(f"rule {name!r} has no direct compiler")
+    spec = RULES[rule_.name]
+    if spec.compile is None:
+        raise InvalidStructureError(f"rule {rule_.name!r} has no direct compiler")
+    if source_template != rule_.source_template():
+        raise InvalidStructureError(spec.mismatch)
+    return spec.compile(rule_, source)
 
 
 def corrupt_compiled(target: tuple[Structure, Sentence]) -> tuple[Structure, Sentence]:
@@ -702,114 +636,7 @@ def _random_graph_sentence(
 
 def default_sources(rule_: ReductionRule, trials: int, seed: int) -> list[Sentence]:
     """A seeded source suite for command-line verification of a rule."""
-    import random
-
-    rng = random.Random(seed)
-    name = rule_.name
-    out: list[Sentence] = []
-    if name == "odd-cycle-path":
-        return []
-    if name == "nae":
-        names = ["a", "b", "c"]
-        for _ in range(trials):
-            n_vars = rng.randint(1, 3)
-            vs = names[:n_vars]
-            prefix = tuple(Quantifier(rng.choice((1, 2)), v) for v in vs)
-            atoms = []
-            for _ in range(rng.randint(1, 2)):
-                triple = [rng.choice(vs) for _ in range(3)]
-                if len(set(triple)) == 1 and len(vs) > 1:
-                    # avoid the trivially-false all-equal atom most of the time
-                    triple[rng.randrange(3)] = rng.choice(
-                        [v for v in vs if v != triple[0]]
-                    )
-                atoms.append(("R", tuple(triple)))
-            out.append(Sentence(prefix, tuple(atoms)))
-        return out
-    if name == "clique-gj":
-        j = rule_.get("j")
-        big = math.comb(2 * j + 1, j)
-        fixed = [
-            Sentence((Quantifier(1, "u"),), ()),
-            Sentence((Quantifier(1, "u"),), (("E", ("u", "u")),)),
-            Sentence((Quantifier(1, "u"), Quantifier(1, "v")), (("E", ("u", "v")),)),
-            Sentence((Quantifier(big, "u"), Quantifier(1, "v")), (("E", ("u", "v")),)),
-            Sentence((Quantifier(1, "u"), Quantifier(big, "v")), (("E", ("u", "v")),)),
-            Sentence((Quantifier(big, "u"), Quantifier(big, "v")), (("E", ("u", "v")),)),
-        ]
-        return fixed[: max(1, trials)]
-    if name == "clique-pad":
-        j = rule_.get("j")
-        for _ in range(trials):
-            out.append(_random_graph_sentence(rng, rng.randint(1, 3), 3, [j]))
-        return out
-    if name == "clique-1j":
-        n = rule_.get("n")
-        for _ in range(trials):
-            out.append(_random_graph_sentence(rng, rng.randint(1, 3), 3, [1, n]))
-        return out
-    if name in ("even-cycle", "even-cycle-csp"):
-        half = rule_.get("n") // 2
-        fixed = [
-            Sentence((Quantifier(1, "u"),), ()),
-            Sentence((Quantifier(1, "u"),), (("E", ("u", "u")),)),
-            Sentence((Quantifier(1, "u"), Quantifier(1, "v")), (("E", ("u", "v")),)),
-        ]
-        if name == "even-cycle":
-            fixed.append(
-                Sentence((Quantifier(half, "u"), Quantifier(1, "v")), (("E", ("u", "v")),))
-            )
-            fixed.append(
-                Sentence((Quantifier(half, "u"), Quantifier(half, "v")), (("E", ("u", "v")),))
-            )
-        else:
-            fixed.append(
-                Sentence(
-                    (Quantifier(1, "u"), Quantifier(1, "v"), Quantifier(1, "t")),
-                    (("E", ("u", "v")), ("E", ("v", "t"))),
-                )
-            )
-        return fixed[: max(1, trials)]
-    if name == "girth-isolation":
-        fixed = [
-            Sentence((Quantifier(1, "u"),), ()),
-            Sentence((Quantifier(1, "u"),), (("E", ("u", "u")),)),
-            Sentence((Quantifier(1, "u"), Quantifier(1, "v")), (("E", ("u", "v")),)),
-        ]
-        return fixed[: max(1, trials)]
-    if name == "reflexive-c4":
-        fixed = [
-            Sentence((Quantifier(1, "u"), Quantifier(1, "v")), (("E", ("u", "v")),)),
-            Sentence((Quantifier(4, "u"), Quantifier(1, "v")), (("E", ("u", "v")),)),
-            Sentence((Quantifier(4, "u"), Quantifier(4, "v")), (("E", ("u", "v")),)),
-            Sentence((Quantifier(1, "u"),), (("E", ("u", "u")),)),
-        ]
-        out.extend(fixed)
-        while len(out) < trials:
-            out.append(_random_graph_sentence(rng, rng.randint(1, 3), 2, [1, 4]))
-        return out[: max(1, trials)]
-    if name == "c4star-macros":
-        names = ["x", "y"]
-        for n_vars in (1, 2):
-            vs = names[:n_vars]
-            slots = [(a, b) for a in vs for b in vs]
-            for combo_bits in range(1 << len(slots)):
-                atom_list = [
-                    ("E", slots[i]) for i in range(len(slots)) if combo_bits >> i & 1
-                ]
-                if len(atom_list) > 2:
-                    continue
-                for thresholds in _threshold_tuples(n_vars):
-                    prefix = tuple(Quantifier(t, v) for t, v in zip(thresholds, vs))
-                    out.append(Sentence(prefix, tuple(atom_list)))
-        return out
-    raise InvalidStructureError(f"no default source suite for rule {name!r}")
-
-
-def _threshold_tuples(n_vars: int):
-    import itertools as _it
-
-    return _it.product((1, 2, 3, 4), repeat=n_vars)
+    return RULES[rule_.name].sources(rule_, trials, random.Random(seed))
 
 
 def verify_reduction(
@@ -827,33 +654,16 @@ def verify_reduction(
     Any disagreement is a hard failure (status DISAGREE).  Cases whose
     oracle run exceeds the node budget are reported as budget-skipped,
     never as passed.  Precondition violations are reported per source.
+    A rule with fixed cases is checked on those instead of ``sources``,
+    each case's expected verdict standing in for the source verdict.
     """
     report = ReductionReport(rule_)
-    if rule_.name == "odd-cycle-path":
-        n, j = rule_.get("n"), rule_.get("j")
-        for index, (label, expected, template, s) in enumerate(universal_path_cases(n, j)):
+    spec = RULES[rule_.name]
+    if spec.cases is not None:
+        for index, (label, expected, template, s) in enumerate(spec.cases(rule_)):
             start = time.perf_counter()
-            want = "yes" if expected else "no"
-            try:
-                got = oracle.evaluate(template, s, budget=budget)
-            except oracle.BudgetExceededError:
-                report.cases.append(
-                    ReductionCase(index, label, want, "?", "budget-skipped")
-                )
-                continue
-            status = "agree" if got == expected else "DISAGREE"
-            report.cases.append(
-                ReductionCase(
-                    index,
-                    label,
-                    want,
-                    "yes" if got else "no",
-                    status,
-                    len(s.prefix),
-                    len(s.atoms),
-                    time.perf_counter() - start,
-                )
-            )
+            want = _yes_no(expected)
+            report.cases.append(_check(index, label, lambda: want, (template, s), budget, start))
         return report
 
     compile_fn = compiler or compile_rule
@@ -869,39 +679,214 @@ def verify_reduction(
                 ReductionCase(index, label, "?", "?", f"precondition({exc})")
             )
             continue
-        target_template, target_sentence = compiled
-        source_verdict = "?"
-        target_verdict = "?"
-        try:
-            source_verdict = "yes" if oracle.evaluate(source_template, source, budget=budget) else "no"
-            target_verdict = (
-                "yes" if oracle.evaluate(target_template, target_sentence, budget=budget) else "no"
-            )
-        except oracle.BudgetExceededError:
-            report.cases.append(
-                ReductionCase(
-                    index,
-                    label,
-                    source_verdict,
-                    target_verdict,
-                    "budget-skipped",
-                    len(target_sentence.prefix),
-                    len(target_sentence.atoms),
-                    time.perf_counter() - start,
-                )
-            )
-            continue
-        status = "agree" if source_verdict == target_verdict else "DISAGREE"
-        report.cases.append(
-            ReductionCase(
-                index,
-                label,
-                source_verdict,
-                target_verdict,
-                status,
-                len(target_sentence.prefix),
-                len(target_sentence.atoms),
-                time.perf_counter() - start,
-            )
-        )
+
+        def source_verdict() -> str:
+            return _yes_no(oracle.evaluate(source_template, source, budget=budget))
+
+        report.cases.append(_check(index, label, source_verdict, compiled, budget, start))
     return report
+
+
+def _yes_no(verdict: bool) -> str:
+    return "yes" if verdict else "no"
+
+
+def _check(
+    index: int,
+    label: str,
+    source_verdict: Callable[[], str],
+    target: tuple[Structure, Sentence],
+    budget: Optional[int],
+    start: float,
+) -> ReductionCase:
+    """Compare the source verdict with the oracle's verdict on the target; a
+    node-budget stop leaves the verdicts not reached as '?'."""
+    template, s = target
+    verdicts = ["?", "?"]
+    try:
+        verdicts[0] = source_verdict()
+        verdicts[1] = _yes_no(oracle.evaluate(template, s, budget=budget))
+        status = "agree" if verdicts[0] == verdicts[1] else "DISAGREE"
+    except oracle.BudgetExceededError:
+        status = "budget-skipped"
+    return ReductionCase(
+        index, label, *verdicts, status, len(s.prefix), len(s.atoms), time.perf_counter() - start
+    )
+
+
+# ---------------------------------------------------------------------------
+# The rule registry
+
+
+class RuleSpec(NamedTuple):
+    """One reduction rule, declared once: the parameters it needs, the
+    template its sources are evaluated on, its compiler, its seeded source
+    suite (rule, trials, rng) and the error for any other source template.
+    A rule without a compiler is checked on its fixed ``cases`` (label,
+    expected verdict, template, sentence) instead."""
+
+    params: tuple[str, ...]
+    source_template: Callable[[ReductionRule], Structure]
+    compile: Optional[Callable[[ReductionRule, Sentence], tuple[Structure, Sentence]]]
+    sources: Callable[[ReductionRule, int, random.Random], list[Sentence]]
+    mismatch: str = ""
+    cases: Optional[Callable[[ReductionRule], list[tuple[str, bool, Structure, Sentence]]]] = None
+
+
+def _nae_sources(rule_: ReductionRule, trials: int, rng: random.Random) -> list[Sentence]:
+    names = ["a", "b", "c"]
+    out = []
+    for _ in range(trials):
+        n_vars = rng.randint(1, 3)
+        vs = names[:n_vars]
+        prefix = tuple(Quantifier(rng.choice((1, 2)), v) for v in vs)
+        atoms = []
+        for _ in range(rng.randint(1, 2)):
+            triple = [rng.choice(vs) for _ in range(3)]
+            if len(set(triple)) == 1 and len(vs) > 1:
+                # avoid the trivially-false all-equal atom most of the time
+                triple[rng.randrange(3)] = rng.choice(
+                    [v for v in vs if v != triple[0]]
+                )
+            atoms.append(("R", tuple(triple)))
+        out.append(Sentence(prefix, tuple(atoms)))
+    return out
+
+
+def _random_sources(thresholds: Callable[[ReductionRule], list[int]]):
+    """Random graph sentences of 1-3 variables and up to 3 atoms."""
+
+    def sources(rule_: ReductionRule, trials: int, rng: random.Random) -> list[Sentence]:
+        return [
+            _random_graph_sentence(rng, rng.randint(1, 3), 3, thresholds(rule_))
+            for _ in range(trials)
+        ]
+
+    return sources
+
+
+def _fixed_sources(*texts: str):
+    """A fixed suite cut to ``trials`` sentences (at least one); ``{A}`` in
+    a text is the size of the rule's source template."""
+
+    def sources(rule_: ReductionRule, trials: int, rng: random.Random) -> list[Sentence]:
+        size = rule_.source_template().domain_size
+        return [parse_sentence(text.format(A=size)) for text in texts][: max(1, trials)]
+
+    return sources
+
+
+_SMALL_SOURCES = ("E1 u |", "E1 u | E(u,u)", "E1 u E1 v | E(u,v)")
+
+
+def _reflexive_c4_sources(rule_: ReductionRule, trials: int, rng: random.Random) -> list[Sentence]:
+    fixed = ("E1 u E1 v | E(u,v)", "E4 u E1 v | E(u,v)", "E4 u E4 v | E(u,v)", "E1 u | E(u,u)")
+    out = [parse_sentence(text) for text in fixed]
+    while len(out) < trials:
+        out.append(_random_graph_sentence(rng, rng.randint(1, 3), 2, [1, 4]))
+    return out[: max(1, trials)]
+
+
+def _c4star_sources(rule_: ReductionRule, trials: int, rng: random.Random) -> list[Sentence]:
+    """Every sentence of one or two variables and at most two atoms."""
+    names = ["x", "y"]
+    out = []
+    for n_vars in (1, 2):
+        vs = names[:n_vars]
+        slots = [(a, b) for a in vs for b in vs]
+        for combo_bits in range(1 << len(slots)):
+            atom_list = [
+                ("E", slots[i]) for i in range(len(slots)) if combo_bits >> i & 1
+            ]
+            if len(atom_list) > 2:
+                continue
+            for thresholds in itertools.product((1, 2, 3, 4), repeat=n_vars):
+                prefix = tuple(Quantifier(t, v) for t, v in zip(thresholds, vs))
+                out.append(Sentence(prefix, tuple(atom_list)))
+    return out
+
+
+def _girth_source_template(rule_: ReductionRule) -> Structure:
+    girth = require_graph(rule_.get("h")).girth()
+    if girth is None:
+        raise InvalidStructureError("h is acyclic")
+    return build_template(clique(girth // 2))
+
+
+RULES: dict[str, RuleSpec] = {
+    "nae": RuleSpec(
+        ("j", "n"),
+        lambda r: build_template(nae_boolean()),
+        lambda r, s: reduce_nae(r.get("j"), r.get("n"), s),
+        _nae_sources,
+        "nae sources live on the not-all-equal template",
+    ),
+    "clique-gj": RuleSpec(
+        ("j",),
+        lambda r: build_template(clique(math.comb(2 * r.get("j") + 1, r.get("j")))),
+        lambda r, s: reduce_clique_single_threshold(r.get("j"), s),
+        _fixed_sources(
+            *_SMALL_SOURCES,
+            "E{A} u E1 v | E(u,v)",
+            "E1 u E{A} v | E(u,v)",
+            "E{A} u E{A} v | E(u,v)",
+        ),
+        "clique size mismatch for the block reduction",
+    ),
+    "clique-pad": RuleSpec(
+        ("j", "n"),
+        lambda r: build_template(clique(2 * r.get("j") + 1)),
+        lambda r, s: pad_clique(r.get("j"), r.get("n"), s),
+        _random_sources(lambda r: [r.get("j")]),
+        "padding sources live on the (2j+1)-clique",
+    ),
+    "clique-1j": RuleSpec(
+        ("n", "j"),
+        lambda r: build_template(clique(r.get("n"))),
+        lambda r, s: reduce_clique_one_j(r.get("n"), r.get("j"), s),
+        _random_sources(lambda r: [1, r.get("n")]),
+        "clique size mismatch",
+    ),
+    "odd-cycle-path": RuleSpec(
+        ("n", "j"),
+        lambda r: build_template(cycle(r.get("n"))),
+        None,
+        lambda r, trials, rng: [],
+        cases=lambda r: universal_path_cases(r.get("n"), r.get("j")),
+    ),
+    "even-cycle": RuleSpec(
+        ("n", "j"),
+        lambda r: build_template(clique(r.get("n") // 2)),
+        lambda r, s: reduce_even_cycle(r.get("n"), r.get("j"), s, True),
+        _fixed_sources(*_SMALL_SOURCES, "E{A} u E1 v | E(u,v)", "E{A} u E{A} v | E(u,v)"),
+        "source template must be the n/2 clique",
+    ),
+    "even-cycle-csp": RuleSpec(
+        ("n", "j"),
+        lambda r: build_template(clique(r.get("n") // 2)),
+        lambda r, s: reduce_even_cycle(r.get("n"), r.get("j"), s, False),
+        _fixed_sources(*_SMALL_SOURCES, "E1 u E1 v E1 t | E(u,v) & E(v,t)"),
+        "source template must be the n/2 clique",
+    ),
+    "girth-isolation": RuleSpec(
+        ("h",),
+        _girth_source_template,
+        lambda r, s: girth_isolation(r.get("h"), s),
+        _fixed_sources(*_SMALL_SOURCES),
+        "sources live on the girth/2 clique",
+    ),
+    "reflexive-c4": RuleSpec(
+        (),
+        lambda r: build_template(clique(4)),
+        lambda r, s: reduce_reflexive_c4(s),
+        _reflexive_c4_sources,
+        "sources live on the 4-clique",
+    ),
+    "c4star-macros": RuleSpec(
+        (),
+        lambda r: build_template(reflexive_cycle(4)),
+        lambda r, s: (build_template(reflexive_cycle(4)), expand_reflexive_c4_macros(s)),
+        _c4star_sources,
+        "macro sources live on the reflexive 4-cycle",
+    ),
+}

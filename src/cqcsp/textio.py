@@ -1,5 +1,4 @@
-"""Line-based text formats for structures, sentences, strategies and
-verdicts.
+"""Line-based text formats for structures, sentences and strategies.
 
 All three grammars are ASCII, comment lines start with ``#``, and an
 optional leading ``format 1`` line versions the files.  Rendering is
@@ -383,14 +382,3 @@ def parse_strategy(text: str, thresholds: Optional[Sequence[int]] = None) -> Str
     if thresholds is not None and not root.depth_ok(len(thresholds)):
         raise ParseError("strategy depth does not match the prefix", rows[0][3])
     return root
-
-
-# ---------------------------------------------------------------------------
-# Verdicts
-
-
-def render_verdict(verdict) -> str:
-    label = verdict.complexity.label
-    if verdict.citation:
-        return f"{label} ({verdict.citation})"
-    return label

@@ -66,6 +66,26 @@ def test_solve_budget_exit_3(files):
     assert run(["solve", c6, s, "--node-budget", "2"]) == 3
 
 
+def test_internal_error_exit_4(files, capsys, monkeypatch):
+    tmp, write = files
+    k2 = write("k2.structure", textio.render_structure(build_template(model.clique(2))))
+    s = write("s.sentence", "E1 x E1 y | E(x,y)\n")
+
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli.oracle, "evaluate", crash)
+    assert run(["solve", k2, s, "--engine", "oracle"]) == cli.EXIT_INTERNAL == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal: RecursionError(")
+
+
+def test_missing_rule_parameter_exit_2(capsys):
+    assert run(["verify", "clique-pad", "j=2"]) == 2
+    assert capsys.readouterr().err == "error: rule 'clique-pad' needs n=<value>\n"
+
+
 def test_classify_output(files, capsys):
     assert run(["classify", "clique:5", "X=2"]) == 0
     assert capsys.readouterr().out.strip() == "Pspace-complete (Thm 1 iii)"

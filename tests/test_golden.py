@@ -1,0 +1,230 @@
+"""Golden outputs: sha256 digests of compiled reductions, dispatch tags,
+classifier verdicts and `cqcsp verify` output.
+
+Dispatch lines carry the matched decider's answer as well as its tag.
+The digests were computed on the code as it stood before each reduction
+rule, tractable case and graph traversal came to be declared once; they
+pin that this changed no rendered byte, dispatch tag, verdict string or
+exit code.  A failing test's id names its section and key; rerunning that
+section's ``*_lines`` function shows the output that changed.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import itertools
+
+import pytest
+
+from cqcsp import cli, model, textio
+from cqcsp import fastpath as fp
+from cqcsp import reductions as rd
+from cqcsp.model import Quantifier, Sentence, build_template
+
+from conftest import matrices
+
+# rule name, parameters, source template family
+RULES = [
+    ("clique-gj", {"j": 2}, model.clique(10)),
+    ("clique-pad", {"j": 2, "n": 6}, model.clique(5)),
+    ("clique-1j", {"n": 3, "j": 2}, model.clique(3)),
+    ("nae", {"j": 2, "n": 4}, model.nae_boolean()),
+    ("even-cycle", {"n": 6, "j": 2}, model.clique(3)),
+    ("even-cycle-csp", {"n": 6, "j": 2}, model.clique(3)),
+    ("girth-isolation", {"h": "cycle:6"}, model.clique(3)),
+    ("reflexive-c4", {}, model.clique(4)),
+    ("c4star-macros", {}, model.reflexive_cycle(4)),
+]
+
+CLASSIFY_FAMILIES = (
+    [f"clique:{n}" for n in range(1, 8)]
+    + [f"cycle:{n}" for n in range(3, 10)]
+    + [f"path:{n}" for n in range(1, 8)]
+    + [f"star:{n}" for n in range(1, 5)]
+    + [f"bipartite:{k},{l}" for k in range(1, 4) for l in range(1, 4)]
+    + [f"reflexive-cycle:{n}" for n in range(3, 6)]
+    + [f"hj:{j}" for j in range(3, 6)]
+    + ["hairy:3", "nae", "single:4,2", "single:5,3"]
+    + ["graph:0-1,0-2,0-3,3-4", "graph:0-1,1-2,2-3,0-3,3-4"]
+)
+
+VERIFY_ARGS = {
+    "clique-pad": ["j=2", "n=6"],
+    "clique-1j": ["n=3", "j=2"],
+    "nae": ["j=2", "n=4"],
+    "c4star-macros": [],
+    "reflexive-c4": [],
+    "odd-cycle-path": ["n=5", "j=2"],
+}
+
+
+def _params(params: dict) -> dict:
+    return {
+        k: build_template(model.parse_family_spec(v)) if k == "h" else v
+        for k, v in params.items()
+    }
+
+
+def compiled_lines(name: str) -> list[str]:
+    params, family = next((p, f) for r, p, f in RULES if r == name)
+    rule = rd.rule(name, **_params(params))
+    source_template = build_template(family)
+    out = []
+    for source in rd.default_sources(rule, trials=20, seed=1):
+        try:
+            target, s = rd.compile_rule(rule, source_template, source)
+        except model.InvalidStructureError as exc:
+            out.append(f"{source} -> error: {exc}")
+            continue
+        out.append(textio.render_structure(target) + textio.render_sentence(s))
+    return out
+
+
+def _run(thunk) -> str:
+    try:
+        return str(thunk())
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def dispatch_lines(key: str, zoo) -> list[str]:
+    b = zoo[key]
+    thresholds = range(1, b.domain_size + 1)
+    out = []
+    for n_vars in range(1, 4):
+        names = [f"x{i}" for i in range(n_vars)]
+        mats = matrices(n_vars, 2)
+        for combo in itertools.product(thresholds, repeat=n_vars):
+            prefix = tuple(Quantifier(t, v) for t, v in zip(combo, names))
+            for atoms in mats:
+                match = fp.dispatch(b, Sentence(prefix, atoms))
+                out.append("None" if match is None else f"{match[0]} {_run(match[1])}")
+    return out
+
+
+def classify_lines(spec: str) -> list[str]:
+    family = model.parse_family_spec(spec)
+    size = build_template(family).domain_size
+    fragments = [
+        model.ThresholdSet(frozenset(x))
+        for r in range(1, size + 1)
+        for x in itertools.combinations(range(1, size + 1), r)
+    ] + [model.BoundedPrefix(m) for m in range(4)]
+    return [f"{frag} {fp.classify(family, frag)}" for frag in fragments]
+
+
+def verify_lines(name: str, capsys) -> list[str]:
+    code = cli.main(["verify", name, *VERIFY_ARGS[name]])
+    return [f"exit {code}", capsys.readouterr().out]
+
+
+def digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+COMPILED = {
+    "clique-gj": "2b14765cf8821230372f61f66ea34c5152ddb5ae5e959d2fbe60bb3ba8f12150",
+    "clique-pad": "007c54dac80939a62822a0fe67f015ce7979d99e671e4b4804dbfa0067d9d012",
+    "clique-1j": "0a22c99c767b483e0821f7ebb79be5fab19dc2e6a6ad9a766112a1bdd586aff1",
+    "nae": "6d90d7890a07399915d5a3f47fa0185410fb67fabf9a3eac5187e087fbb8a5e6",
+    "even-cycle": "1f758b2e8884ae4111285834984988b302f83ad5b3b43aabf17195eed7b994f7",
+    "even-cycle-csp": "5960912c9cf1e3c39e9dd071e783b9f19c81907d502914192413492f225a20ab",
+    "girth-isolation": "b91d7f6d7564bf556740cf84c2defa397d78688c1b4c0577e43ef1dd10026ddb",
+    "reflexive-c4": "18ab8f004e2b4241a96f3bf340b5607f58c8818ffe4726bb73981bb10389528b",
+    "c4star-macros": "afc4c8852901538aa7f7854bccb8f148a740968cada4feb3a1e0b3dd6f38d2f0",
+}
+DISPATCH = {
+    "K1": "b32ec90407adf1b3ee7dc9dbe045d9006b1dfb50a4b5b9c55fd67335f84a3d97",
+    "K2": "08237251ae039c56912ca9add1f9c7e8856e11d35f18bbb079de60f75bd70b7b",
+    "K3": "d79c2afaf33e729f04db4de2dc5cf81aa04f7355f89012f9620ac27062fa1f0b",
+    "K4": "dd8e7fd052706e4f153eb9db1637aa39cbb253a7173202b4b9a65325d10dd054",
+    "C4": "32c9e7cfa514c6669ea68e8644bdc96a6d953f8a57305c1bc461b6773cf38170",
+    "C5": "12c045a3980f39f45a2a8ea75ed751b4502bcac7319f80d9844e218d43d90341",
+    "C6": "83501b585991715297ff7fcf0466a21b4b733373308b6b213e6156bc91523b2d",
+    "P3": "adbaf372d008bc0e19d9f03b0571ef0118be350f56d5e2fde54b7b14f73300be",
+    "P4": "344b2fcb40a3f940ffd2876c6968caf083d37d5fa0f69bb457b711c92e6f3c8e",
+    "P5": "f84efedd8e63ddd0f32b4a17b5ab694303de01348e2211f7af929f9ef145a961",
+    "K23": "d3f1933c5f5c64bdd7cb6fc9185d55ddd6176a67b2755aef0a69be8489ba2222",
+    "K13": "a5937c70bb4d321138d440915ee5038998ddc06790c561ee1daff2e457fc9640",
+    "C4star": "be90ecac2d8ded572219d85eded9c2cc352723ad17b94483f7f34b411f3eca90",
+    "NAE": "81bccdb3d2f08344732b35645f476073dd4c08f848ac271c35aaf368e108a7ad",
+}
+CLASSIFY = {
+    "clique:1": "97f5a3c77db6dfdc842bfa9b09b6b0ff8115b4e3adae0217b84a44632e59a6d3",
+    "clique:2": "566592636d06e35e44b308952e300c752058ccfea5877c9e334820753be783ab",
+    "clique:3": "520616c6d72b1c43a7faa2a451d895169a74c508f0f9162b79bd72cb4e82955d",
+    "clique:4": "eef67394bd13013af98cbf6e2129e4f7216bb75e67239557c1539ee907ed5e4e",
+    "clique:5": "5a4144ab06140934cd129e7ff0fcce47347887fb5465d33981e72bdada90b8f4",
+    "clique:6": "e906f214919054e8e1375db34c4da1d6ff40c0c56b939e1052020a431ab01e51",
+    "clique:7": "4880d0cd79298600412db9b07ed8ec7b26d7b652132a8e38c04c6c815235460b",
+    "cycle:3": "5850b6664a8862cebb21ebf2417f397250551869bed742e457f9f264d9dbede1",
+    "cycle:4": "1790ac29af9b33cbbed20516dca4065bcb64707bec017dad93fd594234fc407c",
+    "cycle:5": "95dfb67dbdd84d848cefa8af9046b655d8270bdcbb599975920141fcd9ad25ea",
+    "cycle:6": "3c2099dbb343e395b3b35283c28b62f82a1ba8e360e4048980aa0943024df737",
+    "cycle:7": "08d4659e12734c573d33614f5638b5c1871f6f2c25f86c34bdbf23e985d8c48c",
+    "cycle:8": "72fc5971ddfb9611388752858af2387ff846db7babb39a77c57c425f54bd31ca",
+    "cycle:9": "cb32682954f29b8b70f6a1dbfdf6729e0057579755c50bd51f8ced0301392127",
+    "path:1": "97f5a3c77db6dfdc842bfa9b09b6b0ff8115b4e3adae0217b84a44632e59a6d3",
+    "path:2": "106df8a7088ebd5def5c3594c7a788504254fb1b657692dba3e87e3cb0a43517",
+    "path:3": "1c10ee35f93854c78d4cbc9c6d9a485bdb1b28d89911e1582aa81a3445e3689f",
+    "path:4": "e8ef1d1493661aa0f64693ad269925098ed7c6c48f1cc7def6843e786fc8748d",
+    "path:5": "65f38cce276fe9c457f6c55e110cc33632a4b1875e488d6fcba8e4031d3a2ba0",
+    "path:6": "f571214f8033f6b58d735d16d5afc16fa4081d5eea96f3c8ef043529a8ed9aaf",
+    "path:7": "affa0979ee3b404cac490b3982dd093f5a5a446a652663dd89bb1678076e0556",
+    "star:1": "106df8a7088ebd5def5c3594c7a788504254fb1b657692dba3e87e3cb0a43517",
+    "star:2": "1c10ee35f93854c78d4cbc9c6d9a485bdb1b28d89911e1582aa81a3445e3689f",
+    "star:3": "59d2182d67dd110f9b3e8c0e1961391cfa8cfa2d7d7d366fc74f39412a243fdc",
+    "star:4": "438c84cef38915ac5b122197307dc03a9b708a13d039f97aebdd9f75fa18c319",
+    "bipartite:1,1": "106df8a7088ebd5def5c3594c7a788504254fb1b657692dba3e87e3cb0a43517",
+    "bipartite:1,2": "1c10ee35f93854c78d4cbc9c6d9a485bdb1b28d89911e1582aa81a3445e3689f",
+    "bipartite:1,3": "59d2182d67dd110f9b3e8c0e1961391cfa8cfa2d7d7d366fc74f39412a243fdc",
+    "bipartite:2,1": "1c10ee35f93854c78d4cbc9c6d9a485bdb1b28d89911e1582aa81a3445e3689f",
+    "bipartite:2,2": "59d2182d67dd110f9b3e8c0e1961391cfa8cfa2d7d7d366fc74f39412a243fdc",
+    "bipartite:2,3": "438c84cef38915ac5b122197307dc03a9b708a13d039f97aebdd9f75fa18c319",
+    "bipartite:3,1": "59d2182d67dd110f9b3e8c0e1961391cfa8cfa2d7d7d366fc74f39412a243fdc",
+    "bipartite:3,2": "438c84cef38915ac5b122197307dc03a9b708a13d039f97aebdd9f75fa18c319",
+    "bipartite:3,3": "db671310c9476e73194c58e15e535e6383f77da41de1c09db7ac2637d345ab82",
+    "reflexive-cycle:3": "40a9c33a460d871e8573285c421cd993ebbb5329b4e10b2354b7c8db82ac9155",
+    "reflexive-cycle:4": "153906dc914e254c3a4c0f7f705693cf8bf1c2fe17d194e07c5f55624f16b1a8",
+    "reflexive-cycle:5": "29f30ef587f4957ac9cab8703d2203e75c71af7e5c04376f59ab461e24202cd3",
+    "hj:3": "96f5ababb0d9a02168a40ae29e0a973ec6e98369d8d54d6530ab36f264a40f29",
+    "hj:4": "0dcf6fcc67956bc9ee9117b55bcb02fb49ee1200abed10994eb65fa44f260f5b",
+    "hj:5": "a6a778805ae4ffc58fb99fc7af3bf11bd250f8474329d3f4ecaf08daf5c19a30",
+    "hairy:3": "63b81adb176a617cfaf071fffb9d4219c7f4f9025ea9205c9a9d1f9f8f6d3598",
+    "nae": "5b51898b61085047a86b2ed538cb9f99c479ff82b2ecffb8b10aea930bd130f2",
+    "single:4,2": "534799b4b13215c3cab8ef92c615c37d539d3e31a93f1eccd0b53bd96d24bbeb",
+    "single:5,3": "a2cb9467a9e5ed1959ab705226c577cc5777c2f9f1997065e4d872c15a8efc8e",
+    "graph:0-1,0-2,0-3,3-4": "19a59d25c0dc2b21f4254c495dd96f1bb9d85fc8adcb13c3c09d363d6fae2f11",
+    "graph:0-1,1-2,2-3,0-3,3-4": "dc25d291b69bd2968817a5b557782d6e6ac3a895c22d7079914ff75498703739",
+}
+VERIFY = {
+    "clique-pad": "fd8e6bd6f41e5c7fc61a5a519058580f3248dc6d7db224703a5ec3623ec737d7",
+    "clique-1j": "580edcd91955495d7ac1768016e43db1228bf67cecad180ef3e1a4c674925be5",
+    "nae": "9d0b91eabfe320d1204077c9dbb13ab750d3e91e4a969bedca98d667929db673",
+    "c4star-macros": "6d01a953b0cf69ddfe353ab9fc572dde60a385c27c281c11fd5ad1323f7f26ce",
+    "reflexive-c4": "bd8227ffce188453cfb0fd649c8d464f2c13445cf8e505deb8189410209c99de",
+    "odd-cycle-path": "56c12bb600f4e698466043453a978c1685b004a01f3bb4e37e273c2212f47e7a",
+}
+
+
+@pytest.mark.parametrize("name", [r for r, _, _ in RULES])
+def test_golden_compiled_rules(name):
+    assert digest(compiled_lines(name)) == COMPILED[name]
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["K1", "K2", "K3", "K4", "C4", "C5", "C6", "P3", "P4", "P5", "K23", "K13", "C4star", "NAE"],
+)
+def test_golden_dispatch_tags(key, zoo):
+    assert digest(dispatch_lines(key, zoo)) == DISPATCH[key]
+
+
+@pytest.mark.parametrize("spec", CLASSIFY_FAMILIES)
+def test_golden_classify(spec):
+    assert digest(classify_lines(spec)) == CLASSIFY[spec]
+
+
+@pytest.mark.parametrize("name", list(VERIFY_ARGS))
+def test_golden_verify_output(name, capsys):
+    assert digest(verify_lines(name, capsys)) == VERIFY[name]

@@ -177,6 +177,6 @@ def test_render_verdict():
     from cqcsp.fastpath import ComplexityClass, ComplexityVerdict
 
     v = ComplexityVerdict(ComplexityClass.PSPACE_COMPLETE, "Thm 1 iii")
-    assert textio.render_verdict(v) == "Pspace-complete (Thm 1 iii)"
+    assert str(v) == "Pspace-complete (Thm 1 iii)"
     v = ComplexityVerdict(ComplexityClass.OPEN, "")
-    assert textio.render_verdict(v) == "Open"
+    assert str(v) == "Open"
