@@ -1,14 +1,18 @@
 """Ground-truth evaluation of counting-quantifier sentences.
 
-``evaluate`` implements the recursive counting semantics directly: at each
+``evaluate`` implements the recursive counting semantics: at each
 quantifier with threshold j it counts the domain elements under which the
-remaining suffix holds and succeeds iff the count reaches j.  Atoms are
-checked as soon as their last variable is assigned, candidate values are
-prefiltered through bitmask adjacency for unary/binary atoms, and verdicts
-are memoised per (prefix position, assignment restricted to the live
-variables -- those that still occur in an atom together with an unassigned
-variable).  The search is pure, so results are independent of evaluation
-order.
+rest of the sentence holds and succeeds iff the count reaches j.  Since
+every threshold is at least 1, ``E^j x (A(x) & B)`` equals
+``(E^j x A(x)) & B`` when x does not occur in B, so the search runs over
+the component tree of the prefix (AND/OR search): node q is the component
+of position q among the positions >= q, and x_q counts the values under
+which every child component holds.  Atoms are checked as soon as their
+last variable is assigned, candidate values are prefiltered through
+bitmask adjacency for unary/binary atoms, and each node's verdicts are
+memoised per assignment of its context -- the earlier positions that share
+an atom with its component.  The search is pure, so results are
+independent of evaluation order.
 
 ``extract_strategy`` returns the canonical witness-strategy tree (offered
 sets are the smallest winning elements), ``verify_strategy`` replays every
@@ -19,7 +23,10 @@ constant-preserving homomorphism by arc consistency plus backtracking.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
+from itertools import filterfalse
+from operator import itemgetter
 from typing import Optional
 
 from .model import Sentence, Structure
@@ -34,6 +41,19 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, nodes: int) -> None:
         super().__init__(f"node budget exceeded after {nodes} nodes")
         self.nodes = nodes
+
+
+class SearchDepthError(BudgetExceededError):
+    """The search would nest deeper than the interpreter can recurse."""
+
+    def __init__(self, depth: int) -> None:
+        RuntimeError.__init__(
+            self,
+            f"search depth {depth} does not fit below the recursion limit"
+            f" {sys.getrecursionlimit()}",
+        )
+        self.nodes = 0
+        self.depth = depth
 
 
 class ThresholdError(ValueError):
@@ -119,8 +139,39 @@ def _value_tables(b: Structure):
     return tables
 
 
+# Frames kept free below the recursion limit for the calls a search makes
+# besides its own recursion; a search no deeper than this is not checked.
+_FRAME_MARGIN = 20
+
+
+def _check_depth(depth: int) -> None:
+    """Raise SearchDepthError unless ``depth`` more nested calls fit below
+    the interpreter's recursion limit."""
+    if depth <= _FRAME_MARGIN:
+        return
+    free = sys.getrecursionlimit() - depth - _FRAME_MARGIN
+    try:
+        sys._getframe(max(free, 0))
+    except ValueError:
+        return
+    raise SearchDepthError(depth)
+
+
+def _no_context(assign: list[int]) -> tuple:
+    return ()
+
+
 class _Search:
-    """Compiled evaluation state for one (structure, sentence) pair."""
+    """Compiled evaluation state for one (structure, sentence) pair.
+
+    Position q's component tree node is the component of q among the
+    positions >= q (two positions are adjacent when they share an atom).
+    ``children[q]`` holds the least positions of the components left when
+    q is removed from it, ``frontier[p]`` the least positions of the
+    components of the positions >= p, ``height[q]`` the number of levels
+    of q's subtree, and ``key[q]`` reads q's context: the positions < q
+    sharing an atom with its component, all of them ancestors of q.
+    """
 
     def __init__(self, b: Structure, s: Sentence, budget: Optional[int]) -> None:
         n = b.domain_size
@@ -132,13 +183,13 @@ class _Search:
             if sig.arity(name) != len(vs):
                 raise SignatureError(f"relation {name!r} arity mismatch")
 
+        m = self.m = len(rs.prefix)
         self.n = n
-        self.m = len(rs.prefix)
         self.thresholds = [q.threshold for q in rs.prefix]
         self.budget = effective_budget(budget)
         self.nodes = 0
-        self.assign = [0] * self.m
-        self.memo: dict[tuple, bool] = {}
+        self.assign = [0] * m
+        self.memo: list[dict] = [{} for _ in range(m)]
 
         index = rs.var_index()
         full = (1 << n) - 1
@@ -147,21 +198,30 @@ class _Search:
         # static_mask[p]: values allowed at p regardless of earlier choices
         # dyn[p]: (value->mask table, earlier position) filters
         # general[p]: residual atom checks evaluated per candidate value
-        self.static_mask = [full] * self.m
-        self.dyn: list[list[tuple[list[int], int]]] = [[] for _ in range(self.m)]
-        self.general: list[list[tuple[frozenset, tuple[int, ...]]]] = [
-            [] for _ in range(self.m)
-        ]
-        occurs_with_later: list[set[int]] = [set() for _ in range(self.m)]
+        self.static_mask = [full] * m
+        self.dyn: list[list[tuple[list[int], int]]] = [[] for _ in range(m)]
+        self.general: list[list[tuple[frozenset, tuple[int, ...]]]] = [[] for _ in range(m)]
+        # above[i]: later positions sharing an atom with i; context[k]:
+        # earlier positions sharing an atom with k, widened below to k's
+        # whole component
+        above: list[set[int]] = [set() for _ in range(m)]
+        context: list[set[int]] = [set() for _ in range(m)]
 
         for name, vs in rs.atoms:
             idxs = tuple(index[v] for v in vs)
             last = max(idxs)
-            for i in idxs:
-                for k in idxs:
-                    if k > i:
-                        occurs_with_later[i].add(k)
             arity = len(idxs)
+            if arity <= 2:
+                first = min(idxs)
+                if first != last:
+                    above[first].add(last)
+                    context[last].add(first)
+            else:
+                for i in idxs:
+                    for k in idxs:
+                        if k > i:
+                            above[i].add(k)
+                            context[k].add(i)
             if arity == 1:
                 self.static_mask[last] &= unary_bits[name]
             elif arity == 2:
@@ -175,12 +235,33 @@ class _Search:
             else:
                 self.general[last].append((b.tuples(name), idxs))
 
-        # live[p]: assigned positions that still co-occur with a position >= p
-        self.live: list[tuple[int, ...]] = []
-        co = [sorted(occurs_with_later[i]) for i in range(self.m)]
-        for p in range(self.m):
-            live = [i for i in range(p) if any(k >= p for k in co[i])]
-            self.live.append(tuple(live))
+        # One backward union-find pass; a set's root is its least position.
+        root = list(range(m))
+        self.children = children = [()] * m
+        self.key = key = [_no_context] * m
+        self.frontier = frontier = [()] * (m + 1)
+        self.height = height = [1] * m
+        for q in range(m - 1, -1, -1):
+            ctx = context[q]
+            if above[q]:
+                kids = set()
+                for k in above[q]:
+                    while root[k] != k:
+                        root[k] = k = root[root[k]]
+                    kids.add(k)
+                for c in kids:
+                    root[c] = q
+                    ctx |= context[c]
+                    if height[c] >= height[q]:
+                        height[q] = height[c] + 1
+                ctx.discard(q)
+                children[q] = tuple(sorted(kids))
+                frontier[q] = (q, *filterfalse(kids.__contains__, frontier[q + 1]))
+            else:
+                frontier[q] = (q,) + frontier[q + 1]
+            if ctx:
+                key[q] = itemgetter(*sorted(ctx))
+        _check_depth(max(height, default=0) + 1)
 
     def _candidates(self, p: int) -> int:
         cand = self.static_mask[p]
@@ -198,51 +279,80 @@ class _Search:
                 return False
         return True
 
-    def run(self, p: int) -> bool:
-        if p == self.m:
-            return True
-        key = (p, tuple(self.assign[i] for i in self.live[p]))
-        cached = self.memo.get(key)
+    def holds_from(self, p: int) -> bool:
+        """Does the sentence's suffix from position p hold under the
+        current assignment of the positions < p?"""
+        for c in self.frontier[p]:
+            if not self.run(c):
+                return False
+        return True
+
+    def run(self, q: int) -> bool:
+        """Does node q's sub-sentence hold: do at least j values of x_q
+        make every child component hold?"""
+        assign = self.assign
+        memo = self.memo[q]
+        key = self.key[q](assign)
+        cached = memo.get(key)
         if cached is not None:
             return cached
-        j = self.thresholds[p]
-        cand = self._candidates(p)
+        cand = self.static_mask[q]
+        for table, r in self.dyn[q]:
+            cand &= table[assign[r]]
+        j = self.thresholds[q]
         result = False
         remaining = cand.bit_count()
         if remaining >= j:
+            general = self.general[q]
+            children = self.children[q]
             count = 0
-            mask = cand
-            while mask:
+            while cand:
                 self.nodes += 1
                 if self.nodes > self.budget:
                     raise BudgetExceededError(self.nodes)
-                low = mask & -mask
-                mask ^= low
-                self.assign[p] = low.bit_length() - 1
-                if (not self.general[p] or self._general_ok(p)) and self.run(p + 1):
-                    count += 1
-                    if count >= j:
-                        result = True
-                        break
+                low = cand & -cand
+                cand ^= low
+                assign[q] = low.bit_length() - 1
+                if not general or self._general_ok(q):
+                    for c in children:
+                        if not self.run(c):
+                            break
+                    else:
+                        count += 1
+                        if count >= j:
+                            result = True
+                            break
                 remaining -= 1
                 if count + remaining < j:
                     break
-        self.memo[key] = result
+        memo[key] = result
         return result
 
+    def extract_depth(self) -> int:
+        """The deepest nesting of calls ``extract(0)`` makes."""
+        return max(
+            (p + 2 + max((self.height[c] for c in self.frontier[p + 1]), default=0)
+             for p in range(self.m)),
+            default=1,
+        )
+
     def extract(self, p: int) -> StrategyNode:
+        """The canonical strategy tree below position p; each offer node
+        counts against the node budget."""
         if p == self.m:
             return LEAF
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise BudgetExceededError(self.nodes)
         j = self.thresholds[p]
         cand = self._candidates(p)
         winners = []
-        mask = cand
-        while mask and len(winners) < j:
-            low = mask & -mask
-            mask ^= low
+        while cand and len(winners) < j:
+            low = cand & -cand
+            cand ^= low
             v = low.bit_length() - 1
             self.assign[p] = v
-            if (not self.general[p] or self._general_ok(p)) and self.run(p + 1):
+            if (not self.general[p] or self._general_ok(p)) and self.holds_from(p + 1):
                 winners.append(v)
         if len(winners) < j:
             raise AssertionError("extraction entered a losing position")
@@ -255,7 +365,7 @@ class _Search:
 
 def evaluate(b: Structure, s: Sentence, *, budget: Optional[int] = None) -> bool:
     """Does the template satisfy the sentence under counting semantics."""
-    return _Search(b, s, budget).run(0)
+    return _Search(b, s, budget).holds_from(0)
 
 
 def extract_strategy(
@@ -265,11 +375,13 @@ def extract_strategy(
 
     At every node the offered set consists of the smallest elements whose
     suffix evaluates true, so extraction is deterministic.  Any valid tree
-    is accepted by ``verify_strategy``; this is just one shape.
+    is accepted by ``verify_strategy``; this is just one shape.  Search
+    nodes and offer nodes share the node budget.
     """
     search = _Search(b, s, budget)
-    if not search.run(0):
+    if not search.holds_from(0):
         return None
+    _check_depth(search.extract_depth())
     return search.extract(0)
 
 

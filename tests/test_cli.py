@@ -66,6 +66,35 @@ def test_solve_budget_exit_3(files):
     assert run(["solve", c6, s, "--node-budget", "2"]) == 3
 
 
+def _chain_sentence(k: int) -> str:
+    names = [f"x{i}" for i in range(k)]
+    prefix = " ".join(f"E1 {v}" for v in names)
+    return prefix + " | " + " & ".join(f"E({a},{b})" for a, b in zip(names, names[1:])) + "\n"
+
+
+def test_deep_sentence_budget_exit_3(files, capsys):
+    tmp, write = files
+    k2 = write("k2.structure", textio.render_structure(build_template(model.clique(2))))
+    deep = write("deep.sentence", _chain_sentence(1500))
+    assert run(["solve", k2, deep, "--engine", "oracle"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "search depth" in captured.err
+    shallow = write("shallow.sentence", _chain_sentence(900))
+    assert run(["solve", k2, shallow, "--engine", "oracle"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "yes"
+
+
+def test_strategy_out_budget_exit_3(files):
+    tmp, write = files
+    k2 = write("k2.structure", textio.render_structure(build_template(model.clique(2))))
+    s = write("s.sentence", " ".join(f"E2 x{i}" for i in range(25)) + " |\n")
+    strat = tmp / "strategy.txt"
+    argv = ["solve", k2, s, "--strategy-out", str(strat), "--node-budget", "1000"]
+    assert run(argv) == 3
+    assert not strat.exists()
+
+
 def test_internal_error_exit_4(files, capsys, monkeypatch):
     tmp, write = files
     k2 = write("k2.structure", textio.render_structure(build_template(model.clique(2))))

@@ -1,12 +1,15 @@
 """Golden outputs: sha256 digests of compiled reductions, dispatch tags,
-classifier verdicts and `cqcsp verify` output.
+classifier verdicts, `cqcsp verify` output and canonical strategy trees.
 
 Dispatch lines carry the matched decider's answer as well as its tag.
 The digests were computed on the code as it stood before each reduction
 rule, tractable case and graph traversal came to be declared once; they
 pin that this changed no rendered byte, dispatch tag, verdict string or
-exit code.  A failing test's id names its section and key; rerunning that
-section's ``*_lines`` function shows the output that changed.
+exit code.  The strategy digests were computed on the oracle as it stood
+before it searched the components of the prefix separately; they pin the
+canonical tree shape.  A failing test's id names its section and key;
+rerunning that section's ``*_lines`` function shows the output that
+changed.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import itertools
 
 import pytest
 
-from cqcsp import cli, model, textio
+from cqcsp import cli, model, oracle, textio
 from cqcsp import fastpath as fp
 from cqcsp import reductions as rd
 from cqcsp.model import Quantifier, Sentence, build_template
@@ -118,6 +121,33 @@ def verify_lines(name: str, capsys) -> list[str]:
     return [f"exit {code}", capsys.readouterr().out]
 
 
+def _strategy_sentences(b):
+    """Every sentence of 1-3 variables with thresholds in 1..n and at most
+    three atoms (two for the ternary NAE relation)."""
+    (name, arity), = b.signature.relations
+    for m in (1, 2, 3):
+        names = [f"x{i}" for i in range(m)]
+        if arity == 2:
+            mats = matrices(m, 3)
+        else:
+            triples = [(name, t) for t in itertools.product(names, repeat=3)]
+            mats = [c for k in range(3) for c in itertools.combinations(triples, k)]
+        for combo in itertools.product(range(1, b.domain_size + 1), repeat=m):
+            prefix = tuple(Quantifier(t, v) for t, v in zip(combo, names))
+            for atoms in mats:
+                yield Sentence(prefix, atoms)
+
+
+def strategy_lines(key: str, zoo) -> list[str]:
+    b = zoo[key]
+    out = []
+    for s in _strategy_sentences(b):
+        w = oracle.extract_strategy(b, s)
+        if w is not None:
+            out.append(textio.render_sentence(s) + "\n" + textio.render_strategy(w))
+    return out
+
+
 def digest(lines: list[str]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -206,6 +236,17 @@ VERIFY = {
     "odd-cycle-path": "56c12bb600f4e698466043453a978c1685b004a01f3bb4e37e273c2212f47e7a",
 }
 
+STRATEGY = {
+    "K2": "3a6ed3cf3fd83d487bb7cf5e5bf31397ddd37a16a69feb8c53d607e0b85f0c9e",
+    "K3": "11a4c730127ef9a3aeae6475a2d1af78220562d0b6f5659bdbf106542e1a1a14",
+    "K4": "5ae7104bde176897fe82c73a3698a36dd1f9e1cffa5a7803012dbd2c26ae7e6e",
+    "C4": "e262685709592b75d8f6b080146df07e94355662a07ad125c1428f0febc0ce04",
+    "P3": "5af0ae17223a52a5aff2a90f46121f93eccb9e1d1d0fe6b45342346958f2fa03",
+    "K23": "3ec64f4dabf8dd390574d80e6029a719d0aaaff7acdad6339563291e55cf82ac",
+    "C4star": "a50c0aa3eff92fa2559c706ecac96d38544c93f08f6870f6cf5482bc4a5e28e3",
+    "NAE": "b5a54e45445c9dd23050466294c33b63c5ddf409484c2921c4065dd7ee1950ac",
+}
+
 
 @pytest.mark.parametrize("name", [r for r, _, _ in RULES])
 def test_golden_compiled_rules(name):
@@ -228,3 +269,8 @@ def test_golden_classify(spec):
 @pytest.mark.parametrize("name", list(VERIFY_ARGS))
 def test_golden_verify_output(name, capsys):
     assert digest(verify_lines(name, capsys)) == VERIFY[name]
+
+
+@pytest.mark.parametrize("key", list(STRATEGY))
+def test_golden_strategy_trees(key, zoo):
+    assert digest(strategy_lines(key, zoo)) == STRATEGY[key]

@@ -7,6 +7,7 @@ from cqcsp.model import canonical_query, sentence
 from cqcsp.oracle import (
     LEAF,
     BudgetExceededError,
+    SearchDepthError,
     SignatureError,
     StrategyNode,
     StrategyShapeError,
@@ -179,6 +180,34 @@ def test_budget_env_override(zoo, monkeypatch):
     s = parse_sentence("E2 a E2 b E2 c | E(a,b) & E(b,c)")
     with pytest.raises(BudgetExceededError):
         evaluate(zoo["C6"], s)
+
+
+def test_extraction_counts_offer_nodes_against_budget(zoo):
+    """E2 x1 ... E2 x25 on K2 is decided in 50 nodes, but its strategy tree
+    has 2^25 - 1 offer nodes, each counted against the budget."""
+    s = sentence([(2, f"x{i}") for i in range(25)], [])
+    assert evaluate(zoo["K2"], s, budget=100)
+    with pytest.raises(BudgetExceededError):
+        extract_strategy(zoo["K2"], s, budget=1_000)
+
+
+def _chain(k: int):
+    names = [f"x{i}" for i in range(k)]
+    return sentence([(1, v) for v in names], [("E", (a, b)) for a, b in zip(names, names[1:])])
+
+
+def test_deep_sentence_is_a_depth_error(zoo):
+    """A component tree deeper than the interpreter can recurse raises a
+    budget error naming the depth, not RecursionError."""
+    with pytest.raises(SearchDepthError) as info:
+        evaluate(zoo["K2"], _chain(1500))
+    assert isinstance(info.value, BudgetExceededError)
+    assert info.value.depth > 1500
+    assert "search depth" in str(info.value)
+    with pytest.raises(SearchDepthError):
+        extract_strategy(zoo["K2"], _chain(1500))
+    assert evaluate(zoo["K2"], _chain(900))
+    assert verify_strategy(zoo["K2"], _chain(900), extract_strategy(zoo["K2"], _chain(900)))
 
 
 # ---------------------------------------------------------------------------

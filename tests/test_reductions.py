@@ -207,6 +207,26 @@ def test_even_cycle_csp_equivalence(zoo):
         assert evaluate(k3, src) == evaluate(target, out, budget=50_000_000), text
 
 
+def test_even_cycle_csp_triangle_within_budget(zoo):
+    """The search splits each suffix into its independent components, so
+    the triangle source's target is decided in under 20,000 nodes (a flat
+    search of the prefix takes about 35,000)."""
+    src = parse_sentence("E1 u E1 v E1 t | E(u,v) & E(v,t) & E(t,u)")
+    target, out = rd.reduce_even_cycle(6, 2, src, False)
+    assert evaluate(target, out, budget=20_000)
+
+
+def test_even_cycle_csp_k4_within_budget(zoo):
+    """The K4 source (293 target variables) is a no-instance on both
+    sides, and the target is decided in under 250,000 nodes."""
+    src = parse_sentence(
+        "E1 a E1 b E1 c E1 d | E(a,b) & E(a,c) & E(a,d) & E(b,c) & E(b,d) & E(c,d)"
+    )
+    target, out = rd.reduce_even_cycle(6, 2, src, False)
+    assert not evaluate(zoo["K3"], src)
+    assert not evaluate(target, out, budget=250_000)
+
+
 def test_even_cycle_qcsp_equivalence(zoo):
     k3 = zoo["K3"]
     for text in ["A u E1 v | E(u,v)", "A u A v | E(u,v)"]:
