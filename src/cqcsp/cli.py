@@ -59,14 +59,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
     match = fastpath.dispatch(template, s) if args.engine == "auto" else None
     engine, thunk = match or ("oracle", lambda: oracle.evaluate(template, s, budget=budget))
     verdict = thunk()
-    print("yes" if verdict else "no")
-    print(f"engine: {engine}")
+    # The strategy comes first, so a budget stop in extraction prints no verdict.
     if args.strategy_out:
         if verdict:
             strategy = oracle.extract_strategy(template, s, budget=budget)
             Path(args.strategy_out).write_text(textio.render_strategy(strategy))
         else:
             print("no strategy: no-instance", file=sys.stderr)
+    print("yes" if verdict else "no")
+    print(f"engine: {engine}")
     return EXIT_YES if verdict else EXIT_NO
 
 

@@ -35,7 +35,6 @@ from .model import (
     build_template,
     graph_view,
     instance_graph,
-    make_structure,
     require_graph,
 )
 
@@ -83,9 +82,8 @@ def decide_all_universal(b: Structure, s: Sentence) -> bool:
     rs = oracle.resolve_thresholds(s, n)
     if any(q.threshold != n for q in rs.prefix):
         raise PreconditionError("decider needs every threshold equal to |B|")
+    oracle.check_signature(b, rs)
     for name, vs in rs.atoms:
-        if name not in b.signature or b.signature.arity(name) != len(vs):
-            raise oracle.SignatureError(f"atom {name!r} does not match the signature")
         distinct = sorted(set(vs))
         tuples = b.tuples(name)
         for combo in itertools.product(range(n), repeat=len(distinct)):
@@ -214,27 +212,24 @@ def decide_complete_bipartite(k: int, l: int, s: Sentence) -> bool:
     return True
 
 
-def _component_instance(
-    h: Structure, relation: str, ig: InstanceGraph, comp: list[int], pins: dict[int, int]
-) -> tuple[Structure, Structure]:
-    """Instance/target pair for one instance-graph component with some
-    variables pinned to template elements."""
+def _edge_constraints(
+    target: frozenset, ig: InstanceGraph, comp: list[int]
+) -> list[tuple[frozenset, tuple[int, int]]]:
+    """The edges of one instance-graph component, both orientations, as
+    constraints on the component's positions in ``comp``."""
     local = {v: i for i, v in enumerate(comp)}
-    inst_consts = {}
-    h_consts = {}
-    for i, (var, value) in enumerate(sorted(pins.items())):
-        inst_consts[f"pin{i}"] = local[var]
-        h_consts[f"pin{i}"] = value
-    tuples = set()
+    pairs = set()
     for a, b in ig.edges:
-        if a in local and b in local:
-            tuples.add((local[a], local[b]))
-            tuples.add((local[b], local[a]))
-    inst = make_structure([(relation, 2)], max(1, len(comp)), {relation: tuples}, inst_consts)
-    target = make_structure(
-        [(relation, 2)], h.domain_size, {relation: h.tuples(relation)}, h_consts
-    )
-    return target, inst
+        if a in local:
+            pairs.add((local[a], local[b]))
+            pairs.add((local[b], local[a]))
+    return [(target, t) for t in pairs]
+
+
+def _domains(n: int, comp: list[int], pins: dict[int, int]) -> list[set[int]]:
+    """Every template element for each variable of ``comp``, or only the
+    value it is pinned to."""
+    return [{pins[v]} if v in pins else set(range(n)) for v in comp]
 
 
 def decide_bipartite_small_partition(h: Structure, j: int, s: Sentence) -> bool:
@@ -267,23 +262,23 @@ def decide_bipartite_small_partition(h: Structure, j: int, s: Sentence) -> bool:
             return False
         if heavy and any(th[v] == 1 and v < heavy[0] for v in comp):
             return False
+    n = h.domain_size
+    target = h.tuples(g.relation)
     for comp in ig.components():
+        constraints = _edge_constraints(target, ig, comp)
         heavy = [v for v in comp if th[v] == j]
         if heavy:
             x = heavy[0]
             extendable = 0
-            for value in range(h.domain_size):
-                target, inst = _component_instance(h, g.relation, ig, comp, {x: value})
-                if oracle.solve_retraction(target, inst):
+            for value in range(n):
+                if oracle.search_homomorphism(constraints, _domains(n, comp, {x: value})):
                     extendable += 1
                 if extendable >= j:
                     break
             if extendable < j:
                 return False
-        else:
-            target, inst = _component_instance(h, g.relation, ig, comp, {})
-            if not oracle.solve_retraction(target, inst):
-                return False
+        elif not oracle.search_homomorphism(constraints, _domains(n, comp, {})):
+            return False
     return True
 
 
@@ -329,15 +324,14 @@ def decide_forest_bounded_prefix(h: Structure, m: int, s: Sentence) -> bool:
     if ig.loops:
         return False
     n = h.domain_size
+    target = h.tuples(g.relation)
+    parts = [(comp, _edge_constraints(target, ig, comp)) for comp in ig.components()]
 
     def leaf(pins: dict[int, int]) -> bool:
-        for comp in ig.components():
-            target, inst = _component_instance(
-                h, g.relation, ig, comp, {v: val for v, val in pins.items() if v in comp}
-            )
-            if not oracle.solve_retraction(target, inst):
-                return False
-        return True
+        return all(
+            oracle.search_homomorphism(constraints, _domains(n, comp, pins))
+            for comp, constraints in parts
+        )
 
     def game(d: int, pins: dict[int, int]) -> bool:
         if d == block:

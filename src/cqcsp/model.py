@@ -144,7 +144,8 @@ def graph_structure(
 # Sentences
 
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_~]*\Z")
+# Variable and relation names; the sentence text format reads the same rule.
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_~]*")
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,7 @@ class Quantifier:
     def __post_init__(self) -> None:
         if self.threshold is not None and self.threshold < 1:
             raise InvalidStructureError("quantifier threshold must be >= 1")
-        if not _IDENT.match(self.variable):
+        if not IDENTIFIER.fullmatch(self.variable):
             raise InvalidStructureError(f"bad variable name {self.variable!r}")
 
     def __str__(self) -> str:

@@ -78,6 +78,17 @@ def resolve_thresholds(s: Sentence, n: int) -> Sentence:
     return rs
 
 
+def check_signature(b: Structure, s: Sentence) -> None:
+    """Raise SignatureError unless every atom of ``s`` names a relation of
+    ``b`` with its arity."""
+    sig = b.signature
+    for name, vs in s.atoms:
+        if name not in sig:
+            raise SignatureError(f"relation {name!r} not in template signature")
+        if sig.arity(name) != len(vs):
+            raise SignatureError(f"relation {name!r} arity mismatch")
+
+
 def effective_budget(budget: Optional[int]) -> int:
     if budget is not None:
         return budget
@@ -92,16 +103,6 @@ class StrategyNode:
 
     offer: tuple[int, ...] = ()
     children: tuple["StrategyNode", ...] = ()
-
-    def is_leaf(self) -> bool:
-        return not self.offer
-
-    def depth_ok(self, m: int, at: int = 0) -> bool:
-        if at == m:
-            return self.is_leaf() and not self.children
-        return len(self.children) == len(self.offer) and all(
-            c.depth_ok(m, at + 1) for c in self.children
-        )
 
 
 LEAF = StrategyNode()
@@ -176,12 +177,7 @@ class _Search:
     def __init__(self, b: Structure, s: Sentence, budget: Optional[int]) -> None:
         n = b.domain_size
         rs = resolve_thresholds(s, n)
-        sig = b.signature
-        for name, vs in rs.atoms:
-            if name not in sig:
-                raise SignatureError(f"relation {name!r} not in template signature")
-            if sig.arity(name) != len(vs):
-                raise SignatureError(f"relation {name!r} arity mismatch")
+        check_signature(b, rs)
 
         m = self.m = len(rs.prefix)
         self.n = n
@@ -391,20 +387,25 @@ def verify_strategy(b: Structure, s: Sentence, w: StrategyNode) -> bool:
     the prefix."""
     n = b.domain_size
     rs = resolve_thresholds(s, n)
+    check_signature(b, rs)
     m = len(rs.prefix)
     index = rs.var_index()
-    atoms = []
-    for name, vs in rs.atoms:
-        if name not in b.signature or b.signature.arity(name) != len(vs):
-            raise SignatureError(f"atom {name!r} does not match the signature")
-        atoms.append((b.tuples(name), tuple(index[v] for v in vs)))
+    atoms = [(b.tuples(name), tuple(index[v] for v in vs)) for name, vs in rs.atoms]
     assign = [0] * m
-
-    def walk(node: StrategyNode, p: int) -> bool:
+    # Depth-first in play order; an entry (node, p, v) is node at depth p
+    # reached by offering v at depth p - 1.
+    stack = [(w, 0, 0)]
+    while stack:
+        node, p, v = stack.pop()
+        if p:
+            assign[p - 1] = v
         if p == m:
-            if not node.is_leaf() or node.children:
+            if node.offer or node.children:
                 raise StrategyShapeError("extra structure below the last quantifier")
-            return all(tuple(assign[i] for i in idxs) in tups for tups, idxs in atoms)
+            for tups, idxs in atoms:
+                if tuple([assign[i] for i in idxs]) not in tups:
+                    return False
+            continue
         j = rs.prefix[p].threshold
         if len(node.offer) != j:
             raise StrategyShapeError(
@@ -416,13 +417,8 @@ def verify_strategy(b: Structure, s: Sentence, w: StrategyNode) -> bool:
             raise StrategyShapeError(f"offered element out of range at depth {p}")
         if len(node.children) != len(node.offer):
             raise StrategyShapeError(f"child count mismatch at depth {p}")
-        for v, child in zip(node.offer, node.children):
-            assign[p] = v
-            if not walk(child, p + 1):
-                return False
-        return True
-
-    return walk(w, 0)
+        stack += [(child, p + 1, v) for v, child in zip(node.offer, node.children)][::-1]
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +429,7 @@ def solve_retraction(
     h: Structure, instance: Structure, *, budget: Optional[int] = None
 ) -> bool:
     """Is there a homomorphism instance -> h mapping each named constant of
-    the instance to the like-named constant of h?  Arc-consistency
-    propagation first, then backtracking on smallest domains."""
+    the instance to the like-named constant of h?"""
     for name, arity in instance.signature.relations:
         if name not in h.signature or h.signature.arity(name) != arity:
             raise SignatureError(f"relation {name!r} missing or mismatched in target")
@@ -442,18 +437,26 @@ def solve_retraction(
         if cname not in h.constants:
             raise SignatureError(f"constant {cname!r} not named in target")
 
-    n_vars = instance.domain_size
-    full = frozenset(range(h.domain_size))
-    domains: list[set[int]] = [set(full) for _ in range(n_vars)]
+    domains = [set(range(h.domain_size)) for _ in range(instance.domain_size)]
     for cname, var in instance.constants.items():
         domains[var] &= {h.constants[cname]}
+    constraints = [
+        (h.tuples(name), t) for name in instance.signature.names() for t in instance.tuples(name)
+    ]
+    return search_homomorphism(constraints, domains, budget=budget)
 
-    constraints = []
-    for name in instance.signature.names():
-        target = h.tuples(name)
-        for t in instance.tuples(name):
-            constraints.append((target, t))
 
+def search_homomorphism(
+    constraints: list[tuple[frozenset, tuple[int, ...]]],
+    domains: list[set[int]],
+    *,
+    budget: Optional[int] = None,
+) -> bool:
+    """Can each variable 0..len(domains)-1 take a value from its domain so
+    that every constraint ``(allowed tuples, variables)`` holds?
+    Arc-consistency propagation first, then backtracking on smallest
+    domains; ``domains`` is narrowed in place."""
+    n_vars = len(domains)
     by_var: list[list[int]] = [[] for _ in range(n_vars)]
     for ci, (_, t) in enumerate(constraints):
         for v in set(t):

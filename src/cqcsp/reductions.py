@@ -645,8 +645,6 @@ def verify_reduction(
     sources: Sequence[Sentence],
     *,
     budget: Optional[int] = None,
-    compiler: Optional[Callable[[ReductionRule, Structure, Sentence], tuple[Structure, Sentence]]]
-    = None,
     corrupt: bool = False,
 ) -> ReductionReport:
     """Evaluate each source and its compiled target with the oracle.
@@ -666,12 +664,11 @@ def verify_reduction(
             report.cases.append(_check(index, label, lambda: want, (template, s), budget, start))
         return report
 
-    compile_fn = compiler or compile_rule
     for index, source in enumerate(sources):
         label = str(source)
         start = time.perf_counter()
         try:
-            compiled = compile_fn(rule_, source_template, source)
+            compiled = compile_rule(rule_, source_template, source)
             if corrupt:
                 compiled = corrupt_compiled(compiled)
         except InvalidStructureError as exc:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .model import (
+    IDENTIFIER,
     InvalidStructureError,
     Quantifier,
     Sentence,
@@ -41,17 +42,12 @@ class ParseError(ValueError):
         self.span = span
 
 
-def _strip_comment(line: str) -> str:
-    cut = line.find("#")
-    return line if cut < 0 else line[:cut]
-
-
 def _content_lines(text: str) -> list[tuple[int, str]]:
     """(1-based line number, content) for nonblank non-comment lines, with
     an optional leading ``format 1`` line dropped."""
     out = []
     for no, raw in enumerate(text.splitlines(), start=1):
-        body = _strip_comment(raw).rstrip()
+        body = raw.partition("#")[0].rstrip()
         if body.strip():
             out.append((no, body))
     if out and out[0][1].strip().split() == ["format", "1"]:
@@ -189,23 +185,14 @@ def render_structure(b: Structure) -> str:
 
 
 _QUANT_RE = re.compile(r"E(\d+)\Z")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_~]*\Z")
 
-_token_re = re.compile(r"[A-Za-z_][A-Za-z0-9_~]*|\d+|[(),&|]|\S")
-
-
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    span: SourceSpan
+_token_re = re.compile(rf"{IDENTIFIER.pattern}|\d+|[(),&|]|\S")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    for no, body in _content_lines(text):
-        for m in _token_re.finditer(body):
-            tokens.append(_Token(m.group(0), SourceSpan(no, m.start() + 1, len(m.group(0)))))
-    return tokens
+def _token_error(message: str, token: tuple[str, int, int]) -> ParseError:
+    """A ParseError located at a ``(text, line, column)`` token."""
+    text, line, column = token
+    return ParseError(message, SourceSpan(line, column, len(text)))
 
 
 def parse_sentence(text: str) -> Sentence:
@@ -216,89 +203,87 @@ def parse_sentence(text: str) -> Sentence:
     after ``|`` is a conjunction of atoms ``name(v1,...,vk)``; it may be
     empty.
     """
-    tokens = _tokenize(text)
-    pos = 0
-    end_span = tokens[-1].span if tokens else SourceSpan(1, 1, 1)
+    tokens = [
+        (m.group(), no, m.start() + 1)
+        for no, body in _content_lines(text)
+        for m in _token_re.finditer(body)
+    ]
+    it = iter(tokens)
+    # errors at the end of the text point at its last token, or at its
+    # first column when it has none
+    end = tokens[-1] if tokens else (" ", 1, 1)
 
-    def peek() -> Optional[_Token]:
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expect: Optional[str] = None) -> _Token:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError(f"unexpected end of sentence", end_span)
-        tok = tokens[pos]
-        pos += 1
-        if expect is not None and tok.text != expect:
-            raise ParseError(f"expected {expect!r}, found {tok.text!r}", tok.span)
+    def take(expect: Optional[str] = None) -> tuple[str, int, int]:
+        tok = next(it, None)
+        if tok is None:
+            raise _token_error("unexpected end of sentence", end)
+        if expect is not None and tok[0] != expect:
+            raise _token_error(f"expected {expect!r}, found {tok[0]!r}", tok)
         return tok
 
     prefix: list[Quantifier] = []
     seen: set[str] = set()
     while True:
-        tok = peek()
-        if tok is None:
-            raise ParseError("missing '|' between prefix and matrix", end_span)
-        if tok.text == "|":
-            take()
+        qtok = next(it, None)
+        if qtok is None:
+            raise _token_error("missing '|' between prefix and matrix", end)
+        q = qtok[0]
+        if q == "|":
             break
-        qtok = take()
-        m = _QUANT_RE.match(qtok.text)
-        if qtok.text == "A":
+        m = _QUANT_RE.match(q)
+        if q == "A":
             threshold: Optional[int] = None
         elif m:
             threshold = int(m.group(1))
             if threshold < 1:
-                raise ParseError("threshold must be >= 1", qtok.span)
+                raise _token_error("threshold must be >= 1", qtok)
         else:
-            raise ParseError(f"expected quantifier, found {qtok.text!r}", qtok.span)
+            raise _token_error(f"expected quantifier, found {q!r}", qtok)
         vtok = take()
-        if not _NAME_RE.match(vtok.text) or vtok.text == "A" or _QUANT_RE.match(vtok.text):
-            raise ParseError(f"bad variable name {vtok.text!r}", vtok.span)
-        if vtok.text in seen:
-            raise ParseError(f"duplicate prefix variable {vtok.text!r}", vtok.span)
-        seen.add(vtok.text)
-        prefix.append(Quantifier(threshold, vtok.text))
+        v = vtok[0]
+        if not IDENTIFIER.fullmatch(v) or v == "A" or _QUANT_RE.match(v):
+            raise _token_error(f"bad variable name {v!r}", vtok)
+        if v in seen:
+            raise _token_error(f"duplicate prefix variable {v!r}", vtok)
+        seen.add(v)
+        prefix.append(Quantifier(threshold, v))
 
     atoms: list[tuple[str, tuple[str, ...]]] = []
-    first_atom = True
-    while peek() is not None:
-        if not first_atom:
-            take("&")
-        first_atom = False
-        ntok = take()
-        if not _NAME_RE.match(ntok.text):
-            raise ParseError(f"bad relation name {ntok.text!r}", ntok.span)
+    ntok = next(it, None)
+    while ntok is not None:
+        if atoms:
+            if ntok[0] != "&":
+                raise _token_error(f"expected '&', found {ntok[0]!r}", ntok)
+            ntok = take()
+        name = ntok[0]
+        if not IDENTIFIER.fullmatch(name):
+            raise _token_error(f"bad relation name {name!r}", ntok)
         take("(")
         vs = []
         while True:
             vtok = take()
-            if not _NAME_RE.match(vtok.text):
-                raise ParseError(f"bad atom variable {vtok.text!r}", vtok.span)
-            if vtok.text not in seen:
-                raise ParseError(f"unbound atom variable {vtok.text!r}", vtok.span)
-            vs.append(vtok.text)
+            v = vtok[0]
+            if not IDENTIFIER.fullmatch(v):
+                raise _token_error(f"bad atom variable {v!r}", vtok)
+            if v not in seen:
+                raise _token_error(f"unbound atom variable {v!r}", vtok)
+            vs.append(v)
             sep = take()
-            if sep.text == ")":
+            if sep[0] == ")":
                 break
-            if sep.text != ",":
-                raise ParseError(f"expected ',' or ')', found {sep.text!r}", sep.span)
-        atoms.append((ntok.text, tuple(vs)))
+            if sep[0] != ",":
+                raise _token_error(f"expected ',' or ')', found {sep[0]!r}", sep)
+        atoms.append((name, tuple(vs)))
+        ntok = next(it, None)
 
     try:
         return Sentence(tuple(prefix), tuple(atoms))
     except InvalidStructureError as exc:
-        raise ParseError(str(exc), end_span) from exc
+        raise _token_error(str(exc), end) from exc
 
 
 def render_sentence(s: Sentence) -> str:
-    head = " ".join(str(q) for q in s.prefix)
-    body = " & ".join(f"{name}({','.join(vs)})" for name, vs in s.atoms)
-    if head and body:
-        return f"{head} | {body}"
-    if head:
-        return f"{head} |"
-    return f"| {body}" if body else "|"
+    return str(s)
 
 
 # ---------------------------------------------------------------------------
@@ -307,19 +292,27 @@ def render_sentence(s: Sentence) -> str:
 
 def render_strategy(w: StrategyNode) -> str:
     lines: list[str] = []
-
-    def emit(node: StrategyNode, depth: int) -> None:
-        if node.is_leaf():
-            return
-        lines.append("  " * depth + "offer {" + ",".join(str(v) for v in node.offer) + "}")
-        for child in node.children:
-            emit(child, depth + 1)
-
-    emit(w, 0)
+    # One iterator over the children of each node on the current path;
+    # leaves (empty offers) print nothing.
+    stack = [iter((w,))]
+    while stack:
+        for node in stack[-1]:
+            if node.offer:
+                lines.append("  " * (len(stack) - 1) + "offer {" + ",".join(map(str, node.offer)) + "}")
+                stack.append(iter(node.children))
+                break
+        else:
+            stack.pop()
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 _OFFER_RE = re.compile(r"offer \{(\d+(?:,\d+)*)?\}\Z")
+
+
+def _row_error(message: str, row: tuple[int, int, tuple[int, ...], int]) -> ParseError:
+    """A ParseError spanning a ``(level, line, offer, width)`` strategy row."""
+    level, line, _, width = row
+    return ParseError(message, SourceSpan(line, 2 * level + 1, width))
 
 
 def parse_strategy(text: str, thresholds: Optional[Sequence[int]] = None) -> StrategyNode:
@@ -328,57 +321,59 @@ def parse_strategy(text: str, thresholds: Optional[Sequence[int]] = None) -> Str
     When ``thresholds`` is given, each node's offered-set size is checked
     against the matching prefix threshold during the parse.
     """
-    rows: list[tuple[int, int, tuple[int, ...], SourceSpan]] = []
+    rows: list[tuple[int, int, tuple[int, ...], int]] = []
     for no, body in _content_lines(text):
         stripped = body.lstrip(" ")
         indent = len(body) - len(stripped)
         if indent % 2 != 0:
             raise ParseError("odd indentation", SourceSpan(no, 1, indent))
-        m = _OFFER_RE.match(stripped.rstrip())
+        m = _OFFER_RE.match(stripped)
         if not m:
-            raise ParseError(f"expected 'offer {{..}}'", SourceSpan(no, indent + 1, len(stripped)))
-        offer = tuple(int(x) for x in m.group(1).split(",")) if m.group(1) else ()
+            raise ParseError("expected 'offer {..}'", SourceSpan(no, indent + 1, len(stripped)))
+        offer = tuple(map(int, m.group(1).split(","))) if m.group(1) else ()
         if not offer:
             raise ParseError("empty offer set", SourceSpan(no, indent + 1, len(stripped)))
         if len(set(offer)) != len(offer):
             raise ParseError("repeated element in offer set", SourceSpan(no, indent + 1, 1))
-        rows.append((indent // 2, no, offer, SourceSpan(no, indent + 1, len(stripped))))
+        rows.append((indent // 2, no, offer, len(stripped)))
 
     if not rows:
         return LEAF
+    if rows[0][0] != 0:
+        raise _row_error("expected indentation level 0", rows[0])
 
+    # Preorder rows: each open node is (row, children so far); a row one
+    # level below the innermost open node is its next child.
+    stack: list[tuple[tuple[int, int, tuple[int, ...], int], list[StrategyNode]]] = []
     pos = 0
-
-    def build(depth: int) -> StrategyNode:
-        nonlocal pos
-        level, no, offer, span = rows[pos]
-        if level != depth:
-            raise ParseError(f"expected indentation level {depth}", span)
+    root = None
+    while root is None:
+        row = rows[pos]
+        level, _, offer, _ = row
         if thresholds is not None:
-            if depth >= len(thresholds):
-                raise ParseError("strategy deeper than the prefix", span)
-            if len(offer) != thresholds[depth]:
-                raise ParseError(
+            if level >= len(thresholds):
+                raise _row_error("strategy deeper than the prefix", row)
+            if len(offer) != thresholds[level]:
+                raise _row_error(
                     f"offered set of size {len(offer)} does not match threshold"
-                    f" {thresholds[depth]}",
-                    span,
+                    f" {thresholds[level]}",
+                    row,
                 )
+        stack.append((row, []))
         pos += 1
-        children = []
-        for _ in offer:
-            if pos < len(rows) and rows[pos][0] == depth + 1:
-                children.append(build(depth + 1))
+        while stack:
+            row, children = stack[-1]
+            level, _, offer, _ = row
+            if len(children) < len(offer) and pos < len(rows) and rows[pos][0] == level + 1:
+                break
+            stack.pop()
+            if children and len(children) < len(offer):
+                raise _row_error("ragged strategy tree", row)
+            node = StrategyNode(offer, tuple(children) if children else (LEAF,) * len(offer))
+            if stack:
+                stack[-1][1].append(node)
             else:
-                children.append(LEAF)
-        if any(not c.is_leaf() for c in children) and any(c.is_leaf() for c in children):
-            raise ParseError("ragged strategy tree", span)
-        if all(c.is_leaf() for c in children):
-            children = [LEAF] * len(offer)
-        return StrategyNode(offer, tuple(children))
-
-    root = build(0)
+                root = node
     if pos != len(rows):
-        raise ParseError("trailing strategy lines", rows[pos][3])
-    if thresholds is not None and not root.depth_ok(len(thresholds)):
-        raise ParseError("strategy depth does not match the prefix", rows[0][3])
+        raise _row_error("trailing strategy lines", rows[pos])
     return root

@@ -85,7 +85,7 @@ def test_deep_sentence_budget_exit_3(files, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "yes"
 
 
-def test_strategy_out_budget_exit_3(files):
+def test_strategy_out_budget_exit_3(files, capsys):
     tmp, write = files
     k2 = write("k2.structure", textio.render_structure(build_template(model.clique(2))))
     s = write("s.sentence", " ".join(f"E2 x{i}" for i in range(25)) + " |\n")
@@ -93,6 +93,9 @@ def test_strategy_out_budget_exit_3(files):
     argv = ["solve", k2, s, "--strategy-out", str(strat), "--node-budget", "1000"]
     assert run(argv) == 3
     assert not strat.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "node budget exceeded" in captured.err
 
 
 def test_internal_error_exit_4(files, capsys, monkeypatch):

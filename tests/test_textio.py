@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from cqcsp import model, textio
 from cqcsp.model import Quantifier, Sentence, build_template
-from cqcsp.oracle import LEAF, StrategyNode
+from cqcsp.oracle import LEAF, StrategyNode, verify_strategy
 from cqcsp.textio import ParseError, parse_sentence, parse_strategy, parse_structure
 
 
@@ -180,3 +180,81 @@ def test_render_verdict():
     assert str(v) == "Pspace-complete (Thm 1 iii)"
     v = ComplexityVerdict(ComplexityClass.OPEN, "")
     assert str(v) == "Open"
+
+
+# Every ParseError branch of parse_sentence and parse_strategy, with the
+# reason and the span (line, column, length) it reports.
+SENTENCE_ERRORS = [
+    ("", "missing '|' between prefix and matrix", 1, 1, 1),
+    ("# only a comment\n", "missing '|' between prefix and matrix", 1, 1, 1),
+    ("E1 x", "missing '|' between prefix and matrix", 1, 4, 1),
+    ("E2", "unexpected end of sentence", 1, 1, 2),
+    ("E1 x |\n  E(x,\n", "unexpected end of sentence", 2, 6, 1),
+    ("E2 x E2 y | E(x,y) E(y,x)", "expected '&', found 'E'", 1, 20, 1),
+    ("E1 x | E x", "expected '(', found 'x'", 1, 10, 1),
+    ("E0 x |", "threshold must be >= 1", 1, 1, 2),
+    ("x y |", "expected quantifier, found 'x'", 1, 1, 1),
+    ("E1 1 |", "bad variable name '1'", 1, 4, 1),
+    ("E1 A |", "bad variable name 'A'", 1, 4, 1),
+    ("E1 E2 |", "bad variable name 'E2'", 1, 4, 2),
+    ("E1 x E2 x |", "duplicate prefix variable 'x'", 1, 9, 1),
+    ("E1 x | 1(x)", "bad relation name '1'", 1, 8, 1),
+    ("E1 x | E(1)", "bad atom variable '1'", 1, 10, 1),
+    ("E2 x | E(x,y)", "unbound atom variable 'y'", 1, 12, 1),
+    ("E1 x | E(x;x)", "expected ',' or ')', found ';'", 1, 11, 1),
+    ("E1 x | E(x", "unexpected end of sentence", 1, 10, 1),
+    ("E1 x | E(x) & E(x,x)", "relation 'E' used with two arities", 1, 20, 1),
+    ("format 1\n# c\nE1 x\n  E1 yy | E(x,\n   yy) & Rel(x,zz)",
+     "unbound atom variable 'zz'", 5, 16, 2),
+]
+
+STRATEGY_ERRORS = [
+    ("offer {0}\n offer {1}", None, "odd indentation", 2, 1, 1),
+    ("offer {0}\n  offr {1}", None, "expected 'offer {..}'", 2, 3, 8),
+    ("offer {0}\n  offer {}", None, "empty offer set", 2, 3, 8),
+    ("offer {0,1,0}", None, "repeated element in offer set", 1, 1, 1),
+    ("  offer {0}", None, "expected indentation level 0", 1, 3, 9),
+    ("offer {0}\n  offer {0}", [1], "strategy deeper than the prefix", 2, 3, 9),
+    ("offer {0}\n  offer {0,1}", [1, 1],
+     "offered set of size 2 does not match threshold 1", 2, 3, 11),
+    ("offer {0,1}\n  offer {0}", None, "ragged strategy tree", 1, 1, 11),
+    ("offer {0}\noffer {1}", None, "trailing strategy lines", 2, 1, 9),
+    ("# w\noffer {0,1}\n  offer {2}   # c\n  offer {3,4}", [2, 1],
+     "offered set of size 2 does not match threshold 1", 4, 3, 11),
+]
+
+
+@pytest.mark.parametrize("text, reason, line, column, length", SENTENCE_ERRORS)
+def test_sentence_error_locations(text, reason, line, column, length):
+    with pytest.raises(ParseError) as err:
+        parse_sentence(text)
+    e = err.value
+    assert (e.reason, e.span.line, e.span.column, e.span.length) == (reason, line, column, length)
+    assert str(e) == f"{reason} (line {line}, column {column})"
+
+
+@pytest.mark.parametrize("text, thresholds, reason, line, column, length", STRATEGY_ERRORS)
+def test_strategy_error_locations(text, thresholds, reason, line, column, length):
+    with pytest.raises(ParseError) as err:
+        parse_strategy(text, thresholds)
+    e = err.value
+    assert (e.reason, e.span.line, e.span.column, e.span.length) == (reason, line, column, length)
+    assert str(e) == f"{reason} (line {line}, column {column})"
+
+
+def test_deep_strategy_round_trip_and_verify():
+    k = 1500
+    names = [f"x{i}" for i in range(k)]
+    s = parse_sentence(
+        " ".join(f"E1 {v}" for v in names)
+        + " | " + " & ".join(f"E({a},{b})" for a, b in zip(names, names[1:]))
+    )
+    w = LEAF
+    for depth in reversed(range(k)):
+        w = StrategyNode((depth % 2,), (w,))
+    text = textio.render_strategy(w)
+    assert text.count("\n") == k
+    back = parse_strategy(text, thresholds=[1] * k)
+    # compare the renderings: dataclass equality recurses once per level
+    assert textio.render_strategy(back) == text
+    assert verify_strategy(build_template(model.clique(2)), s, back)
