@@ -10,6 +10,13 @@ true whenever the thresholds are valid.
 Membership-in-L results are implemented as ordinary polynomial procedures
 (BFS bipartiteness, component scans); logspace constraints are not
 reproduced.
+
+Every tractable case and every classifier verdict is a condition on the
+template alone plus the thresholds.  The template side -- a family's
+template, its graph view and the view's facts -- is computed once per
+instance (see ``model``), so `dispatch` and `classify` read it from the
+second call on; threshold resolution, the atom check and the instance
+graph stay per sentence.
 """
 
 from __future__ import annotations
@@ -213,7 +220,7 @@ def decide_complete_bipartite(k: int, l: int, s: Sentence) -> bool:
 
 
 def _edge_constraints(
-    target: frozenset, ig: InstanceGraph, comp: list[int]
+    target: frozenset, ig: InstanceGraph, comp: Sequence[int]
 ) -> list[tuple[frozenset, tuple[int, int]]]:
     """The edges of one instance-graph component, both orientations, as
     constraints on the component's positions in ``comp``."""
@@ -226,7 +233,7 @@ def _edge_constraints(
     return [(target, t) for t in pairs]
 
 
-def _domains(n: int, comp: list[int], pins: dict[int, int]) -> list[set[int]]:
+def _domains(n: int, comp: Sequence[int], pins: dict[int, int]) -> list[set[int]]:
     """Every template element for each variable of ``comp``, or only the
     value it is pinned to."""
     return [{pins[v]} if v in pins else set(range(n)) for v in comp]
@@ -386,7 +393,7 @@ class Tractable(NamedTuple):
     order) under which its decider applies, and the decider.  An entry
     with ``graph=False`` uses no graph, is passed None for it, and also
     covers templates that are not loop-free graphs; `dispatch` tests it
-    before building the graph."""
+    before reading the template's graph view."""
 
     tag: str
     citation: str

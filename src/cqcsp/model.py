@@ -8,18 +8,46 @@ Conventions kept throughout the package:
   the generators always emit both orientations;
 * cycle vertices are numbered so that ``i`` and ``j`` are adjacent iff
   ``|i-j|`` is 1 or ``n-1``; the star centre is vertex 0.
+
+Structures, template families and graph views are immutable, so what is
+derived from one alone is computed once per instance and stored on it
+(``once_per_instance``): a family's template, a structure's graph view
+and the view's facts (components, two-colouring, the shape tests).  The
+facts are returned as tuples or scalars, so no caller can alter them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 
 class InvalidStructureError(ValueError):
     """A structure, sentence or family parameter violates an invariant."""
+
+
+_T = TypeVar("_T")
+
+
+def once_per_instance(fn: Callable[[object], _T]) -> Callable[[object], _T]:
+    """Run ``fn`` -- a one-argument function of an immutable object, or a
+    method without parameters -- at most once per object, storing the
+    result (None included) in the object's ``__dict__``, which a frozen
+    dataclass leaves writable.  An exception is not stored."""
+    key = "_once_" + fn.__qualname__
+
+    @functools.wraps(fn)
+    def cached(obj):
+        try:
+            return obj.__dict__[key]
+        except KeyError:
+            value = obj.__dict__[key] = fn(obj)
+            return value
+
+    return cached
 
 
 Atom = tuple[str, tuple[str, ...]]
@@ -246,7 +274,7 @@ class _Graph:
 
     adj: tuple[frozenset[int], ...]
 
-    def components(self) -> list[list[int]]:
+    def components(self) -> tuple[tuple[int, ...], ...]:
         seen: set[int] = set()
         comps = []
         for start in range(len(self.adj)):
@@ -262,10 +290,10 @@ class _Graph:
                         seen.add(u)
                         comp.append(u)
                         stack.append(u)
-            comps.append(sorted(comp))
-        return comps
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
 
-    def _two_colouring(self) -> Optional[list[int]]:
+    def _two_colouring(self) -> Optional[tuple[int, ...]]:
         """Colour classes by parity, or None on an odd cycle; loops are not
         in ``adj`` and so are ignored here."""
         colors = [-1] * len(self.adj)
@@ -282,7 +310,7 @@ class _Graph:
                         queue.append(u)
                     elif colors[u] == colors[v]:
                         return None
-        return colors
+        return tuple(colors)
 
     def distances_from(self, source: int) -> dict[int, int]:
         dist = {source: 0}
@@ -320,7 +348,7 @@ class InstanceGraph(_Graph):
         """Earlier-quantified neighbours of vertex ``i``."""
         return [v for v in self.neighbors(i) if v < i]
 
-    def bipartition(self) -> Optional[list[int]]:
+    def bipartition(self) -> Optional[tuple[int, ...]]:
         """Two-colouring over proper edges, or None on an odd cycle.  Loops
         are ignored here; callers reject them separately."""
         return self._two_colouring()
@@ -501,8 +529,10 @@ def _check_forest(fam: TemplateFamily) -> None:
         parent[ra] = rb
 
 
+@once_per_instance
 def build_template(family: TemplateFamily) -> Structure:
-    """Materialise a family with the package's vertex-numbering conventions."""
+    """Materialise a family with the package's vertex-numbering
+    conventions; built once per family instance."""
     kind = family.kind
     if kind == "clique":
         n = family.n
@@ -693,20 +723,26 @@ def parse_fragment_spec(text: str) -> FragmentSpec:
 
 @dataclass(frozen=True)
 class GraphView(_Graph):
-    """Adjacency view of a structure with one symmetric binary relation."""
+    """Adjacency view of a structure with one symmetric binary relation.
+    The facts marked ``once_per_instance`` are computed at most once per
+    view."""
 
     n: int
     adj: tuple[frozenset[int], ...]
     loops: frozenset[int]
     relation: str
 
+    components = once_per_instance(_Graph.components)
+
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj) // 2
 
-    def bipartition(self) -> Optional[list[int]]:
+    @once_per_instance
+    def bipartition(self) -> Optional[tuple[int, ...]]:
         """Colour classes, or None if the graph has a loop or odd cycle."""
         return None if self.loops else self._two_colouring()
 
+    @once_per_instance
     def largest_colour_class(self) -> int:
         """The most vertices one colour class has inside one component;
         the graph must be bipartite."""
@@ -716,12 +752,15 @@ class GraphView(_Graph):
             for comp in self.components()
         )
 
+    @once_per_instance
     def is_connected(self) -> bool:
         return len(self.components()) == 1
 
+    @once_per_instance
     def is_complete(self) -> bool:
         return not self.loops and all(len(self.adj[v]) == self.n - 1 for v in range(self.n))
 
+    @once_per_instance
     def is_cycle(self) -> bool:
         return (
             self.n >= 3
@@ -730,6 +769,7 @@ class GraphView(_Graph):
             and all(len(self.adj[v]) == 2 for v in range(self.n))
         )
 
+    @once_per_instance
     def is_path_graph(self) -> bool:
         if self.loops or not self.is_connected():
             return False
@@ -738,11 +778,13 @@ class GraphView(_Graph):
         degs = sorted(len(self.adj[v]) for v in range(self.n))
         return degs[0] == 1 and degs[1] == 1 and all(d == 2 for d in degs[2:])
 
+    @once_per_instance
     def is_forest(self) -> bool:
         if self.loops:
             return False
         return self.edge_count() == self.n - len(self.components())
 
+    @once_per_instance
     def complete_bipartite_sides(self) -> Optional[tuple[int, int]]:
         """(k, l) if the graph is a complete bipartite K_{k,l}, else None."""
         if self.loops or not self.is_connected():
@@ -762,6 +804,7 @@ class GraphView(_Graph):
                 return None
         return (len(side), len(other))
 
+    @once_per_instance
     def contains_c4(self) -> bool:
         """Does some 4-cycle occur as a (not necessarily induced) subgraph."""
         for u in range(self.n):
@@ -806,8 +849,10 @@ class GraphView(_Graph):
         return best
 
 
+@once_per_instance
 def graph_view(b: Structure) -> Optional[GraphView]:
-    """View ``b`` as a symmetric graph, or None if it is not one."""
+    """View ``b`` as a symmetric graph, or None if it is not one; computed
+    once per structure."""
     names = b.signature.names()
     if len(names) != 1 or b.signature.arity(names[0]) != 2 or b.constants:
         return None

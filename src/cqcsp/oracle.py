@@ -29,7 +29,7 @@ from itertools import filterfalse
 from operator import itemgetter
 from typing import Optional
 
-from .model import Sentence, Structure
+from .model import Sentence, Structure, once_per_instance
 
 DEFAULT_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "CQ_NODE_BUDGET"
@@ -108,12 +108,10 @@ class StrategyNode:
 LEAF = StrategyNode()
 
 
+@once_per_instance
 def _value_tables(b: Structure):
-    """Per-relation value masks for the unary/binary fast paths, cached on
-    the (immutable) structure instance."""
-    cached = b.__dict__.get("_mask_tables")
-    if cached is not None:
-        return cached
+    """Per-relation value masks for the unary/binary fast paths, computed
+    once per (immutable) structure instance."""
     n = b.domain_size
     out_bits: dict[str, list[int]] = {}
     in_bits: dict[str, list[int]] = {}
@@ -135,9 +133,7 @@ def _value_tables(b: Structure):
             out_bits[name] = out_m
             in_bits[name] = in_m
             loop_bits[name] = loop_m
-    tables = (out_bits, in_bits, loop_bits, unary_bits)
-    object.__setattr__(b, "_mask_tables", tables)
-    return tables
+    return out_bits, in_bits, loop_bits, unary_bits
 
 
 # Frames kept free below the recursion limit for the calls a search makes

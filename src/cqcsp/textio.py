@@ -319,7 +319,8 @@ def parse_strategy(text: str, thresholds: Optional[Sequence[int]] = None) -> Str
     """Parse the indented strategy tree; the inverse of render_strategy.
 
     When ``thresholds`` is given, each node's offered-set size is checked
-    against the matching prefix threshold during the parse.
+    against the matching prefix threshold during the parse, and every
+    branch must reach the end of the prefix.
     """
     rows: list[tuple[int, int, tuple[int, ...], int]] = []
     for no, body in _content_lines(text):
@@ -338,6 +339,8 @@ def parse_strategy(text: str, thresholds: Optional[Sequence[int]] = None) -> Str
         rows.append((indent // 2, no, offer, len(stripped)))
 
     if not rows:
+        if thresholds:
+            raise ParseError("strategy shallower than the prefix", SourceSpan(1, 1, 0))
         return LEAF
     if rows[0][0] != 0:
         raise _row_error("expected indentation level 0", rows[0])
@@ -369,6 +372,8 @@ def parse_strategy(text: str, thresholds: Optional[Sequence[int]] = None) -> Str
             stack.pop()
             if children and len(children) < len(offer):
                 raise _row_error("ragged strategy tree", row)
+            if not children and thresholds is not None and level + 1 < len(thresholds):
+                raise _row_error("strategy shallower than the prefix", row)
             node = StrategyNode(offer, tuple(children) if children else (LEAF,) * len(offer))
             if stack:
                 stack[-1][1].append(node)

@@ -221,6 +221,10 @@ STRATEGY_ERRORS = [
     ("offer {0}\noffer {1}", None, "trailing strategy lines", 2, 1, 9),
     ("# w\noffer {0,1}\n  offer {2}   # c\n  offer {3,4}", [2, 1],
      "offered set of size 2 does not match threshold 1", 4, 3, 11),
+    ("offer {0}", [1, 1], "strategy shallower than the prefix", 1, 1, 9),
+    ("offer {0,1}\n  offer {0}\n    offer {1}\n  offer {2}", [2, 1, 1],
+     "strategy shallower than the prefix", 4, 3, 9),
+    ("# no strategy\n", [1], "strategy shallower than the prefix", 1, 1, 0),
 ]
 
 
