@@ -52,6 +52,17 @@ def _parse_params(tokens: list[str]) -> dict:
     return params
 
 
+def _count(text: str) -> int:
+    """An argparse type: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     template = textio.parse_structure(_read(args.template))
     s = textio.parse_sentence(_read(args.sentence))
@@ -171,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="oracle-check a reduction rule on a source suite")
     p.add_argument("rule", choices=tuple(reductions.RULES))
     p.add_argument("params", nargs="*", default=[], metavar="key=value")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_count, default=20)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--node-budget", type=int, default=None)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)

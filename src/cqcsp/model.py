@@ -11,8 +11,9 @@ Conventions kept throughout the package:
 
 Structures, template families and graph views are immutable, so what is
 derived from one alone is computed once per instance and stored on it
-(``once_per_instance``): a family's template, a structure's graph view
-and the view's facts (components, two-colouring, the shape tests).  The
+(``once_per_instance``): a family's template, a structure's canonical
+form and graph view, and the view's facts (components, two-colouring, the
+shape tests).  The
 facts are returned as tuples or scalars, so no caller can alter them.
 """
 
@@ -121,7 +122,9 @@ class Structure:
     def tuples(self, name: str) -> frozenset[tuple[int, ...]]:
         return self.relations[name]
 
+    @once_per_instance
     def canonical_form(self):
+        """The sorted form that ``==`` and ``hash`` read; computed once."""
         return (
             self.domain_size,
             tuple(sorted(self.signature.relations)),

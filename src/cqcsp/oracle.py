@@ -14,6 +14,19 @@ memoised per assignment of its context -- the earlier positions that share
 an atom with its component.  The search is pure, so results are
 independent of evaluation order.
 
+Counting quantifiers cannot tell apart values that an automorphism of
+the template swaps: if σ is one, B satisfies φ(c) iff it satisfies φ(σc).
+Values whose transposition maps every relation onto itself form classes
+(``_value_classes``, once per template), and any permutation inside
+classes is an automorphism.  On a template with such a class the search
+solves each class of interchangeable values once (value
+interchangeability, Freuder, AAAI 1991; symmetry in constraint
+programming, Gent, Petrie and Puget, 2006): memo keys relabel the
+context's values inside each class in order of first occurrence, and the
+candidates of x_q outside the context's values that share a class are
+decided by their least member, which then counts for the whole class.
+Templates whose classes are all singletons keep the plain search.
+
 ``extract_strategy`` returns the canonical witness-strategy tree (offered
 sets are the smallest winning elements), ``verify_strategy`` replays every
 adversary play of a given tree, and ``solve_retraction`` decides
@@ -25,7 +38,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
-from itertools import filterfalse
+from itertools import combinations, filterfalse
 from operator import itemgetter
 from typing import Optional
 
@@ -136,6 +149,101 @@ def _value_tables(b: Structure):
     return out_bits, in_bits, loop_bits, unary_bits
 
 
+@once_per_instance
+def _value_classes(b: Structure) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The classes of interchangeable values, each ascending, ordered by
+    least member, or None when every class is a singleton.
+
+    Values a and c share a class when swapping them maps every relation
+    onto itself; only the tuples holding a or c can move.  Swappability is
+    transitive, as (a c) = (a b)(b c)(a b), so every permutation inside a
+    class is an automorphism.  Constants are ignored: sentences cannot name
+    them.  Two values that share no tuple are swappable exactly when
+    blanking each out of its own tuples leaves the same set, so those are
+    grouped by that set; only values that share a tuple are compared by
+    swapping."""
+    n = b.domain_size
+    touching: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in range(n)]
+    linked = set()
+    for name in b.signature.names():
+        for t in b.tuples(name):
+            held = sorted(set(t))
+            for v in held:
+                touching[v].append((name, t))
+            linked.update(combinations(held, 2))
+
+    def swappable(a: int, c: int) -> bool:
+        if len(touching[a]) != len(touching[c]):
+            return False
+        swap = {a: c, c: a}
+        return all(
+            tuple([swap.get(x, x) for x in t]) in b.tuples(name)
+            for name, t in touching[a] + touching[c]
+        )
+
+    # Union-find over the classes; a root is its class's least value.
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    first: dict[frozenset, int] = {}
+    for v in range(n):
+        blanked = frozenset(
+            (name, tuple([-1 if x == v else x for x in t])) for name, t in touching[v]
+        )
+        root[v] = first.setdefault(blanked, v)
+    for a, c in linked:
+        ra, rc = find(a), find(c)
+        if ra != rc and swappable(a, c):
+            root[max(ra, rc)] = min(ra, rc)
+    classes: dict[int, list[int]] = {}
+    for v in range(n):
+        classes.setdefault(find(v), []).append(v)
+    return tuple(map(tuple, classes.values())) if len(classes) < n else None
+
+
+def _canonical_context(values: tuple[int, ...], members: list[tuple[int, ...]]):
+    """The memo key of a context's values and the mask of those values:
+    inside each class, the values are relabelled by the class members in
+    order of first occurrence."""
+    relabel: dict[int, int] = {}
+    used: dict[tuple[int, ...], int] = {}
+    taken = 0
+    for v in values:
+        if v not in relabel:
+            cls = members[v]
+            i = used.get(cls, 0)
+            used[cls] = i + 1
+            relabel[v] = cls[i]
+            taken |= 1 << v
+    return tuple([relabel[v] for v in values]), taken
+
+
+@once_per_instance
+def _orbit_tables(b: Structure):
+    """Per value, the mask of its class and the class itself, and the
+    canonical form of the contexts of no value or one (a context of one
+    position is read as a bare value); None when the template has no
+    interchangeable values."""
+    classes = _value_classes(b)
+    if classes is None:
+        return None
+    orbit = [0] * b.domain_size
+    members: list[tuple[int, ...]] = [()] * b.domain_size
+    for cls in classes:
+        mask = sum(1 << v for v in cls)
+        for v in cls:
+            orbit[v] = mask
+            members[v] = cls
+    small = {(): ((), 0)}
+    for v in range(b.domain_size):
+        small[v] = _canonical_context((v,), members)
+    return orbit, members, small
+
+
 # Frames kept free below the recursion limit for the calls a search makes
 # besides its own recursion; a search no deeper than this is not checked.
 _FRAME_MARGIN = 20
@@ -167,7 +275,10 @@ class _Search:
     q is removed from it, ``frontier[p]`` the least positions of the
     components of the positions >= p, ``height[q]`` the number of levels
     of q's subtree, and ``key[q]`` reads q's context: the positions < q
-    sharing an atom with its component, all of them ancestors of q.
+    sharing an atom with its component, all of them ancestors of q.  On a
+    template with interchangeable values, ``run_symmetric`` takes the
+    place of ``run``; ``orbit`` and ``members`` are then the template's
+    per-value class masks and classes (else None).
     """
 
     def __init__(self, b: Structure, s: Sentence, budget: Optional[int]) -> None:
@@ -255,6 +366,14 @@ class _Search:
                 key[q] = itemgetter(*sorted(ctx))
         _check_depth(max(height, default=0) + 1)
 
+        orbits = _orbit_tables(b)
+        if orbits is None:
+            self.orbit = self.members = self.canonical = None
+        else:
+            self.orbit, self.members, small = orbits
+            # context read by key[q] -> (memo key, mask of its values)
+            self.canonical = dict(small)
+
     def _candidates(self, p: int) -> int:
         cand = self.static_mask[p]
         assign = self.assign
@@ -274,8 +393,9 @@ class _Search:
     def holds_from(self, p: int) -> bool:
         """Does the sentence's suffix from position p hold under the
         current assignment of the positions < p?"""
+        run = self.run if self.orbit is None else self.run_symmetric
         for c in self.frontier[p]:
-            if not self.run(c):
+            if not run(c):
                 return False
         return True
 
@@ -315,6 +435,57 @@ class _Search:
                             result = True
                             break
                 remaining -= 1
+                if count + remaining < j:
+                    break
+        memo[key] = result
+        return result
+
+    def run_symmetric(self, q: int) -> bool:
+        """``run`` with the memo keyed by the canonical context;
+        the candidates of x_q outside the context's values that share a
+        class give one answer, so the least of them is searched and counts
+        for all."""
+        assign = self.assign
+        raw = self.key[q](assign)
+        seen = self.canonical.get(raw)
+        if seen is None:
+            seen = self.canonical[raw] = _canonical_context(raw, self.members)
+        key, taken = seen
+        memo = self.memo[q]
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        cand = self.static_mask[q]
+        for table, r in self.dyn[q]:
+            cand &= table[assign[r]]
+        j = self.thresholds[q]
+        result = False
+        remaining = cand.bit_count()
+        if remaining >= j:
+            general = self.general[q]
+            children = self.children[q]
+            orbit = self.orbit
+            count = 0
+            while cand:
+                self.nodes += 1
+                if self.nodes > self.budget:
+                    raise BudgetExceededError(self.nodes)
+                low = cand & -cand
+                v = low.bit_length() - 1
+                group = low if low & taken else orbit[v] & cand & ~taken
+                cand ^= group
+                weight = group.bit_count()
+                assign[q] = v
+                if not general or self._general_ok(q):
+                    for c in children:
+                        if not self.run_symmetric(c):
+                            break
+                    else:
+                        count += weight
+                        if count >= j:
+                            result = True
+                            break
+                remaining -= weight
                 if count + remaining < j:
                     break
         memo[key] = result

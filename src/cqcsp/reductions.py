@@ -29,6 +29,7 @@ from .model import (
     cycle,
     make_structure,
     nae_boolean,
+    once_per_instance,
     reflexive_cycle,
     require_graph,
     single_quantifier_template,
@@ -55,9 +56,17 @@ class ReductionRule:
                 return v
         return default
 
+    @once_per_instance
     def source_template(self) -> Structure:
-        """The template this rule's source sentences are evaluated on."""
+        """The template this rule's source sentences are evaluated on,
+        built once per rule."""
         return RULES[self.name].source_template(self)
+
+    @once_per_instance
+    def target_template(self) -> Structure:
+        """The template this rule's compiled sentences are evaluated on,
+        built once per rule; it depends on the parameters alone."""
+        return RULES[self.name].target_template(self)
 
     def __str__(self) -> str:
         body = " ".join(f"{k}={v}" for k, v in self.params)
@@ -144,19 +153,24 @@ def reduce_nae(j: int, n: int, s: Sentence) -> tuple[Structure, Sentence]:
     Every quantifier becomes threshold j; former universals gain a U(x)
     conjunct, which pins their witness set to the designated block.
     """
+    out = _nae_sentence(j, n, s)
+    return build_template(single_quantifier_template(n, j)), out
+
+
+def _nae_sentence(j: int, n: int, s: Sentence) -> Sentence:
+    """The target sentence of ``reduce_nae``."""
     if not (3 <= n and 1 < j < n):
         raise InvalidStructureError("needs 3 <= n and 1 < j < n")
     rs = _resolve_for(s, 2, {1, 2}, "nae reduction")
     for name, vs in rs.atoms:
         if name != "R" or len(vs) != 3:
             raise InvalidStructureError("nae sources use the ternary relation R only")
-    target = build_template(single_quantifier_template(n, j))
     prefix = tuple(Quantifier(j, q.variable) for q in rs.prefix)
     atoms = list(rs.atoms)
     for q in rs.prefix:
         if q.threshold == 2:
             atoms.append(("U", (q.variable,)))
-    return target, Sentence(prefix, tuple(atoms))
+    return Sentence(prefix, tuple(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +210,12 @@ def reduce_clique_single_threshold(j: int, s: Sentence) -> tuple[Structure, Sent
     gadgets with per-edge fresh variables quantified innermost; universal
     vertices are preceded by j forcing cliques of size j+1.
     """
+    out = _clique_blocks_sentence(j, s)
+    return build_template(clique(2 * j + 1)), out
+
+
+def _clique_blocks_sentence(j: int, s: Sentence) -> Sentence:
+    """The target sentence of ``reduce_clique_single_threshold``."""
     if j < 2:
         raise InvalidStructureError("needs j >= 2")
     big = math.comb(2 * j + 1, j)
@@ -219,13 +239,19 @@ def reduce_clique_single_threshold(j: int, s: Sentence) -> tuple[Structure, Sent
         gadget = block_distinctness_gadget(j, blocks[x], blocks[y], f"e{e}", names)
         prefix.extend(gadget.quantifiers)
         atoms.extend(gadget.atoms)
-    return build_template(clique(2 * j + 1)), Sentence(tuple(prefix), tuple(atoms))
+    return Sentence(tuple(prefix), tuple(atoms))
 
 
 def pad_clique(j: int, n: int, s: Sentence) -> tuple[Structure, Sentence]:
     """Lift a threshold-j sentence from the (2j+1)-clique to the n-clique by
     an outermost (n-2j-1)-clique of fresh variables adjacent to
     everything."""
+    out = _pad_clique_sentence(j, n, s)
+    return build_template(clique(n)), out
+
+
+def _pad_clique_sentence(j: int, n: int, s: Sentence) -> Sentence:
+    """The target sentence of ``pad_clique``."""
     if not n > 2 * j + 1 >= 5:
         raise InvalidStructureError("needs n > 2j+1 >= 5")
     rs = _resolve_for(s, 2 * j + 1, {j}, "clique padding")
@@ -237,13 +263,19 @@ def pad_clique(j: int, n: int, s: Sentence) -> tuple[Structure, Sentence]:
     for p in pads:
         for q in rs.prefix:
             atoms.append(("E", (p, q.variable)))
-    return build_template(clique(n)), Sentence(prefix, tuple(atoms))
+    return Sentence(prefix, tuple(atoms))
 
 
 def reduce_clique_one_j(n: int, j: int, s: Sentence) -> tuple[Structure, Sentence]:
     """Simulate quantified n-colouring with thresholds {1, j}: universal
     vertices gain n-j fresh threshold-j companions clique-joined with
     them."""
+    out = _clique_one_j_sentence(n, j, s)
+    return build_template(clique(n)), out
+
+
+def _clique_one_j_sentence(n: int, j: int, s: Sentence) -> Sentence:
+    """The target sentence of ``reduce_clique_one_j``."""
     if not 1 < j <= n:
         raise InvalidStructureError("needs 1 < j <= n")
     rs = _resolve_for(s, n, {1, n}, "clique {1,j} reduction")
@@ -259,7 +291,7 @@ def reduce_clique_one_j(n: int, j: int, s: Sentence) -> tuple[Structure, Sentenc
             atoms.extend(_clique_atoms(members))
         else:
             prefix.append(Quantifier(1, q.variable))
-    return build_template(clique(n)), Sentence(tuple(prefix), tuple(atoms))
+    return Sentence(tuple(prefix), tuple(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +347,14 @@ def reduce_even_cycle(
     quantified variant universal variables are first replaced by path
     blocks.
     """
+    out = _even_cycle_sentence(n, j, s, source_is_qcsp)
+    return build_template(cycle(n)), out
+
+
+def _even_cycle_sentence(
+    n: int, j: int, s: Sentence, source_is_qcsp: bool
+) -> Sentence:
+    """The target sentence of ``reduce_even_cycle``."""
     if n < 6 or n % 2 or not 2 <= j <= n // 2:
         raise InvalidStructureError("needs even n >= 6 and 2 <= j <= n/2")
     half = n // 2
@@ -348,7 +388,7 @@ def reduce_even_cycle(
     for e, (x, y) in enumerate(_dedup_edges(rs)):
         fresh = _chain_of_copies(names, v, x, y, f"e{e}", atoms)
         prefix.extend(Quantifier(1, u) for u in fresh)
-    return build_template(cycle(n)), Sentence(tuple(prefix), tuple(atoms))
+    return Sentence(tuple(prefix), tuple(atoms))
 
 
 def _chain_of_copies(
@@ -470,6 +510,12 @@ def reduce_reflexive_c4(s: Sentence) -> tuple[Structure, Sentence]:
     """Compile a quantified 4-colouring sentence into thresholds {1,2,3,4}
     over the reflexive 4-cycle: a mixed-threshold fixed copy of the
     template plus one three-layer square gadget per source edge."""
+    out = _reflexive_c4_sentence(s)
+    return build_template(reflexive_cycle(4)), out
+
+
+def _reflexive_c4_sentence(s: Sentence) -> Sentence:
+    """The target sentence of ``reduce_reflexive_c4``."""
     rs = _resolve_for(s, 4, {1, 4}, "reflexive-C4 reduction")
     names = _Names([q.variable for q in rs.prefix])
     z = [names.make(f"z~c~{p}") for p in range(1, 5)]
@@ -508,7 +554,7 @@ def reduce_reflexive_c4(s: Sentence) -> tuple[Structure, Sentence]:
                 atoms.append(("E", (outer_layer[p], inner_layer[(p + 1) % 4])))
         atoms.append(("E", (x, layers[3][0])))
     prefix.extend(Quantifier(1, u) for u in inner)
-    return build_template(reflexive_cycle(4)), Sentence(tuple(prefix), tuple(atoms))
+    return Sentence(tuple(prefix), tuple(atoms))
 
 
 def expand_reflexive_c4_macros(s: Sentence) -> Sentence:
@@ -580,7 +626,8 @@ def compile_rule(
         raise InvalidStructureError(f"rule {rule_.name!r} has no direct compiler")
     if source_template != rule_.source_template():
         raise InvalidStructureError(spec.mismatch)
-    return spec.compile(rule_, source)
+    compiled = spec.compile(rule_, source)
+    return rule_.target_template(), compiled
 
 
 def corrupt_compiled(target: tuple[Structure, Sentence]) -> tuple[Structure, Sentence]:
@@ -717,14 +764,16 @@ def _check(
 
 class RuleSpec(NamedTuple):
     """One reduction rule, declared once: the parameters it needs, the
-    template its sources are evaluated on, its compiler, its seeded source
-    suite (rule, trials, rng) and the error for any other source template.
-    A rule without a compiler is checked on its fixed ``cases`` (label,
-    expected verdict, template, sentence) instead."""
+    templates its sources and its targets are evaluated on, its compiler
+    (source sentence to target sentence), its seeded source suite (rule,
+    trials, rng) and the error for any other source template.  A rule
+    without a compiler is checked on its fixed ``cases`` (label, expected
+    verdict, template, sentence) instead."""
 
     params: tuple[str, ...]
     source_template: Callable[[ReductionRule], Structure]
-    compile: Optional[Callable[[ReductionRule, Sentence], tuple[Structure, Sentence]]]
+    target_template: Optional[Callable[[ReductionRule], Structure]]
+    compile: Optional[Callable[[ReductionRule, Sentence], Sentence]]
     sources: Callable[[ReductionRule, int, random.Random], list[Sentence]]
     mismatch: str = ""
     cases: Optional[Callable[[ReductionRule], list[tuple[str, bool, Structure, Sentence]]]] = None
@@ -814,14 +863,16 @@ RULES: dict[str, RuleSpec] = {
     "nae": RuleSpec(
         ("j", "n"),
         lambda r: build_template(nae_boolean()),
-        lambda r, s: reduce_nae(r.get("j"), r.get("n"), s),
+        lambda r: build_template(single_quantifier_template(r.get("n"), r.get("j"))),
+        lambda r, s: _nae_sentence(r.get("j"), r.get("n"), s),
         _nae_sources,
         "nae sources live on the not-all-equal template",
     ),
     "clique-gj": RuleSpec(
         ("j",),
         lambda r: build_template(clique(math.comb(2 * r.get("j") + 1, r.get("j")))),
-        lambda r, s: reduce_clique_single_threshold(r.get("j"), s),
+        lambda r: build_template(clique(2 * r.get("j") + 1)),
+        lambda r, s: _clique_blocks_sentence(r.get("j"), s),
         _fixed_sources(
             *_SMALL_SOURCES,
             "E{A} u E1 v | E(u,v)",
@@ -833,14 +884,16 @@ RULES: dict[str, RuleSpec] = {
     "clique-pad": RuleSpec(
         ("j", "n"),
         lambda r: build_template(clique(2 * r.get("j") + 1)),
-        lambda r, s: pad_clique(r.get("j"), r.get("n"), s),
+        lambda r: build_template(clique(r.get("n"))),
+        lambda r, s: _pad_clique_sentence(r.get("j"), r.get("n"), s),
         _random_sources(lambda r: [r.get("j")]),
         "padding sources live on the (2j+1)-clique",
     ),
     "clique-1j": RuleSpec(
         ("n", "j"),
         lambda r: build_template(clique(r.get("n"))),
-        lambda r, s: reduce_clique_one_j(r.get("n"), r.get("j"), s),
+        lambda r: build_template(clique(r.get("n"))),
+        lambda r, s: _clique_one_j_sentence(r.get("n"), r.get("j"), s),
         _random_sources(lambda r: [1, r.get("n")]),
         "clique size mismatch",
     ),
@@ -848,41 +901,47 @@ RULES: dict[str, RuleSpec] = {
         ("n", "j"),
         lambda r: build_template(cycle(r.get("n"))),
         None,
+        None,
         lambda r, trials, rng: [],
         cases=lambda r: universal_path_cases(r.get("n"), r.get("j")),
     ),
     "even-cycle": RuleSpec(
         ("n", "j"),
         lambda r: build_template(clique(r.get("n") // 2)),
-        lambda r, s: reduce_even_cycle(r.get("n"), r.get("j"), s, True),
+        lambda r: build_template(cycle(r.get("n"))),
+        lambda r, s: _even_cycle_sentence(r.get("n"), r.get("j"), s, True),
         _fixed_sources(*_SMALL_SOURCES, "E{A} u E1 v | E(u,v)", "E{A} u E{A} v | E(u,v)"),
         "source template must be the n/2 clique",
     ),
     "even-cycle-csp": RuleSpec(
         ("n", "j"),
         lambda r: build_template(clique(r.get("n") // 2)),
-        lambda r, s: reduce_even_cycle(r.get("n"), r.get("j"), s, False),
+        lambda r: build_template(cycle(r.get("n"))),
+        lambda r, s: _even_cycle_sentence(r.get("n"), r.get("j"), s, False),
         _fixed_sources(*_SMALL_SOURCES, "E1 u E1 v E1 t | E(u,v) & E(v,t)"),
         "source template must be the n/2 clique",
     ),
     "girth-isolation": RuleSpec(
         ("h",),
         _girth_source_template,
-        lambda r, s: girth_isolation(r.get("h"), s),
+        lambda r: r.get("h"),
+        lambda r, s: girth_isolation(r.get("h"), s)[1],
         _fixed_sources(*_SMALL_SOURCES),
         "sources live on the girth/2 clique",
     ),
     "reflexive-c4": RuleSpec(
         (),
         lambda r: build_template(clique(4)),
-        lambda r, s: reduce_reflexive_c4(s),
+        lambda r: build_template(reflexive_cycle(4)),
+        lambda r, s: _reflexive_c4_sentence(s),
         _reflexive_c4_sources,
         "sources live on the 4-clique",
     ),
     "c4star-macros": RuleSpec(
         (),
         lambda r: build_template(reflexive_cycle(4)),
-        lambda r, s: (build_template(reflexive_cycle(4)), expand_reflexive_c4_macros(s)),
+        lambda r: build_template(reflexive_cycle(4)),
+        lambda r, s: expand_reflexive_c4_macros(s),
         _c4star_sources,
         "macro sources live on the reflexive 4-cycle",
     ),

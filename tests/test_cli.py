@@ -187,6 +187,13 @@ def test_verify_budget_exit_3(files, capsys):
     assert "budget-skipped" in out
 
 
+def test_verify_negative_trials_is_usage_error(capsys):
+    assert run(["verify", "clique-gj", "j=2", "--trials", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials: expected a non-negative integer, got '-3'" in captured.err
+
+
 def test_verify_odd_cycle_path(files, capsys):
     assert run(["verify", "odd-cycle-path", "n=5", "j=2"]) == 0
     out = capsys.readouterr().out

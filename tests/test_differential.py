@@ -1,11 +1,15 @@
 """Differential tests: the oracle, strategy extraction and the deciders
 against the reference counting semantics (``conftest.brute_count_eval``)
-on drawn structures and sentences, and every compiled reduction against
-its source.
+on drawn structures and sentences, the oracle's classes of
+interchangeable values against swapping each pair, and every compiled
+reduction against its source.
 
 Structures have 1-4 elements and unary, directed binary (loops allowed)
 and ternary relations; sentences have up to five variables, thresholds
-anywhere in 1..n and any atoms over the signature.  Decider hits are
+anywhere in 1..n and any atoms over the signature.  Templates with
+interchangeable values (cliques, complete bipartite graphs, stars, NAE,
+the reflexive 4-cycle) are also drawn, with or without a unary relation
+that splits their classes.  Decider hits are
 checked on drawn loop-free graphs and on the graph templates of the zoo.
 Reduction sources are drawn over each rule's source template, within the
 thresholds the rule accepts.
@@ -23,7 +27,7 @@ from cqcsp import fastpath as fp
 from cqcsp import model
 from cqcsp import reductions as rd
 from cqcsp.model import Quantifier, Sentence, build_template
-from cqcsp.oracle import evaluate, extract_strategy, verify_strategy
+from cqcsp.oracle import _value_classes, evaluate, extract_strategy, verify_strategy
 
 from conftest import brute_count_eval
 
@@ -36,6 +40,18 @@ GRAPH_TEMPLATES = [
         model.clique(3), model.clique(4), model.cycle(4), model.cycle(5), model.cycle(6),
         model.path(3), model.path(4), model.path(5), model.star(3),
         model.complete_bipartite(2, 3),
+    )
+]
+
+# Templates with a class of two or more interchangeable values, which the
+# oracle searches one class member at a time.
+SYMMETRIC_TEMPLATES = [
+    build_template(f)
+    for f in (
+        model.clique(2), model.clique(3), model.clique(4),
+        model.complete_bipartite(1, 2), model.complete_bipartite(2, 2),
+        model.complete_bipartite(2, 3), model.star(2), model.star(3),
+        model.nae_boolean(), model.reflexive_cycle(4),
     )
 ]
 
@@ -56,6 +72,18 @@ def structures(draw):
         tuples = list(itertools.product(range(n), repeat=arity))
         relations[name] = draw(st.sets(st.sampled_from(tuples), max_size=len(tuples)))
     return model.make_structure(SIGNATURE, n, relations)
+
+
+@st.composite
+def symmetric_structures(draw):
+    """A template of SYMMETRIC_TEMPLATES, or one with a drawn unary relation
+    added, which splits its classes where it holds on part of one."""
+    b = draw(st.sampled_from(SYMMETRIC_TEMPLATES))
+    if draw(st.booleans()):
+        marked = draw(st.sets(st.integers(0, b.domain_size - 1)))
+        relations = {**b.relations, "U": {(v,) for v in marked}}
+        b = model.make_structure(b.signature.relations + (("U", 1),), b.domain_size, relations)
+    return b
 
 
 @st.composite
@@ -94,6 +122,40 @@ def test_oracle_and_strategies_match_reference(data):
     match = fp.dispatch(b, s)
     if match is not None:
         assert match[1]() == verdict, match[0]
+
+
+@SETTINGS
+@given(st.data())
+def test_symmetric_templates_match_reference(data):
+    b = data.draw(symmetric_structures())
+    s = data.draw(sentences(b.domain_size, signature=b.signature.relations))
+    verdict = evaluate(b, s)
+    assert verdict == brute_count_eval(b, s)
+    w = extract_strategy(b, s)
+    assert (w is not None) == verdict
+    if w is not None:
+        assert verify_strategy(b, s, w)
+
+
+def _swappable(b: model.Structure, a: int, c: int) -> bool:
+    """Does swapping a and c map every relation of b onto itself?"""
+    swap = {a: c, c: a}
+    return all(
+        tuple(swap.get(x, x) for x in t) in b.tuples(name)
+        for name in b.signature.names()
+        for t in b.tuples(name)
+    )
+
+
+@SETTINGS
+@given(st.data())
+def test_value_classes_match_pairwise_swaps(data):
+    b = data.draw(st.one_of(structures(), symmetric_structures()))
+    classes = _value_classes(b) or tuple((v,) for v in range(b.domain_size))
+    assert sorted(v for cls in classes for v in cls) == list(range(b.domain_size))
+    class_of = {v: i for i, cls in enumerate(classes) for v in cls}
+    for a, c in itertools.combinations(range(b.domain_size), 2):
+        assert (class_of[a] == class_of[c]) == _swappable(b, a, c), (a, c)
 
 
 @SETTINGS

@@ -1,5 +1,6 @@
 """Template analysis is cached on the immutable template objects: a
-family's template, a structure's graph view and the view's facts.  A
+family's template, a rule's templates, a structure's canonical form and
+graph view, and the view's facts.  A
 reused instance must answer exactly like a freshly built one, one
 template's facts must never reach another, and no caller can alter a
 cached fact."""
@@ -12,7 +13,9 @@ import pytest
 
 from cqcsp import fastpath as fp
 from cqcsp import model
+from cqcsp import reductions as rd
 from cqcsp.model import Quantifier, Sentence, Structure, build_template, graph_view
+from cqcsp.textio import parse_sentence
 
 from conftest import matrices
 from test_golden import CLASSIFY, CLASSIFY_FAMILIES, DISPATCH, digest, dispatch_lines
@@ -161,3 +164,16 @@ def test_template_built_once_per_family_instance():
     assert build_template(other) is not b and build_template(other) == b
     nae = build_template(model.nae_boolean())
     assert graph_view(nae) is None and graph_view(nae) is None
+
+
+def test_rule_templates_built_once_per_rule():
+    """Every compile under one rule returns the rule's one target
+    template, and a structure's canonical form is computed once."""
+    rule = rd.rule("clique-gj", j=2)
+    source = rule.source_template()
+    assert rule.source_template() is source
+    first, _ = rd.compile_rule(rule, source, parse_sentence("E1 u E1 v | E(u,v)"))
+    again, _ = rd.compile_rule(rule, build_template(model.clique(10)), parse_sentence("E1 u |"))
+    assert again is first is rule.target_template()
+    assert first == build_template(model.clique(5))
+    assert source.canonical_form() is source.canonical_form()
