@@ -3,8 +3,8 @@
 Exit codes: 0 yes/success, 1 no (or verification disagreement), 2
 usage/parse error, 3 node budget exceeded (or a search nested too deep
 to recurse), 4 internal error (a crash, never a verdict).  The
-environment variable CQ_NODE_BUDGET overrides the default oracle node
-budget.
+environment variable CQ_NODE_BUDGET, a non-negative integer, overrides
+the default oracle node budget.
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sentence")
     p.add_argument("--engine", choices=("oracle", "auto"), default="oracle")
     p.add_argument("--strategy-out", default=None)
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=_count, default=None)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("classify", help="complexity classification of a family/fragment pair")
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="*", default=[], metavar="key=value")
     p.add_argument("--trials", type=_count, default=20)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--node-budget", type=int, default=None)
+    p.add_argument("--node-budget", type=_count, default=None)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 

@@ -27,6 +27,19 @@ candidates of x_q outside the context's values that share a class are
 decided by their least member, which then counts for the whole class.
 Templates whose classes are all singletons keep the plain search.
 
+∃x∃y ≡ ∃y∃x and ∀x∀y ≡ ∀y∀x, while ∃^{≥j} with 1<j<n does not commute.
+So ``evaluate`` searches each maximal run of threshold-1 positions, and
+each of threshold-n positions, in maximum-cardinality order
+(``_commuting_order``, at compile time, from the atoms' index tuples):
+the next position is the one sharing an atom with the most positions
+already placed, ties going to the lower position, which keeps the search
+next to assigned neighbours (the width of an ordering, Freuder, JACM
+1982; AND/OR search over pseudo-trees, Dechter and Mateescu, AIJ 2007).
+A chain keeps its order.  When the reordered component tree is too deep
+to recurse and the prefix-order tree is not, compile keeps the prefix
+order.  ``extract_strategy`` always searches in prefix order, the order
+canonical trees are defined in.
+
 ``extract_strategy`` returns the canonical witness-strategy tree (offered
 sets are the smallest winning elements), ``verify_strategy`` replays every
 adversary play of a given tree, and ``solve_retraction`` decides
@@ -91,21 +104,42 @@ def resolve_thresholds(s: Sentence, n: int) -> Sentence:
     return rs
 
 
+def _prefix_thresholds(s: Sentence, n: int) -> list[int]:
+    """The thresholds of ``s``'s prefix with the for-all sugar resolved to
+    ``n``, without building the resolved sentence; every threshold must lie
+    in 1..n."""
+    thresholds = [n if q.threshold is None else q.threshold for q in s.prefix]
+    if thresholds and (min(thresholds) < 1 or max(thresholds) > n):
+        resolve_thresholds(s, n)  # raises, naming the first bad threshold
+    return thresholds
+
+
 def check_signature(b: Structure, s: Sentence) -> None:
     """Raise SignatureError unless every atom of ``s`` names a relation of
     ``b`` with its arity."""
-    sig = b.signature
+    arity = dict(b.signature.relations)
     for name, vs in s.atoms:
-        if name not in sig:
-            raise SignatureError(f"relation {name!r} not in template signature")
-        if sig.arity(name) != len(vs):
+        if arity.get(name) != len(vs):
+            if name not in arity:
+                raise SignatureError(f"relation {name!r} not in template signature")
             raise SignatureError(f"relation {name!r} arity mismatch")
 
 
 def effective_budget(budget: Optional[int]) -> int:
+    """``budget``, else the non-negative integer in CQ_NODE_BUDGET, else
+    the default; raise ValueError when the variable holds anything else."""
     if budget is not None:
         return budget
-    return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_NODE_BUDGET))
+    text = os.environ.get(BUDGET_ENV_VAR)
+    if text is None:
+        return DEFAULT_NODE_BUDGET
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{BUDGET_ENV_VAR} must be a non-negative integer, got {text!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -266,6 +300,73 @@ def _no_context(assign: list[int]) -> tuple:
     return ()
 
 
+def _commuting_order(thresholds: list[int], n: int, atoms) -> Optional[list[int]]:
+    """The order in which to search the prefix positions, or None when it
+    is the prefix order.  ``atoms`` gives each atom's tuple of positions.
+
+    A maximal run of equal thresholds 1 (∃) or n (∀) may be searched in any
+    order; other thresholds do not commute.  Each run of two or more
+    positions is ordered by maximum-cardinality search: the next position
+    is the one sharing an atom with the most positions already placed
+    (every earlier position counts), ties going to the lower position, so
+    a chain keeps its order."""
+    if thresholds.count(1) < 2 and thresholds.count(n) < 2:
+        return None  # no run can hold two positions
+    m = len(thresholds)
+    runs = []
+    start = 0
+    for p in range(1, m + 1):
+        if p == m or thresholds[p] != thresholds[start]:
+            if p - start > 1 and (thresholds[start] == 1 or thresholds[start] == n):
+                runs.append((start, p))
+            start = p
+    if not runs:
+        return None
+    # near[p]: mask of the positions sharing an atom with p (p included)
+    near = [0] * m
+    for idxs in atoms:
+        mask = 0
+        for p in idxs:
+            mask |= 1 << p
+        for p in idxs:
+            near[p] |= mask
+    order = list(range(m))
+    moved = False
+    for start, end in runs:
+        # bucket[w]: mask of the unplaced run positions with w neighbours
+        # placed; the next position is the least of the highest bucket
+        placed = (1 << start) - 1
+        weight = {}
+        bucket = [0] * end
+        for p in range(start, end):
+            w = weight[p] = (near[p] & placed).bit_count()
+            bucket[w] |= 1 << p
+        top = max(weight.values())
+        unplaced = ((1 << end) - 1) ^ placed
+        for i in range(start, end):
+            while not bucket[top]:
+                top -= 1
+            low = bucket[top] & -bucket[top]
+            bucket[top] ^= low
+            unplaced ^= low
+            p = low.bit_length() - 1
+            if p != i:
+                order[i] = p
+                moved = True
+            rest = near[p] & unplaced
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                q = bit.bit_length() - 1
+                w = weight[q]
+                bucket[w] ^= bit
+                bucket[w + 1] |= bit
+                weight[q] = w + 1
+                if w == top:
+                    top = w + 1
+    return order if moved else None
+
+
 class _Search:
     """Compiled evaluation state for one (structure, sentence) pair.
 
@@ -279,23 +380,55 @@ class _Search:
     template with interchangeable values, ``run_symmetric`` takes the
     place of ``run``; ``orbit`` and ``members`` are then the template's
     per-value class masks and classes (else None).
+
+    Positions are numbered in search order: the prefix order, or with
+    ``reorder`` the order of ``_commuting_order`` unless its tree is too
+    deep to search.
     """
 
-    def __init__(self, b: Structure, s: Sentence, budget: Optional[int]) -> None:
+    def __init__(self, b: Structure, s: Sentence, budget: Optional[int], *, reorder: bool) -> None:
         n = b.domain_size
-        rs = resolve_thresholds(s, n)
-        check_signature(b, rs)
+        thresholds = _prefix_thresholds(s, n)
+        check_signature(b, s)
 
-        m = self.m = len(rs.prefix)
+        m = self.m = len(thresholds)
         self.n = n
-        self.thresholds = [q.threshold for q in rs.prefix]
+        self.thresholds = thresholds
         self.budget = effective_budget(budget)
         self.nodes = 0
         self.assign = [0] * m
         self.memo: list[dict] = [{} for _ in range(m)]
 
-        index = rs.var_index()
-        full = (1 << n) - 1
+        index = s.var_index()
+        atoms = [(name, tuple([index[v] for v in vs])) for name, vs in s.atoms]
+        order = _commuting_order(thresholds, n, map(itemgetter(1), atoms)) if reorder else None
+        if order is not None:
+            place = [0] * m
+            for i, p in enumerate(order):
+                place[p] = i
+            # positions move only inside runs of one threshold, so the
+            # thresholds keep their places
+            try:
+                self._compile(b, [(name, tuple([place[i] for i in idxs])) for name, idxs in atoms])
+            except SearchDepthError:
+                order = None
+        if order is None:
+            self._compile(b, atoms)
+
+        orbits = _orbit_tables(b)
+        if orbits is None:
+            self.orbit = self.members = self.canonical = None
+        else:
+            self.orbit, self.members, small = orbits
+            # context read by key[q] -> (memo key, mask of its values)
+            self.canonical = dict(small)
+
+    def _compile(self, b: Structure, atoms: list) -> None:
+        """Build the filters and the component tree for the positions
+        numbered as in the atoms' index tuples; raise SearchDepthError when
+        the tree is too deep to search."""
+        m = self.m
+        full = (1 << self.n) - 1
         out_bits, in_bits, loop_bits, unary_bits = _value_tables(b)
 
         # static_mask[p]: values allowed at p regardless of earlier choices
@@ -310,8 +443,7 @@ class _Search:
         above: list[set[int]] = [set() for _ in range(m)]
         context: list[set[int]] = [set() for _ in range(m)]
 
-        for name, vs in rs.atoms:
-            idxs = tuple(index[v] for v in vs)
+        for name, idxs in atoms:
             last = max(idxs)
             arity = len(idxs)
             if arity <= 2:
@@ -365,14 +497,6 @@ class _Search:
             if ctx:
                 key[q] = itemgetter(*sorted(ctx))
         _check_depth(max(height, default=0) + 1)
-
-        orbits = _orbit_tables(b)
-        if orbits is None:
-            self.orbit = self.members = self.canonical = None
-        else:
-            self.orbit, self.members, small = orbits
-            # context read by key[q] -> (memo key, mask of its values)
-            self.canonical = dict(small)
 
     def _candidates(self, p: int) -> int:
         cand = self.static_mask[p]
@@ -528,7 +652,7 @@ class _Search:
 
 def evaluate(b: Structure, s: Sentence, *, budget: Optional[int] = None) -> bool:
     """Does the template satisfy the sentence under counting semantics."""
-    return _Search(b, s, budget).holds_from(0)
+    return _Search(b, s, budget, reorder=True).holds_from(0)
 
 
 def extract_strategy(
@@ -541,7 +665,7 @@ def extract_strategy(
     is accepted by ``verify_strategy``; this is just one shape.  Search
     nodes and offer nodes share the node budget.
     """
-    search = _Search(b, s, budget)
+    search = _Search(b, s, budget, reorder=False)
     if not search.holds_from(0):
         return None
     _check_depth(search.extract_depth())

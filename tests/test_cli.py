@@ -66,6 +66,35 @@ def test_solve_budget_exit_3(files):
     assert run(["solve", c6, s, "--node-budget", "2"]) == 3
 
 
+def test_negative_node_budget_is_usage_error(files, capsys):
+    """A negative budget is refused before any search, whether or not the
+    sentence would spend a node."""
+    tmp, write = files
+    k3 = write("k3.structure", textio.render_structure(build_template(model.clique(3))))
+    for text in ("E1 x |\n", "E1 x | E(x,x)\n"):
+        s = write("s.sentence", text)
+        assert run(["solve", k3, s, "--node-budget", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--node-budget: expected a non-negative integer, got '-5'" in captured.err
+    assert run(["verify", "clique-gj", "j=2", "--trials", "1", "--node-budget", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--node-budget: expected a non-negative integer, got '-5'" in captured.err
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_bad_budget_variable_is_usage_error(files, capsys, monkeypatch, value):
+    tmp, write = files
+    k3 = write("k3.structure", textio.render_structure(build_template(model.clique(3))))
+    s = write("s.sentence", "E1 x | E(x,x)\n")
+    monkeypatch.setenv("CQ_NODE_BUDGET", value)
+    assert run(["solve", k3, s]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: CQ_NODE_BUDGET must be a non-negative integer, got {value!r}\n"
+
+
 def _chain_sentence(k: int) -> str:
     names = [f"x{i}" for i in range(k)]
     prefix = " ".join(f"E1 {v}" for v in names)

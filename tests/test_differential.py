@@ -6,10 +6,14 @@ reduction against its source.
 
 Structures have 1-4 elements and unary, directed binary (loops allowed)
 and ternary relations; sentences have up to five variables, thresholds
-anywhere in 1..n and any atoms over the signature.  Templates with
-interchangeable values (cliques, complete bipartite graphs, stars, NAE,
-the reflexive 4-cycle) are also drawn, with or without a unary relation
-that splits their classes.  Decider hits are
+anywhere in 1..n and any atoms over the signature.  The oracle reorders
+each run of E1 or of for-all variables, but extraction keeps the prefix
+order, so sentences of six to eight variables made of such runs and of
+middle thresholds are also drawn, over structures of 2-3 elements, and
+``evaluate`` is checked against both the reference and extraction.
+Templates with interchangeable values (cliques, complete bipartite
+graphs, stars, NAE, the reflexive 4-cycle) are also drawn, with or
+without a unary relation that splits their classes.  Decider hits are
 checked on drawn loop-free graphs and on the graph templates of the zoo.
 Reduction sources are drawn over each rule's source template, within the
 thresholds the rule accepts.
@@ -65,8 +69,8 @@ SETTINGS = settings(
 
 
 @st.composite
-def structures(draw):
-    n = draw(st.integers(1, 4))
+def structures(draw, sizes=(1, 4)):
+    n = draw(st.integers(*sizes))
     relations = {}
     for name, arity in SIGNATURE:
         tuples = list(itertools.product(range(n), repeat=arity))
@@ -135,6 +139,44 @@ def test_symmetric_templates_match_reference(data):
     assert (w is not None) == verdict
     if w is not None:
         assert verify_strategy(b, s, w)
+
+
+# Templates of 2-3 elements for the sentences made of runs.
+SMALL_TEMPLATES = [
+    build_template(f)
+    for f in (
+        model.clique(2), model.clique(3), model.path(3), model.complete_bipartite(1, 2),
+        model.reflexive_cycle(3), model.nae_boolean(),
+    )
+]
+
+
+@st.composite
+def run_sentences(draw, n: int, signature):
+    """Six to eight variables in runs of one threshold each (E1, A or, on
+    three elements, the middle threshold E2), with up to ten atoms."""
+    m = draw(st.integers(6, 8))
+    thresholds: list = []
+    while len(thresholds) < m:
+        thresholds += [draw(st.sampled_from([1, None, *range(2, n)]))] * draw(st.integers(1, 4))
+    vs = [f"x{i}" for i in range(m)]
+    atoms = []
+    for _ in range(draw(st.integers(1, 10))):
+        name, arity = draw(st.sampled_from(signature))
+        atoms.append((name, tuple(draw(st.sampled_from(vs)) for _ in range(arity))))
+    return Sentence(tuple(map(Quantifier, thresholds[:m], vs)), tuple(atoms))
+
+
+@settings(SETTINGS, max_examples=300)
+@given(st.data())
+def test_reordered_runs_match_reference(data):
+    """``evaluate`` searches each run of E1 or A variables in its own order,
+    ``extract_strategy`` in prefix order: both agree with the reference."""
+    b = data.draw(st.one_of(st.sampled_from(SMALL_TEMPLATES), structures(sizes=(2, 3))))
+    s = data.draw(run_sentences(b.domain_size, signature=b.signature.relations))
+    verdict = evaluate(b, s)
+    assert verdict == brute_count_eval(b, s)
+    assert (extract_strategy(b, s) is not None) == verdict
 
 
 def _swappable(b: model.Structure, a: int, c: int) -> bool:

@@ -1,4 +1,6 @@
 import itertools
+import random
+import sys
 
 import pytest
 
@@ -183,6 +185,18 @@ def test_budget_env_override(zoo, monkeypatch):
         evaluate(zoo["C6"], s)
 
 
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5", ""])
+def test_budget_env_must_be_a_non_negative_integer(zoo, monkeypatch, value):
+    """A bad CQ_NODE_BUDGET is an error naming it, even on a sentence that
+    would be decided without spending a node."""
+    monkeypatch.setenv(oracle.BUDGET_ENV_VAR, value)
+    with pytest.raises(ValueError, match=f"CQ_NODE_BUDGET must be a non-negative integer, got {value!r}"):
+        evaluate(zoo["K3"], parse_sentence("E1 x | E(x,x)"))
+    assert oracle.effective_budget(7) == 7
+    monkeypatch.setenv(oracle.BUDGET_ENV_VAR, "0")
+    assert oracle.effective_budget(None) == 0
+
+
 def test_extraction_counts_offer_nodes_against_budget(zoo):
     """E2 x1 ... E2 x25 on K2 is decided in 50 nodes, but its strategy tree
     has 2^25 - 1 offer nodes, each counted against the budget."""
@@ -266,6 +280,141 @@ def test_clique_gj_target_within_budget():
     target, compiled = rd.compile_rule(rule, rule.source_template(), source)
     assert not evaluate(rule.source_template(), source)
     assert not evaluate(target, compiled, budget=5_000)
+
+
+# ---------------------------------------------------------------------------
+# Order of commuting quantifier runs
+
+
+def _order(thresholds, n, atoms):
+    return oracle._commuting_order(thresholds, n, atoms) or list(range(len(thresholds)))
+
+
+def _commuting_runs(thresholds, n):
+    """Each position's maximal run of equal thresholds 1 or n, else None."""
+    runs = []
+    for p, j in enumerate(thresholds):
+        if j in (1, n) and p and thresholds[p - 1] == j and runs[-1] is not None:
+            runs.append(runs[-1])
+        else:
+            runs.append(p if j in (1, n) else None)
+    return runs
+
+
+def _reference_order(thresholds, n, atoms):
+    """Maximum-cardinality search inside each commuting run, by rescanning
+    the unplaced positions at each step."""
+    m = len(thresholds)
+    near = [set() for _ in range(m)]
+    for idxs in atoms:
+        for p in idxs:
+            near[p].update(q for q in idxs if q != p)
+    runs = _commuting_runs(thresholds, n)
+    order = []
+    p = 0
+    while p < m:
+        run = [q for q in range(p, m) if runs[q] is not None and runs[q] == runs[p]] or [p]
+        while run:
+            placed = set(order)
+            best = max(run, key=lambda q: (len(near[q] & placed), -q))
+            order.append(best)
+            run.remove(best)
+        p = len(order)
+    return order
+
+
+def test_commuting_order_on_examples():
+    # x3 shares an atom with x0, so it goes first in the run x1 x2 x3;
+    # then x2, which shares an atom with x3, then x1
+    assert _order([2, 1, 1, 1], 3, [(0, 3), (3, 2), (1, 2)]) == [0, 3, 2, 1]
+    # x1 and x3 each share an atom with x0: the tie goes to x1, then x3
+    # has a placed neighbour and x2 none
+    assert _order([2, 1, 1, 1], 3, [(0, 1), (0, 3)]) == [0, 1, 3, 2]
+    # the same on a run of for-all positions; threshold n commutes
+    assert _order([2, 3, 3, 3], 3, [(0, 1), (0, 3)]) == [0, 1, 3, 2]
+    # a run ends where the threshold changes, even from 1 to n
+    assert _order([1, 1, 3, 3], 3, [(0, 3), (1, 2)]) == [0, 1, 2, 3]
+    assert _order([1, 1, 3, 3], 3, [(1, 3)]) == [0, 1, 3, 2]
+    # on K2 a middle threshold does not exist: 1 and 2 each commute
+    assert _order([1, 1, 2, 2], 2, [(0, 3)]) == [0, 1, 3, 2]
+
+
+def test_commuting_order_keeps_chains_and_runless_prefixes():
+    chain = [(i, i + 1) for i in range(29)]
+    assert oracle._commuting_order([1] * 30, 3, chain) is None
+    assert oracle._commuting_order([3] * 30, 3, chain[::-1]) is None
+    # no run of two commuting positions: the order is the prefix order,
+    # however the atoms link them
+    star = [(0, i) for i in range(1, 5)]
+    assert oracle._commuting_order([2, 2, 2, 2, 2], 3, star[::-1]) is None
+    assert oracle._commuting_order([1, 3, 1, 3, 2], 3, star[::-1]) is None
+    assert oracle._commuting_order([1, 2, 1, 2, 1], 4, [(4, 0), (2, 1)]) is None
+    assert oracle._commuting_order([], 3, []) is None
+
+
+def test_commuting_order_matches_reference():
+    """On drawn prefixes, the order is a permutation that moves positions
+    only inside their run of threshold 1 or n, and it is the rescanning
+    maximum-cardinality search with ties to the lower position."""
+    rng = random.Random(11)
+    for _ in range(2_000):
+        m = rng.randint(1, 12)
+        n = rng.randint(2, 4)
+        thresholds = [rng.choice((1, 1, n, n, 2)) for _ in range(m)]
+        atoms = [
+            tuple(rng.randrange(m) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 2 * m))
+        ]
+        order = _order(thresholds, n, atoms)
+        assert sorted(order) == list(range(m))
+        runs = _commuting_runs(thresholds, n)
+        for i, p in enumerate(order):
+            assert p == i or (runs[p] is not None and runs[p] == runs[i]), (thresholds, atoms)
+        assert order == _reference_order(thresholds, n, atoms), (thresholds, atoms)
+
+
+def _target(name, params, text):
+    rule = rd.rule(name, **params)
+    return rd.compile_rule(rule, rule.source_template(), parse_sentence(text))
+
+
+K4_SOURCE = "E1 a E1 b E1 c E1 d | E(a,b) & E(a,c) & E(a,d) & E(b,c) & E(b,d) & E(c,d)"
+
+
+def test_gadget_targets_within_budget():
+    """The run of E1 variables that ends each of these targets is searched
+    next to its placed neighbours: in prefix order the girth target takes
+    about 42,500 nodes, the even-cycle one 40,500 and the K4 frontier
+    160,500."""
+    c6 = model.build_template(model.cycle(6))
+    assert evaluate(*_target("girth-isolation", {"h": c6}, "E1 u E1 v | E(u,v)"), budget=2_000)
+    assert evaluate(*_target("even-cycle", {"n": 6, "j": 2}, "A u E1 v | E(u,v)"), budget=12_000)
+    assert not evaluate(*_target("even-cycle-csp", {"n": 6, "j": 2}, K4_SOURCE), budget=60_000)
+
+
+def _stack_depth() -> int:
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_reordered_tree_too_deep_keeps_prefix_order():
+    """The K4 frontier target's component tree is 56 levels high in prefix
+    order and 191 after reordering; below a recursion limit that only the
+    first fits, evaluation keeps the prefix order and still answers."""
+    target, compiled = _target("even-cycle-csp", {"n": 6, "j": 2}, K4_SOURCE)
+    assert max(oracle._Search(target, compiled, None, reorder=True).height) == 191
+    assert max(oracle._Search(target, compiled, None, reorder=False).height) == 56
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 120)
+    try:
+        assert max(oracle._Search(target, compiled, None, reorder=True).height) == 56
+        assert not evaluate(target, compiled)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 # ---------------------------------------------------------------------------
