@@ -503,20 +503,19 @@ def dispatch(b: Structure, s: Sentence) -> Optional[tuple[str, Callable[[], bool
     report which result fired.
     """
     n = b.domain_size
-    rs = oracle.resolve_thresholds(s, n)
-    th = rs.thresholds()
+    th = oracle._prefix_thresholds(s, n)
     g = None
     for case in TRACTABLE:
         if case.graph and g is None:
             g = graph_view(b)
             if g is None or g.loops:
                 return None
-            if any(name != g.relation or len(vs) != 2 for name, vs in rs.atoms):
+            if any(name != g.relation or len(vs) != 2 for name, vs in s.atoms):
                 return None
         if case is COMPLETE_BIPARTITE and not _complete_bipartite_enabled:
             continue
         if case.applies(n, g, th):
-            return case.tag, lambda: case.decide(b, g, rs)
+            return case.tag, lambda: case.decide(b, g, oracle.resolve_thresholds(s, n))
     return None
 
 

@@ -25,7 +25,22 @@ programming, Gent, Petrie and Puget, 2006): memo keys relabel the
 context's values inside each class in order of first occurrence, and the
 candidates of x_q outside the context's values that share a class are
 decided by their least member, which then counts for the whole class.
-Templates whose classes are all singletons keep the plain search.
+
+Transpositions miss most symmetry: C_n has none, yet its rotations make
+it vertex-transitive.  So the orbits of the whole group Aut(B) are found
+once per template, and those of the stabiliser Aut(B)_a of a value a when
+first needed (``_Automorphisms``: union-find seeded with the classes,
+colour refinement, then a capped individualisation-refinement search per
+pair of values in one cell; McKay and Piperno, JSC 2014).  A node's
+sub-sentence depends only on its context's values, and any automorphism
+fixing them maps a solution with x_q = v to one with x_q = σv.  So at a
+node with no context the candidates of x_q are grouped by Aut(B)-orbit,
+and at a node whose context is one position, holding a, by
+Aut(B)_a-orbit, memoised under a's least Aut(B)-image; the least
+candidate of a group is searched and counts for all of it.  Subgroup
+orbits, as left by a capped search, group just as soundly.  Nodes with
+wider contexts keep the class grouping above, or the plain search.
+Templates with a trivial group keep the plain search throughout.
 
 ∃x∃y ≡ ∃y∃x and ∀x∀y ≡ ∀y∀x, while ∃^{≥j} with 1<j<n does not commute.
 So ``evaluate`` searches each maximal run of threshold-1 positions, and
@@ -258,10 +273,8 @@ def _canonical_context(values: tuple[int, ...], members: list[tuple[int, ...]]):
 
 @once_per_instance
 def _orbit_tables(b: Structure):
-    """Per value, the mask of its class and the class itself, and the
-    canonical form of the contexts of no value or one (a context of one
-    position is read as a bare value); None when the template has no
-    interchangeable values."""
+    """Per value, the mask of its class and the class itself; None when
+    the template has no interchangeable values."""
     classes = _value_classes(b)
     if classes is None:
         return None
@@ -272,10 +285,223 @@ def _orbit_tables(b: Structure):
         for v in cls:
             orbit[v] = mask
             members[v] = cls
-    small = {(): ((), 0)}
-    for v in range(b.domain_size):
-        small[v] = _canonical_context((v,), members)
-    return orbit, members, small
+    return orbit, members
+
+
+# Images one pair search may try before it gives up.
+_PAIR_SEARCH_STEPS = 64
+
+
+class _Automorphisms(dict):
+    """The orbits of the template's automorphism group Aut(B) and of the
+    stabiliser Aut(B)_a of each value a, as per-value orbit masks.
+
+    Maps ``()`` to ``((), Aut(B) orbit masks)`` and a value a to ``(the
+    least member of a's Aut(B)-orbit, Aut(B)_a orbit masks)``; the entry of
+    a value is built when it is first read.
+
+    Orbits are found as in individualisation-refinement (McKay and
+    Piperno, 2014).  A union-find starts from the classes of
+    ``_value_classes`` (for Aut(B)_a, with a taken out), so a clique needs
+    no search.  Colour refinement by relation and argument positions, with
+    unary relations and repeated arguments (loops) in the first colours,
+    splits the values into cells that every automorphism respects.  Each
+    value of a cell not yet joined to one of the cell's orbits is then
+    tested against each orbit's least member by a depth-first search that
+    individualises a value on each side and refines again, until the
+    colouring is discrete and read as a permutation, which must map every
+    relation onto itself; every automorphism found joins all of its
+    cycles.  A pair search tries at most 64 images, each one refinement
+    (``_PAIR_SEARCH_STEPS``); a pair that reaches the cap stays apart, and
+    the orbits are then those of a subgroup, which group candidates just
+    as soundly.  The searches keep explicit stacks, so no recursion
+    deepens with |B|."""
+
+    def __init__(self, b: Structure, classes) -> None:
+        n = self.n = b.domain_size
+        self.relations = [b.tuples(name) for name in b.signature.names()]
+        self.classes = classes or ()
+        if len(self.classes) == 1:
+            # every permutation is an automorphism: no cell to search
+            self.base = None
+        else:
+            # links[w]: (x, (relation, position of x, position of w)) for
+            # each tuple holding w and x at two positions; first[v]: the
+            # tuples of one value or with v repeated
+            links: list[list] = [[] for _ in range(n)]
+            first: list[list] = [[] for _ in range(n)]
+            for r, tups in enumerate(self.relations):
+                for t in tups:
+                    for j, w in enumerate(t):
+                        for i, x in enumerate(t):
+                            if i != j:
+                                links[w].append((x, (r, i, j)))
+                        if t.index(w) == j and (len(t) == 1 or t.count(w) > 1):
+                            first[w].append((r, tuple([i for i, x in enumerate(t) if x == w])))
+            self.links = links
+            kinds = [tuple(sorted(f)) for f in first]
+            ids = {kind: i for i, kind in enumerate(sorted(set(kinds)))}
+            col = [ids[kind] for kind in kinds]
+            cells: list[set[int]] = [set() for _ in ids]
+            for v in range(n):
+                cells[col[v]].add(v)
+            self._refine(col, cells, list(range(len(cells))))
+            self.base = (col, cells)
+        orbit = self._orbit_masks(self.base, self.classes)
+        self[()] = ((), orbit)
+        self.rep = [(mask & -mask).bit_length() - 1 for mask in orbit]
+
+    def __missing__(self, a: int):
+        base = self.base and self._individualise(self.base, a)[0]
+        seeds = [[v for v in cls if v != a] for cls in self.classes]
+        entry = self[a] = (self.rep[a], self._orbit_masks(base, seeds))
+        return entry
+
+    def _refine(self, col: list[int], cells: list[set[int]], queue: list[int]) -> list:
+        """Split the cells in place until the colouring is equitable: the
+        values of a cell hold, per relation and pair of positions, equally
+        many tuples whose other position lies in any one cell.  ``queue``
+        holds the cells to split by, taken last in first out.  New cells
+        are numbered in an order read from cell numbers and counts alone,
+        so two colourings related by a bijection are refined alike, and the
+        returned trace (each split and the sizes of its parts) is the same
+        for both."""
+        links = self.links
+        trace = []
+        queued = set(queue)
+        while queue:
+            s = queue.pop()
+            queued.discard(s)
+            counts: dict[int, dict] = {}
+            for w in cells[s]:
+                for x, k in links[w]:
+                    c = counts.get(x)
+                    if c is None:
+                        c = counts[x] = {}
+                    c[k] = c.get(k, 0) + 1
+            split: dict[int, dict] = {}
+            for x, c in counts.items():
+                split.setdefault(col[x], {}).setdefault(tuple(sorted(c.items())), []).append(x)
+            for cid in sorted(split):
+                members = cells[cid]
+                parts = sorted(split[cid].items())
+                if len(parts) == 1 and len(parts[0][1]) == len(members):
+                    continue
+                trace.append((s, cid, len(members), [(sig, len(vs)) for sig, vs in parts]))
+                for _, vs in parts:
+                    members.difference_update(vs)
+                if not members:  # the first part keeps the cell's number
+                    members.update(parts.pop(0)[1])
+                pieces = [cid]
+                for _, vs in parts:
+                    new = len(cells)
+                    cells.append(set(vs))
+                    for v in vs:
+                        col[v] = new
+                    pieces.append(new)
+                if cid not in queued:
+                    # the counts towards the largest piece follow from the rest
+                    pieces.remove(max(pieces, key=lambda p: len(cells[p])))
+                for p in pieces:
+                    if p not in queued:
+                        queued.add(p)
+                        queue.append(p)
+        return trace
+
+    def _individualise(self, state, v: int):
+        """A copy of the colouring ``state`` with v in a cell of its own,
+        refined, and the refinement's trace."""
+        col, cells = state
+        col = col[:]
+        cells = [set(cell) for cell in cells]
+        if len(cells[col[v]]) == 1:
+            return (col, cells), []
+        cells[col[v]].discard(v)
+        col[v] = len(cells)
+        cells.append({v})
+        return (col, cells), self._refine(col, cells, [col[v]])
+
+    def _preserves(self, sigma: list[int]) -> bool:
+        return all(tuple([sigma[x] for x in t]) in tups for tups in self.relations for t in tups)
+
+    def _find(self, base, x: int, y: int) -> Optional[list[int]]:
+        """An automorphism that respects the colouring ``base`` and maps x
+        to y, or None when there is none or the search reaches the cap.
+        Depth first: at each level the least value of the left side's
+        first cell of two or more is individualised, and each value of
+        that cell on the right side is tried in turn."""
+        left, trace = self._individualise(base, x)
+        right, other = self._individualise(base, y)
+        if trace != other:
+            return None
+        tasks = []  # (left child, its trace, right parent, value to try)
+        steps = 0
+        while True:
+            cells = left[1]
+            target = next((c for c, cell in enumerate(cells) if len(cell) > 1), None)
+            if target is None:
+                sigma = [0] * self.n
+                for cell, image in zip(cells, right[1]):
+                    sigma[min(cell)] = min(image)
+                if self._preserves(sigma):
+                    return sigma
+            else:
+                child, trace = self._individualise(left, min(cells[target]))
+                tasks += [(child, trace, right, w) for w in sorted(right[1][target], reverse=True)]
+            while True:
+                if not tasks or steps == _PAIR_SEARCH_STEPS:
+                    return None
+                left, trace, parent, w = tasks.pop()
+                steps += 1
+                right, other = self._individualise(parent, w)
+                if trace == other:
+                    break
+
+    def _orbit_masks(self, base, seeds) -> list[int]:
+        """Per value, the mask of its orbit under the automorphisms found
+        that respect the colouring ``base``, starting from the classes in
+        ``seeds``."""
+        n = self.n
+        root = list(range(n))
+
+        def find(v: int) -> int:
+            while root[v] != v:
+                root[v] = v = root[root[v]]
+            return v
+
+        def union(a: int, c: int) -> None:
+            ra, rc = find(a), find(c)
+            if ra != rc:
+                root[max(ra, rc)] = min(ra, rc)
+
+        for cls in seeds:
+            for v in cls[1:]:
+                union(cls[0], v)
+        for cell in base[1] if base else ():
+            reps: list[int] = []
+            for v in sorted(cell):
+                if any(find(v) == find(r) for r in reps):
+                    continue
+                for r in reps:
+                    sigma = self._find(base, r, v)
+                    if sigma is not None:
+                        for x in range(n):
+                            union(x, sigma[x])
+                        break
+                else:
+                    reps.append(v)
+        masks = [0] * n
+        for v in range(n):
+            masks[find(v)] |= 1 << v
+        return [masks[find(v)] for v in range(n)]
+
+
+@once_per_instance
+def _automorphisms(b: Structure) -> Optional[_Automorphisms]:
+    """The template's orbit tables, or None when every Aut(B)-orbit found
+    is a single value."""
+    sym = _Automorphisms(b, _value_classes(b))
+    return None if all(sym.rep[v] == v for v in range(b.domain_size)) else sym
 
 
 # Frames kept free below the recursion limit for the calls a search makes
@@ -376,10 +602,14 @@ class _Search:
     q is removed from it, ``frontier[p]`` the least positions of the
     components of the positions >= p, ``height[q]`` the number of levels
     of q's subtree, and ``key[q]`` reads q's context: the positions < q
-    sharing an atom with its component, all of them ancestors of q.  On a
-    template with interchangeable values, ``run_symmetric`` takes the
-    place of ``run``; ``orbit`` and ``members`` are then the template's
-    per-value class masks and classes (else None).
+    sharing an atom with its component, all of them ancestors of q.
+    ``visit[q]`` is the function that searches node q: ``run``, or
+    ``run_symmetric``, which groups x_q's candidates by orbit.  With a
+    nontrivial Aut(B), ``tables[q]`` is the template's ``_Automorphisms``
+    at a node whose context has no position or one, else None.  On a
+    template with interchangeable values every node takes
+    ``run_symmetric``, and ``orbit`` and ``members`` are the template's
+    per-value class masks and classes (else None), read at wider contexts.
 
     Positions are numbered in search order: the prefix order, or with
     ``reorder`` the order of ``_commuting_order`` unless its tree is too
@@ -398,6 +628,13 @@ class _Search:
         self.nodes = 0
         self.assign = [0] * m
         self.memo: list[dict] = [{} for _ in range(m)]
+        orbits = _orbit_tables(b)
+        if orbits is None:
+            self.orbit = self.members = self.canonical = None
+        else:
+            self.orbit, self.members = orbits
+            # context read by key[q] -> (memo key, mask of its values)
+            self.canonical = {}
 
         index = s.var_index()
         atoms = [(name, tuple([index[v] for v in vs])) for name, vs in s.atoms]
@@ -414,14 +651,6 @@ class _Search:
                 order = None
         if order is None:
             self._compile(b, atoms)
-
-        orbits = _orbit_tables(b)
-        if orbits is None:
-            self.orbit = self.members = self.canonical = None
-        else:
-            self.orbit, self.members, small = orbits
-            # context read by key[q] -> (memo key, mask of its values)
-            self.canonical = dict(small)
 
     def _compile(self, b: Structure, atoms: list) -> None:
         """Build the filters and the component tree for the positions
@@ -470,6 +699,15 @@ class _Search:
             else:
                 self.general[last].append((b.tuples(name), idxs))
 
+        # Nodes with a context of two or more positions lose their table;
+        # the search functions are unbound, so that the search holds no
+        # cycle through itself and its memo is freed as soon as it is
+        # dropped.
+        sym = _automorphisms(b)
+        self.tables = tables = None if sym is None else [sym] * m
+        self.visit = visit = [_Search.run if sym is None else _Search.run_symmetric] * m
+        wide = _Search.run if self.orbit is None else _Search.run_symmetric
+
         # One backward union-find pass; a set's root is its least position.
         root = list(range(m))
         self.children = children = [()] * m
@@ -496,6 +734,9 @@ class _Search:
                 frontier[q] = (q,) + frontier[q + 1]
             if ctx:
                 key[q] = itemgetter(*sorted(ctx))
+                if tables is not None and len(ctx) > 1:
+                    tables[q] = None
+                    visit[q] = wide
         _check_depth(max(height, default=0) + 1)
 
     def _candidates(self, p: int) -> int:
@@ -517,9 +758,9 @@ class _Search:
     def holds_from(self, p: int) -> bool:
         """Does the sentence's suffix from position p hold under the
         current assignment of the positions < p?"""
-        run = self.run if self.orbit is None else self.run_symmetric
+        visit = self.visit
         for c in self.frontier[p]:
-            if not run(c):
+            if not visit[c](self, c):
                 return False
         return True
 
@@ -541,6 +782,7 @@ class _Search:
         if remaining >= j:
             general = self.general[q]
             children = self.children[q]
+            visit = self.visit
             count = 0
             while cand:
                 self.nodes += 1
@@ -551,7 +793,7 @@ class _Search:
                 assign[q] = low.bit_length() - 1
                 if not general or self._general_ok(q):
                     for c in children:
-                        if not self.run(c):
+                        if not visit[c](self, c):
                             break
                     else:
                         count += 1
@@ -565,16 +807,24 @@ class _Search:
         return result
 
     def run_symmetric(self, q: int) -> bool:
-        """``run`` with the memo keyed by the canonical context;
-        the candidates of x_q outside the context's values that share a
-        class give one answer, so the least of them is searched and counts
-        for all."""
+        """``run`` with the candidates of x_q grouped by orbit: the least
+        candidate of a group is searched and counts for all of it.  With a
+        context of no value or one (a), the groups are the orbits of Aut(B)
+        or Aut(B)_a, and the memo key is a's least Aut(B)-image.  With a
+        wider one, the memo is keyed by the canonical context and the
+        candidates outside the context's values are grouped by class."""
         assign = self.assign
         raw = self.key[q](assign)
-        seen = self.canonical.get(raw)
-        if seen is None:
-            seen = self.canonical[raw] = _canonical_context(raw, self.members)
-        key, taken = seen
+        table = self.tables[q]
+        if table is None:
+            seen = self.canonical.get(raw)
+            if seen is None:
+                seen = self.canonical[raw] = _canonical_context(raw, self.members)
+            key, taken = seen
+            orbit = self.orbit
+        else:
+            key, orbit = table[raw]
+            taken = 0
         memo = self.memo[q]
         cached = memo.get(key)
         if cached is not None:
@@ -588,7 +838,7 @@ class _Search:
         if remaining >= j:
             general = self.general[q]
             children = self.children[q]
-            orbit = self.orbit
+            visit = self.visit
             count = 0
             while cand:
                 self.nodes += 1
@@ -602,7 +852,7 @@ class _Search:
                 assign[q] = v
                 if not general or self._general_ok(q):
                     for c in children:
-                        if not self.run_symmetric(c):
+                        if not visit[c](self, c):
                             break
                     else:
                         count += weight
@@ -677,11 +927,11 @@ def verify_strategy(b: Structure, s: Sentence, w: StrategyNode) -> bool:
     the matrix.  Raises StrategyShapeError when the tree does not match
     the prefix."""
     n = b.domain_size
-    rs = resolve_thresholds(s, n)
-    check_signature(b, rs)
-    m = len(rs.prefix)
-    index = rs.var_index()
-    atoms = [(b.tuples(name), tuple(index[v] for v in vs)) for name, vs in rs.atoms]
+    thresholds = _prefix_thresholds(s, n)
+    check_signature(b, s)
+    m = len(thresholds)
+    index = s.var_index()
+    atoms = [(b.tuples(name), tuple(index[v] for v in vs)) for name, vs in s.atoms]
     assign = [0] * m
     # Depth-first in play order; an entry (node, p, v) is node at depth p
     # reached by offering v at depth p - 1.
@@ -697,7 +947,7 @@ def verify_strategy(b: Structure, s: Sentence, w: StrategyNode) -> bool:
                 if tuple([assign[i] for i in idxs]) not in tups:
                     return False
             continue
-        j = rs.prefix[p].threshold
+        j = thresholds[p]
         if len(node.offer) != j:
             raise StrategyShapeError(
                 f"offer of size {len(node.offer)} at depth {p}, threshold {j}"

@@ -13,7 +13,14 @@ middle thresholds are also drawn, over structures of 2-3 elements, and
 ``evaluate`` is checked against both the reference and extraction.
 Templates with interchangeable values (cliques, complete bipartite
 graphs, stars, NAE, the reflexive 4-cycle) are also drawn, with or
-without a unary relation that splits their classes.  Decider hits are
+without a unary relation that splits their classes.  The oracle's orbit
+tables (Aut(B) and each point stabiliser) are checked against every
+permutation on drawn structures of 1-6 values with unary, binary and
+ternary relations, each closed under a drawn permutation, and on the
+templates with automorphisms beyond transpositions (C5, C6, P4, P5, K3,3,
+the reflexive 4-cycle), which are also drawn, with or without a unary
+relation that breaks their symmetry, under sentences checked against the
+reference and strategy replay.  Decider hits are
 checked on drawn loop-free graphs and on the graph templates of the zoo.
 Reduction sources are drawn over each rule's source template, within the
 thresholds the rule accepts.
@@ -31,7 +38,13 @@ from cqcsp import fastpath as fp
 from cqcsp import model
 from cqcsp import reductions as rd
 from cqcsp.model import Quantifier, Sentence, build_template
-from cqcsp.oracle import _value_classes, evaluate, extract_strategy, verify_strategy
+from cqcsp.oracle import (
+    _automorphisms,
+    _value_classes,
+    evaluate,
+    extract_strategy,
+    verify_strategy,
+)
 
 from conftest import brute_count_eval
 
@@ -78,16 +91,20 @@ def structures(draw, sizes=(1, 4)):
     return model.make_structure(SIGNATURE, n, relations)
 
 
+def _marked(draw, b: model.Structure) -> model.Structure:
+    """``b``, or ``b`` with a drawn unary relation added, which splits its
+    classes and orbits where it holds on part of one."""
+    if not draw(st.booleans()):
+        return b
+    marked = draw(st.sets(st.integers(0, b.domain_size - 1)))
+    relations = {**b.relations, "U": {(v,) for v in marked}}
+    return model.make_structure(b.signature.relations + (("U", 1),), b.domain_size, relations)
+
+
 @st.composite
 def symmetric_structures(draw):
-    """A template of SYMMETRIC_TEMPLATES, or one with a drawn unary relation
-    added, which splits its classes where it holds on part of one."""
-    b = draw(st.sampled_from(SYMMETRIC_TEMPLATES))
-    if draw(st.booleans()):
-        marked = draw(st.sets(st.integers(0, b.domain_size - 1)))
-        relations = {**b.relations, "U": {(v,) for v in marked}}
-        b = model.make_structure(b.signature.relations + (("U", 1),), b.domain_size, relations)
-    return b
+    """A template of SYMMETRIC_TEMPLATES, possibly marked (``_marked``)."""
+    return _marked(draw, draw(st.sampled_from(SYMMETRIC_TEMPLATES)))
 
 
 @st.composite
@@ -128,17 +145,22 @@ def test_oracle_and_strategies_match_reference(data):
         assert match[1]() == verdict, match[0]
 
 
-@SETTINGS
-@given(st.data())
-def test_symmetric_templates_match_reference(data):
-    b = data.draw(symmetric_structures())
-    s = data.draw(sentences(b.domain_size, signature=b.signature.relations))
+def _check_oracle(b: model.Structure, s: Sentence) -> None:
+    """``evaluate`` agrees with the reference, and extraction returns a
+    tree that replays to a win exactly on a yes-instance."""
     verdict = evaluate(b, s)
     assert verdict == brute_count_eval(b, s)
     w = extract_strategy(b, s)
     assert (w is not None) == verdict
     if w is not None:
         assert verify_strategy(b, s, w)
+
+
+@SETTINGS
+@given(st.data())
+def test_symmetric_templates_match_reference(data):
+    b = data.draw(symmetric_structures())
+    _check_oracle(b, data.draw(sentences(b.domain_size, signature=b.signature.relations)))
 
 
 # Templates of 2-3 elements for the sentences made of runs.
@@ -198,6 +220,77 @@ def test_value_classes_match_pairwise_swaps(data):
     class_of = {v: i for i, cls in enumerate(classes) for v in cls}
     for a, c in itertools.combinations(range(b.domain_size), 2):
         assert (class_of[a] == class_of[c]) == _swappable(b, a, c), (a, c)
+
+
+# Templates of up to six values whose automorphisms are not all products
+# of transpositions (rotations and reflections of cycles and paths), or
+# whose group joins classes (K3,3, the reflexive 4-cycle).
+AUTOMORPHIC_TEMPLATES = [
+    build_template(f)
+    for f in (
+        model.cycle(5), model.cycle(6), model.path(4), model.path(5),
+        model.complete_bipartite(3, 3), model.reflexive_cycle(4),
+    )
+]
+
+
+@st.composite
+def closed_structures(draw):
+    """A structure of 1-6 values with unary, binary and ternary relations,
+    closed under a drawn permutation so that it has a nontrivial
+    automorphism more often than not."""
+    n = draw(st.integers(1, 6))
+    sigma = draw(st.permutations(range(n)))
+    relations = {}
+    for name, arity in SIGNATURE:
+        tuples = list(itertools.product(range(n), repeat=arity))
+        seeds = draw(st.sets(st.sampled_from(tuples), max_size=4 if arity == 3 else 8))
+        closed = set()
+        for t in seeds:
+            while t not in closed:
+                closed.add(t)
+                t = tuple(sigma[x] for x in t)
+        relations[name] = closed
+    return model.make_structure(SIGNATURE, n, relations)
+
+
+def _brute_orbits(b: model.Structure, fixed=None) -> list[int]:
+    """Per value, the mask of its orbit under every permutation that maps
+    each relation onto itself (and fixes ``fixed``)."""
+    n = b.domain_size
+    masks = [1 << v for v in range(n)]
+    rels = [b.tuples(name) for name in b.signature.names()]
+    for sigma in itertools.permutations(range(n)):
+        if fixed is not None and sigma[fixed] != fixed:
+            continue
+        if all(tuple(sigma[x] for x in t) in tups for tups in rels for t in tups):
+            for v in range(n):
+                masks[v] |= 1 << sigma[v]
+    return masks
+
+
+@settings(SETTINGS, max_examples=200)
+@given(st.data())
+def test_orbit_tables_match_brute_force(data):
+    if data.draw(st.booleans()):
+        b = data.draw(closed_structures())
+    else:
+        b = _marked(data.draw, data.draw(st.sampled_from(AUTOMORPHIC_TEMPLATES + SYMMETRIC_TEMPLATES)))
+    orbits = _brute_orbits(b)
+    sym = _automorphisms(b)
+    if sym is None:
+        assert orbits == [1 << v for v in range(b.domain_size)]
+        return
+    assert sym[()] == ((), orbits)
+    for a in range(b.domain_size):
+        assert sym[a] == ((orbits[a] & -orbits[a]).bit_length() - 1, _brute_orbits(b, a)), a
+
+
+@settings(SETTINGS, max_examples=300)
+@given(st.data())
+def test_automorphic_templates_match_reference(data):
+    b = _marked(data.draw, data.draw(st.sampled_from(AUTOMORPHIC_TEMPLATES)))
+    _check_oracle(b, data.draw(sentences(b.domain_size, signature=b.signature.relations)))
 
 
 @SETTINGS

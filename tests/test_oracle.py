@@ -179,8 +179,11 @@ def test_budget_exceeded(zoo):
 
 
 def test_budget_env_override(zoo, monkeypatch):
+    """On C6 the 4-cycle below takes 6 nodes: a (one Aut(C6)-orbit), b
+    (one orbit of Aut(C6)_a), c = a with its two values of d, and c = a + 2,
+    which shares one neighbour with a, too few for d, so the answer is no."""
     monkeypatch.setenv(oracle.BUDGET_ENV_VAR, "3")
-    s = parse_sentence("E2 a E2 b E2 c | E(a,b) & E(b,c)")
+    s = parse_sentence("E2 a E2 b E2 c E2 d | E(a,b) & E(b,c) & E(c,d) & E(d,a)")
     with pytest.raises(BudgetExceededError):
         evaluate(zoo["C6"], s)
 
@@ -265,11 +268,104 @@ def test_value_classes_split_by_a_unary_relation():
 
 
 def test_canonical_context_relabels_inside_classes():
-    _, members, _ = oracle._orbit_tables(model.build_template(model.complete_bipartite(2, 3)))
+    _, members = oracle._orbit_tables(model.build_template(model.complete_bipartite(2, 3)))
     key, taken = oracle._canonical_context((4, 1, 2, 4, 0), members)
     assert key == (2, 0, 3, 2, 1)
     assert taken == 0b10111
     assert oracle._canonical_context((3, 0, 4, 3, 1), members)[0] == key
+
+
+# ---------------------------------------------------------------------------
+# Automorphism orbits
+
+
+def _orbits(masks):
+    """The orbits of per-value orbit masks, each ascending, in order."""
+    return sorted({tuple(v for v in range(len(masks)) if m >> v & 1) for m in masks})
+
+
+C4_PENDANT_FAMILY = model.general_graph([(0, 1), (1, 2), (2, 3), (0, 3), (3, 4)])
+
+# family, Aut(B)-orbits, a value a, Aut(B)_a-orbits
+AUT_ORBITS = [
+    (model.cycle(6), [(0, 1, 2, 3, 4, 5)], 0, [(0,), (1, 5), (2, 4), (3,)]),
+    (model.path(5), [(0, 4), (1, 3), (2,)], 2, [(0, 4), (1, 3), (2,)]),
+    (model.path(5), [(0, 4), (1, 3), (2,)], 0, [(0,), (1,), (2,), (3,), (4,)]),
+    (model.complete_bipartite(3, 3), [(0, 1, 2, 3, 4, 5)], 0, [(0,), (1, 2), (3, 4, 5)]),
+    (model.reflexive_cycle(4), [(0, 1, 2, 3)], 0, [(0,), (1, 3), (2,)]),
+    (C4_PENDANT_FAMILY, [(0, 2), (1,), (3,), (4,)], 1, [(0, 2), (1,), (3,), (4,)]),
+    (C4_PENDANT_FAMILY, [(0, 2), (1,), (3,), (4,)], 0, [(0,), (1,), (2,), (3,), (4,)]),
+    (model.nae_boolean(), [(0, 1)], 0, [(0,), (1,)]),
+    (model.star(3), [(0,), (1, 2, 3)], 1, [(0,), (1,), (2, 3)]),
+]
+
+
+@pytest.mark.parametrize("family, orbits, a, stabiliser", AUT_ORBITS, ids=lambda x: str(x))
+def test_automorphism_orbits(family, orbits, a, stabiliser):
+    sym = oracle._automorphisms(model.build_template(family))
+    key, masks = sym[()]
+    assert key == () and _orbits(masks) == orbits
+    rep, masks = sym[a]
+    assert rep == min(next(o for o in orbits if a in o))
+    assert _orbits(masks) == stabiliser
+
+
+def test_automorphism_orbits_beyond_transpositions():
+    """C6 and K3,3 are vertex-transitive; no transposition of C6 is an
+    automorphism, and those of K3,3 keep its two sides apart.  K1's group
+    is trivial, so it gets no tables."""
+    c6 = model.build_template(model.cycle(6))
+    k33 = model.build_template(model.complete_bipartite(3, 3))
+    assert oracle._value_classes(c6) is None
+    assert oracle._value_classes(k33) == ((0, 1, 2), (3, 4, 5))
+    assert _orbits(oracle._automorphisms(k33)[()][1]) == [(0, 1, 2, 3, 4, 5)]
+    assert oracle._automorphisms(model.build_template(model.clique(1))) is None
+    assert oracle._automorphisms(c6) is oracle._automorphisms(c6)
+
+
+def test_latin_square_orbits_need_the_automorphism_check():
+    """In the table of a Latin square any two positions of a tuple fix the
+    third, so counts per pair of positions split off only the values that
+    some tuple repeats, and the refined colourings of a pair search match;
+    only checking each permutation against the relation shows that this
+    square has no automorphism but the identity."""
+    rows = [[4, 1, 0, 3, 2], [0, 2, 1, 4, 3], [1, 3, 2, 0, 4], [2, 4, 3, 1, 0], [3, 0, 4, 2, 1]]
+    table = {(i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row)}
+    b = model.make_structure([("T", 3)], 5, {"T": table})
+    assert oracle._automorphisms(b) is None
+
+
+# A path of 41 vertices with the chord 1-3 and a pendant 41 at vertex 20:
+# every automorphism fixes the leaf 0 (the only leaf next to a vertex of
+# degree 3 on a triangle), so it fixes everything.
+RIGID = "graph:" + ",".join(
+    [f"{i}-{i + 1}" for i in range(40)] + ["1-3", "20-41"]
+)
+
+
+@pytest.mark.parametrize("spec, orbits, a, stabiliser", [
+    ("path:300", 150, 0, 300),
+    ("cycle:300", 1, 0, 151),
+    ("star:300", 2, 1, 3),
+    (RIGID, 42, 0, 42),
+])
+def test_automorphism_orbits_of_large_templates(spec, orbits, a, stabiliser):
+    """Refinement and capped pair searches keep large templates cheap and
+    free of recursion; the counts are exact for these groups."""
+    b = model.build_template(model.parse_family_spec(spec))
+    sym = oracle._Automorphisms(b, oracle._value_classes(b))
+    assert len(_orbits(sym[()][1])) == orbits
+    assert len(_orbits(sym[a][1])) == stabiliser
+
+
+def test_orbit_grouped_targets_within_budget():
+    """Grouping candidates by Aut(C6)-orbit at context-free nodes and by
+    Aut(C6)_a-orbit at nodes with one context value: these targets took
+    51,137, 3,715 and 40,625 nodes when only transpositions were used."""
+    assert not evaluate(*_target("even-cycle", {"n": 6, "j": 2}, "A u A v | E(u,v)"), budget=30_000)
+    triangle = "E1 u E1 v E1 t | E(u,v) & E(v,t) & E(t,u)"
+    assert evaluate(*_target("even-cycle-csp", {"n": 6, "j": 2}, triangle), budget=1_500)
+    assert not evaluate(*_target("even-cycle-csp", {"n": 6, "j": 2}, K4_SOURCE), budget=15_000)
 
 
 def test_clique_gj_target_within_budget():
