@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import traceback
 from pathlib import Path
 
 from . import fastpath, oracle, reductions, textio
@@ -206,6 +205,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:
+        import traceback  # only here: it loads linecache and tokenize
+
         print(f"error: internal: {exc!r}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL

@@ -24,8 +24,8 @@ from __future__ import annotations
 import enum
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Sequence
 
 from . import oracle
 from .model import (
@@ -35,6 +35,7 @@ from .model import (
     InstanceGraph,
     InvalidStructureError,
     Quantifier,
+    Record,
     Sentence,
     Structure,
     TemplateFamily,
@@ -63,12 +64,12 @@ class ComplexityClass(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class ComplexityVerdict:
-    complexity: ComplexityClass
-    citation: str
+class ComplexityVerdict(Record):
+    _fields = ("complexity", "citation")
 
-    def __post_init__(self) -> None:
+    def __init__(self, complexity: ComplexityClass, citation: str) -> None:
+        object.__setattr__(self, "complexity", complexity)
+        object.__setattr__(self, "citation", citation)
         if self.complexity is not ComplexityClass.OPEN and not self.citation:
             raise InvalidStructureError("non-open verdicts need a citation tag")
 
@@ -308,9 +309,10 @@ def decide_forest_bounded_prefix(h: Structure, m: int, s: Sentence) -> bool:
     """Forests with a bounded block of threshold-2 quantifiers followed by
     existentials.
 
-    The threshold-2 block is searched adaptively: a pair works when both
-    of its elements, once pinned, leave a winnable rest; leaves are
-    retraction instances.
+    The threshold-2 block is searched adaptively: a threshold-2 variable
+    is won when at least two values, once pinned, leave a winnable rest,
+    so the values are tried in turn until two win (|B|^block sub-games,
+    not one per pair); leaves are retraction instances.
     """
     g = require_graph(h)
     if not g.is_forest():
@@ -343,9 +345,12 @@ def decide_forest_bounded_prefix(h: Structure, m: int, s: Sentence) -> bool:
     def game(d: int, pins: dict[int, int]) -> bool:
         if d == block:
             return leaf(pins)
-        for pair in itertools.combinations(range(n), 2):
-            if all(game(d + 1, {**pins, d: v}) for v in pair):
-                return True
+        wins = 0
+        for v in range(n):
+            if game(d + 1, {**pins, d: v}):
+                wins += 1
+                if wins == 2:
+                    return True
         return False
 
     return game(0, {})
@@ -387,22 +392,17 @@ def decide_path5_one_three(s: Sentence) -> bool:
 # `classify`
 
 
-class Tractable(NamedTuple):
-    """One tractable case: its dispatch tag, the citation ``classify``
-    gives it, the condition on (|B|, template graph, thresholds in prefix
-    order) under which its decider applies, and the decider.  An entry
-    with ``graph=False`` uses no graph, is passed None for it, and also
-    covers templates that are not loop-free graphs; `dispatch` tests it
-    before reading the template's graph view."""
-
-    tag: str
-    citation: str
-    applies: Callable[[int, Optional[GraphView], Sequence[int]], bool]
-    decide: Callable[[Structure, Optional[GraphView], Sentence], bool]
-    graph: bool = True
+Tractable = namedtuple("Tractable", "tag citation applies decide graph", defaults=(True,))
+Tractable.__doc__ = """One tractable case: its dispatch ``tag``, the ``citation``
+``classify`` gives it, ``applies(|B|, template graph, thresholds in prefix
+order)``, the condition under which its decider applies, and the decider
+``decide(template, template graph, sentence)``.  An entry with
+``graph=False`` uses no graph, is passed None for it, and also covers
+templates that are not loop-free graphs; `dispatch` tests it before
+reading the template's graph view."""
 
 
-def _leading_twos(th: Sequence[int]) -> Optional[int]:
+def _leading_twos(th: Sequence[int]) -> int | None:
     """The length of the leading threshold-2 block when ``th`` is 2*1*."""
     block = 0
     while block < len(th) and th[block] == 2:
@@ -495,7 +495,7 @@ def complete_bipartite_enabled() -> bool:
     return _complete_bipartite_enabled
 
 
-def dispatch(b: Structure, s: Sentence) -> Optional[tuple[str, Callable[[], bool]]]:
+def dispatch(b: Structure, s: Sentence) -> tuple[str, Callable[[], bool]] | None:
     """Match a decider's precondition against (template, sentence).
 
     Returns (tag, thunk) for the first matching decider, or None when only

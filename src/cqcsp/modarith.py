@@ -8,18 +8,19 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
+
+from .model import Record
 
 
-@dataclass(frozen=True)
-class ResidueSet:
+class ResidueSet(Record):
     """A set of residues modulo ``modulus`` (stored as a bitmask)."""
 
-    modulus: int
-    bits: int
+    _fields = ("modulus", "bits")
 
-    def __post_init__(self) -> None:
+    def __init__(self, modulus: int, bits: int) -> None:
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "bits", bits)
         if self.modulus < 1:
             raise ValueError("modulus must be >= 1")
         if self.bits < 0 or self.bits >> self.modulus:

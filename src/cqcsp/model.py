@@ -13,8 +13,12 @@ Structures, template families and graph views are immutable, so what is
 derived from one alone is computed once per instance and stored on it
 (``once_per_instance``): a family's template, a structure's canonical
 form and graph view, and the view's facts (components, two-colouring, the
-shape tests).  The
-facts are returned as tuples or scalars, so no caller can alter them.
+shape tests, girth and diameter).  The facts are returned as tuples or
+scalars, so no caller can alter them.
+
+The package's records are plain classes over ``Record``, not dataclasses:
+importing ``dataclasses`` (with the ``inspect`` it loads) and building
+each class with it cost more than the rest of the package's start-up.
 """
 
 from __future__ import annotations
@@ -22,22 +26,19 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from collections.abc import Callable, Iterable, Sequence
+from operator import attrgetter
 
 
 class InvalidStructureError(ValueError):
     """A structure, sentence or family parameter violates an invariant."""
 
 
-_T = TypeVar("_T")
-
-
-def once_per_instance(fn: Callable[[object], _T]) -> Callable[[object], _T]:
+def once_per_instance(fn: Callable[[object], object]) -> Callable[[object], object]:
     """Run ``fn`` -- a one-argument function of an immutable object, or a
     method without parameters -- at most once per object, storing the
     result (None included) in the object's ``__dict__``, which a frozen
-    dataclass leaves writable.  An exception is not stored."""
+    ``Record`` leaves writable.  An exception is not stored."""
     key = "_once_" + fn.__qualname__
 
     @functools.wraps(fn)
@@ -51,16 +52,54 @@ def once_per_instance(fn: Callable[[object], _T]) -> Callable[[object], _T]:
     return cached
 
 
+class Record:
+    """Base of the package's immutable records.  A subclass names its
+    fields in ``_fields`` and sets each once in ``__init__`` through
+    ``object.__setattr__``.  Two records are equal when they are of the
+    same class with equal fields, a record hashes as the tuple of its
+    fields, and assigning or deleting an attribute raises
+    AttributeError."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        # ``_key(record)``, the field tuple, read by attrgetter in one call
+        super().__init_subclass__(**kwargs)
+        if len(cls._fields) == 1:
+            get = attrgetter(cls._fields[0])
+            cls._key = staticmethod(lambda record: (get(record),))
+        elif cls._fields:
+            cls._key = staticmethod(attrgetter(*cls._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 Atom = tuple[str, tuple[str, ...]]
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Relation names with arities. Names are unique, arities >= 1."""
 
-    relations: tuple[tuple[str, int], ...]
+    _fields = ("relations",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, relations: tuple[tuple[str, int], ...]) -> None:
+        object.__setattr__(self, "relations", relations)
         names = [name for name, _ in self.relations]
         if len(set(names)) != len(names):
             raise InvalidStructureError("duplicate relation name in signature")
@@ -84,8 +123,7 @@ class Signature:
 GRAPH_SIGNATURE = Signature((("E", 2),))
 
 
-@dataclass(frozen=True, eq=False)
-class Structure:
+class Structure(Record):
     """A finite relational structure over ``0..domain_size-1``.
 
     ``constants`` optionally names domain elements; retraction instances
@@ -93,12 +131,17 @@ class Structure:
     form, so two structures built in different tuple orders compare equal.
     """
 
-    signature: Signature
-    domain_size: int
-    relations: dict[str, frozenset[tuple[int, ...]]]
-    constants: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        signature: Signature,
+        domain_size: int,
+        relations: dict[str, frozenset[tuple[int, ...]]],
+        constants: dict[str, int] | None = None,
+    ) -> None:
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "domain_size", domain_size)
+        object.__setattr__(self, "relations", relations)
+        object.__setattr__(self, "constants", {} if constants is None else constants)
         if self.domain_size < 1:
             raise InvalidStructureError("domain size must be positive")
         if set(self.relations) != set(self.signature.names()):
@@ -149,7 +192,7 @@ def make_structure(
     relation_arities: Sequence[tuple[str, int]],
     domain_size: int,
     relations: dict[str, Iterable[tuple[int, ...]]],
-    constants: Optional[dict[str, int]] = None,
+    constants: dict[str, int] | None = None,
 ) -> Structure:
     sig = Signature(tuple(relation_arities))
     rels = {name: frozenset(tuple(t) for t in relations.get(name, ())) for name in sig.names()}
@@ -179,15 +222,15 @@ def graph_structure(
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_~]*")
 
 
-@dataclass(frozen=True)
-class Quantifier:
+class Quantifier(Record):
     """One prefix entry.  ``threshold=None`` is the for-all sugar: it
     resolves to the template's domain size at solve time."""
 
-    threshold: Optional[int]
-    variable: str
+    _fields = ("threshold", "variable")
 
-    def __post_init__(self) -> None:
+    def __init__(self, threshold: int | None, variable: str) -> None:
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "variable", variable)
         if self.threshold is not None and self.threshold < 1:
             raise InvalidStructureError("quantifier threshold must be >= 1")
         if not IDENTIFIER.fullmatch(self.variable):
@@ -199,16 +242,16 @@ class Quantifier:
         return f"E{self.threshold} {self.variable}"
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(Record):
     """A prenex sentence: counting-quantifier prefix over a conjunction of
     positive atoms.  Template-independent; thresholds are checked against a
     concrete template only when the sentence is evaluated."""
 
-    prefix: tuple[Quantifier, ...]
-    atoms: tuple[Atom, ...]
+    _fields = ("prefix", "atoms")
 
-    def __post_init__(self) -> None:
+    def __init__(self, prefix: tuple[Quantifier, ...], atoms: tuple[Atom, ...]) -> None:
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "atoms", atoms)
         seen: set[str] = set()
         for q in self.prefix:
             if q.variable in seen:
@@ -240,10 +283,10 @@ class Sentence:
         )
         return Sentence(prefix, self.atoms)
 
-    def thresholds(self) -> tuple[Optional[int], ...]:
+    def thresholds(self) -> tuple[int | None, ...]:
         return tuple(q.threshold for q in self.prefix)
 
-    def threshold_set(self, domain_size: Optional[int] = None) -> frozenset[int]:
+    def threshold_set(self, domain_size: int | None = None) -> frozenset[int]:
         out = set()
         for q in self.prefix:
             if q.threshold is None:
@@ -260,7 +303,7 @@ class Sentence:
         return f"{head} | {body}".strip()
 
 
-def sentence(prefix: Sequence[tuple[Optional[int], str]], atoms: Sequence[Atom]) -> Sentence:
+def sentence(prefix: Sequence[tuple[int | None, str]], atoms: Sequence[Atom]) -> Sentence:
     return Sentence(
         tuple(Quantifier(j, v) for j, v in prefix),
         tuple((n, tuple(vs)) for n, vs in atoms),
@@ -296,7 +339,7 @@ class _Graph:
             comps.append(tuple(sorted(comp)))
         return tuple(comps)
 
-    def _two_colouring(self) -> Optional[tuple[int, ...]]:
+    def _two_colouring(self) -> tuple[int, ...] | None:
         """Colour classes by parity, or None on an odd cycle; loops are not
         in ``adj`` and so are ignored here."""
         colors = [-1] * len(self.adj)
@@ -329,8 +372,7 @@ class _Graph:
         return dist
 
 
-@dataclass(frozen=True)
-class InstanceGraph(_Graph):
+class InstanceGraph(Record, _Graph):
     """The graph induced by a sentence's matrix over a single binary symbol.
 
     Vertices are the prefix variables in quantifier order; proper edges are
@@ -338,11 +380,21 @@ class InstanceGraph(_Graph):
     recorded as a flag, not an edge.
     """
 
-    variables: tuple[str, ...]
-    thresholds: tuple[Optional[int], ...]
-    edges: frozenset[tuple[int, int]]
-    loops: frozenset[int]
-    adj: tuple[frozenset[int], ...]
+    _fields = ("variables", "thresholds", "edges", "loops", "adj")
+
+    def __init__(
+        self,
+        variables: tuple[str, ...],
+        thresholds: tuple[int | None, ...],
+        edges: frozenset[tuple[int, int]],
+        loops: frozenset[int],
+        adj: tuple[frozenset[int], ...],
+    ) -> None:
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "loops", loops)
+        object.__setattr__(self, "adj", adj)
 
     def neighbors(self, i: int) -> list[int]:
         return sorted(self.adj[i])
@@ -351,7 +403,7 @@ class InstanceGraph(_Graph):
         """Earlier-quantified neighbours of vertex ``i``."""
         return [v for v in self.neighbors(i) if v < i]
 
-    def bipartition(self) -> Optional[tuple[int, ...]]:
+    def bipartition(self) -> tuple[int, ...] | None:
         """Two-colouring over proper edges, or None on an odd cycle.  Loops
         are ignored here; callers reject them separately."""
         return self._two_colouring()
@@ -420,16 +472,26 @@ def canonical_query(b: Structure) -> Sentence:
 # Template families
 
 
-@dataclass(frozen=True)
-class TemplateFamily:
+class TemplateFamily(Record):
     """A named template generator with parameters; see the factory helpers."""
 
-    kind: str
-    n: Optional[int] = None
-    k: Optional[int] = None
-    l: Optional[int] = None
-    j: Optional[int] = None
-    edges: Optional[tuple[tuple[int, int], ...]] = None
+    _fields = ("kind", "n", "k", "l", "j", "edges")
+
+    def __init__(
+        self,
+        kind: str,
+        n: int | None = None,
+        k: int | None = None,
+        l: int | None = None,
+        j: int | None = None,
+        edges: tuple[tuple[int, int], ...] | None = None,
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "j", j)
+        object.__setattr__(self, "edges", edges)
 
     def __str__(self) -> str:
         for head, (kind, fields, _) in _FAMILY_SPECS.items():
@@ -479,13 +541,13 @@ def complete_bipartite(k: int, l: int) -> TemplateFamily:
     return TemplateFamily("complete_bipartite", k=k, l=l)
 
 
-def forest_from_edges(edges: Sequence[tuple[int, int]], n: Optional[int] = None) -> TemplateFamily:
+def forest_from_edges(edges: Sequence[tuple[int, int]], n: int | None = None) -> TemplateFamily:
     fam = TemplateFamily("forest", n=n, edges=tuple((min(a, b), max(a, b)) for a, b in edges))
     _check_forest(fam)
     return fam
 
 
-def general_graph(edges: Sequence[tuple[int, int]], n: Optional[int] = None) -> TemplateFamily:
+def general_graph(edges: Sequence[tuple[int, int]], n: int | None = None) -> TemplateFamily:
     for a, b in edges:
         if a == b:
             raise InvalidStructureError("general graphs are loop-free")
@@ -667,13 +729,13 @@ def parse_family_spec(text: str) -> TemplateFamily:
 # Fragments
 
 
-@dataclass(frozen=True)
-class ThresholdSet:
+class ThresholdSet(Record):
     """The fragment whose prefixes use exactly the thresholds in X."""
 
-    thresholds: frozenset[int]
+    _fields = ("thresholds",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, thresholds: frozenset[int]) -> None:
+        object.__setattr__(self, "thresholds", thresholds)
         if not self.thresholds:
             raise InvalidStructureError("threshold set must be nonempty")
         if any(j < 1 for j in self.thresholds):
@@ -683,14 +745,14 @@ class ThresholdSet:
         return "X=" + ",".join(str(j) for j in sorted(self.thresholds))
 
 
-@dataclass(frozen=True)
-class BoundedPrefix:
+class BoundedPrefix(Record):
     """The fragment with at most m threshold-2 quantifiers followed by
     plain existentials."""
 
-    m: int
+    _fields = ("m",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, m: int) -> None:
+        object.__setattr__(self, "m", m)
         if self.m < 0:
             raise InvalidStructureError("prefix bound must be >= 0")
 
@@ -724,16 +786,20 @@ def parse_fragment_spec(text: str) -> FragmentSpec:
 # Graph analysis of templates (used by the deciders and reductions)
 
 
-@dataclass(frozen=True)
-class GraphView(_Graph):
+class GraphView(Record, _Graph):
     """Adjacency view of a structure with one symmetric binary relation.
     The facts marked ``once_per_instance`` are computed at most once per
     view."""
 
-    n: int
-    adj: tuple[frozenset[int], ...]
-    loops: frozenset[int]
-    relation: str
+    _fields = ("n", "adj", "loops", "relation")
+
+    def __init__(
+        self, n: int, adj: tuple[frozenset[int], ...], loops: frozenset[int], relation: str
+    ) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+        object.__setattr__(self, "loops", loops)
+        object.__setattr__(self, "relation", relation)
 
     components = once_per_instance(_Graph.components)
 
@@ -741,7 +807,7 @@ class GraphView(_Graph):
         return sum(len(a) for a in self.adj) // 2
 
     @once_per_instance
-    def bipartition(self) -> Optional[tuple[int, ...]]:
+    def bipartition(self) -> tuple[int, ...] | None:
         """Colour classes, or None if the graph has a loop or odd cycle."""
         return None if self.loops else self._two_colouring()
 
@@ -788,7 +854,7 @@ class GraphView(_Graph):
         return self.edge_count() == self.n - len(self.components())
 
     @once_per_instance
-    def complete_bipartite_sides(self) -> Optional[tuple[int, int]]:
+    def complete_bipartite_sides(self) -> tuple[int, int] | None:
         """(k, l) if the graph is a complete bipartite K_{k,l}, else None."""
         if self.loops or not self.is_connected():
             return None
@@ -817,12 +883,13 @@ class GraphView(_Graph):
                     return True
         return False
 
-    def girth(self) -> Optional[int]:
+    @once_per_instance
+    def girth(self) -> int | None:
         """Length of a shortest cycle; None if the graph is a forest.
         A loop counts as girth 1."""
         if self.loops:
             return 1
-        best: Optional[int] = None
+        best: int | None = None
         for src in range(self.n):
             dist = {src: 0}
             parent = {src: -1}
@@ -842,7 +909,8 @@ class GraphView(_Graph):
                 frontier = nxt
         return best
 
-    def diameter(self) -> Optional[int]:
+    @once_per_instance
+    def diameter(self) -> int | None:
         """Max distance over pairs; None when the graph is disconnected."""
         if not self.is_connected():
             return None
@@ -853,7 +921,7 @@ class GraphView(_Graph):
 
 
 @once_per_instance
-def graph_view(b: Structure) -> Optional[GraphView]:
+def graph_view(b: Structure) -> GraphView | None:
     """View ``b`` as a symmetric graph, or None if it is not one; computed
     once per structure."""
     names = b.signature.names()

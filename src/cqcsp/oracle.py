@@ -65,12 +65,10 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 from itertools import combinations, filterfalse
 from operator import itemgetter
-from typing import Optional
 
-from .model import Sentence, Structure, once_per_instance
+from .model import Record, Sentence, Structure, once_per_instance
 
 DEFAULT_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "CQ_NODE_BUDGET"
@@ -140,7 +138,7 @@ def check_signature(b: Structure, s: Sentence) -> None:
             raise SignatureError(f"relation {name!r} arity mismatch")
 
 
-def effective_budget(budget: Optional[int]) -> int:
+def effective_budget(budget: int | None) -> int:
     """``budget``, else the non-negative integer in CQ_NODE_BUDGET, else
     the default; raise ValueError when the variable holds anything else."""
     if budget is not None:
@@ -157,14 +155,18 @@ def effective_budget(budget: Optional[int]) -> int:
     return value
 
 
-@dataclass(frozen=True)
-class StrategyNode:
+class StrategyNode(Record):
     """A witness-strategy tree node: the offered set (ascending) and one
     child per offered element, in the same order.  Leaves are empty nodes
     at depth equal to the prefix length."""
 
-    offer: tuple[int, ...] = ()
-    children: tuple["StrategyNode", ...] = ()
+    _fields = ("offer", "children")
+
+    def __init__(
+        self, offer: tuple[int, ...] = (), children: tuple[StrategyNode, ...] = ()
+    ) -> None:
+        object.__setattr__(self, "offer", offer)
+        object.__setattr__(self, "children", children)
 
 
 LEAF = StrategyNode()
@@ -199,7 +201,7 @@ def _value_tables(b: Structure):
 
 
 @once_per_instance
-def _value_classes(b: Structure) -> Optional[tuple[tuple[int, ...], ...]]:
+def _value_classes(b: Structure) -> tuple[tuple[int, ...], ...] | None:
     """The classes of interchangeable values, each ascending, ordered by
     least member, or None when every class is a singleton.
 
@@ -424,7 +426,7 @@ class _Automorphisms(dict):
     def _preserves(self, sigma: list[int]) -> bool:
         return all(tuple([sigma[x] for x in t]) in tups for tups in self.relations for t in tups)
 
-    def _find(self, base, x: int, y: int) -> Optional[list[int]]:
+    def _find(self, base, x: int, y: int) -> list[int] | None:
         """An automorphism that respects the colouring ``base`` and maps x
         to y, or None when there is none or the search reaches the cap.
         Depth first: at each level the least value of the left side's
@@ -497,7 +499,7 @@ class _Automorphisms(dict):
 
 
 @once_per_instance
-def _automorphisms(b: Structure) -> Optional[_Automorphisms]:
+def _automorphisms(b: Structure) -> _Automorphisms | None:
     """The template's orbit tables, or None when every Aut(B)-orbit found
     is a single value."""
     sym = _Automorphisms(b, _value_classes(b))
@@ -526,7 +528,7 @@ def _no_context(assign: list[int]) -> tuple:
     return ()
 
 
-def _commuting_order(thresholds: list[int], n: int, atoms) -> Optional[list[int]]:
+def _commuting_order(thresholds: list[int], n: int, atoms) -> list[int] | None:
     """The order in which to search the prefix positions, or None when it
     is the prefix order.  ``atoms`` gives each atom's tuple of positions.
 
@@ -616,7 +618,7 @@ class _Search:
     deep to search.
     """
 
-    def __init__(self, b: Structure, s: Sentence, budget: Optional[int], *, reorder: bool) -> None:
+    def __init__(self, b: Structure, s: Sentence, budget: int | None, *, reorder: bool) -> None:
         n = b.domain_size
         thresholds = _prefix_thresholds(s, n)
         check_signature(b, s)
@@ -900,14 +902,14 @@ class _Search:
         return StrategyNode(tuple(winners), tuple(children))
 
 
-def evaluate(b: Structure, s: Sentence, *, budget: Optional[int] = None) -> bool:
+def evaluate(b: Structure, s: Sentence, *, budget: int | None = None) -> bool:
     """Does the template satisfy the sentence under counting semantics."""
     return _Search(b, s, budget, reorder=True).holds_from(0)
 
 
 def extract_strategy(
-    b: Structure, s: Sentence, *, budget: Optional[int] = None
-) -> Optional[StrategyNode]:
+    b: Structure, s: Sentence, *, budget: int | None = None
+) -> StrategyNode | None:
     """A canonical winning strategy tree, or None on a no-instance.
 
     At every node the offered set consists of the smallest elements whose
@@ -967,7 +969,7 @@ def verify_strategy(b: Structure, s: Sentence, w: StrategyNode) -> bool:
 
 
 def solve_retraction(
-    h: Structure, instance: Structure, *, budget: Optional[int] = None
+    h: Structure, instance: Structure, *, budget: int | None = None
 ) -> bool:
     """Is there a homomorphism instance -> h mapping each named constant of
     the instance to the like-named constant of h?"""
@@ -991,7 +993,7 @@ def search_homomorphism(
     constraints: list[tuple[frozenset, tuple[int, ...]]],
     domains: list[set[int]],
     *,
-    budget: Optional[int] = None,
+    budget: int | None = None,
 ) -> bool:
     """Can each variable 0..len(domains)-1 take a value from its domain so
     that every constraint ``(allowed tuples, variables)`` holds?

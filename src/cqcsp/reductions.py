@@ -14,14 +14,15 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Sequence
 
 from . import oracle
 from .model import (
     Atom,
     InvalidStructureError,
     Quantifier,
+    Record,
     Sentence,
     Structure,
     build_template,
@@ -36,14 +37,15 @@ from .model import (
 )
 from .textio import parse_sentence
 
-@dataclass(frozen=True)
-class ReductionRule:
+
+class ReductionRule(Record):
     """A named reduction with its integer (or template-spec) parameters."""
 
-    name: str
-    params: tuple[tuple[str, object], ...] = ()
+    _fields = ("name", "params")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, params: tuple[tuple[str, object], ...] = ()) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "params", params)
         if self.name not in RULES:
             raise InvalidStructureError(f"unknown reduction rule {self.name!r}")
         for key in RULES[self.name].params:
@@ -77,8 +79,7 @@ def rule(name: str, **params) -> ReductionRule:
     return ReductionRule(name, tuple(sorted(params.items())))
 
 
-@dataclass(frozen=True)
-class GadgetBlueprint:
+class GadgetBlueprint(Record):
     """A reusable sub-sentence: fresh variables with their quantifier block,
     atoms over fresh plus attachment variables, and the attachment points.
 
@@ -86,12 +87,19 @@ class GadgetBlueprint:
     its quantifier block therefore covers the attachments as well.
     """
 
-    fresh_variables: tuple[str, ...]
-    quantifiers: tuple[Quantifier, ...]
-    atoms: tuple[Atom, ...]
-    attachments: tuple[str, ...]
+    _fields = ("fresh_variables", "quantifiers", "atoms", "attachments")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        fresh_variables: tuple[str, ...],
+        quantifiers: tuple[Quantifier, ...],
+        atoms: tuple[Atom, ...],
+        attachments: tuple[str, ...],
+    ) -> None:
+        object.__setattr__(self, "fresh_variables", fresh_variables)
+        object.__setattr__(self, "quantifiers", quantifiers)
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "attachments", attachments)
         if set(self.fresh_variables) & set(self.attachments):
             raise InvalidStructureError("fresh variables overlap the attachment points")
 
@@ -178,7 +186,7 @@ def _nae_sentence(j: int, n: int, s: Sentence) -> Sentence:
 
 
 def block_distinctness_gadget(
-    j: int, xs: Sequence[str], ys: Sequence[str], tag: str, names: Optional[_Names] = None
+    j: int, xs: Sequence[str], ys: Sequence[str], tag: str, names: _Names | None = None
 ) -> GadgetBlueprint:
     """The edge gadget for single-threshold cliques: with the fresh block
     quantified at threshold j over the (2j+1)-clique, it is satisfiable iff
@@ -299,7 +307,7 @@ def _clique_one_j_sentence(n: int, j: int, s: Sentence) -> Sentence:
 
 
 def universal_path_gadget(
-    n: int, j: int, x: str, names: Optional[_Names] = None
+    n: int, j: int, x: str, names: _Names | None = None
 ) -> GadgetBlueprint:
     """The path block simulating a universal quantifier on the n-cycle with
     thresholds {1, j}: n segments of j-1 fresh path vertices ending at x.
@@ -427,8 +435,10 @@ def _chain_of_copies(
 # Girth isolation for bipartite templates of girth >= 6
 
 
-def _isolation(h: Structure) -> tuple[int, Sentence, list[list[str]]]:
-    """girth/2, the spine sentence and its candidate cycles."""
+@once_per_instance
+def _isolation(h: Structure) -> tuple[int, Sentence, tuple[tuple[str, ...], ...]]:
+    """girth/2, the spine sentence and its candidate cycles; built once
+    per template."""
     g = require_graph(h)
     girth = g.girth()
     if girth is None:
@@ -453,8 +463,8 @@ def _isolation(h: Structure) -> tuple[int, Sentence, list[list[str]]]:
         atoms.append(("E", (block[0], spine[i - 1])))
         atoms.extend(("E", edge) for edge in zip(block, block[1:]))
         atoms.append(("E", (block[-1], spine[i - 1 + j])))
-        cycles.append(spine[i - 1 : i + j] + list(reversed(block)))
-    return j, Sentence(tuple(prefix) + tuple(tail_quantifiers), tuple(atoms)), cycles
+        cycles.append(tuple(spine[i - 1 : i + j]) + tuple(reversed(block)))
+    return j, Sentence(tuple(prefix) + tuple(tail_quantifiers), tuple(atoms)), tuple(cycles)
 
 
 def isolation_spine(h: Structure) -> Sentence:
@@ -470,7 +480,7 @@ def isolation_spine(h: Structure) -> Sentence:
     return _isolation(h)[1]
 
 
-def isolation_blocks(h: Structure) -> list[list[str]]:
+def isolation_blocks(h: Structure) -> tuple[tuple[str, ...], ...]:
     """The candidate 2j-cycles of the spine, each in cyclic vertex order."""
     return _isolation(h)[2]
 
@@ -584,25 +594,51 @@ def expand_reflexive_c4_macros(s: Sentence) -> Sentence:
 # Verification
 
 
-@dataclass
-class ReductionCase:
-    index: int
-    source: str
-    source_verdict: str
-    target_verdict: str
-    status: str
-    target_vars: int = 0
-    target_atoms: int = 0
-    seconds: float = 0.0
+class _Result(Record):
+    """A verification result: a record that stays mutable, and so
+    unhashable, while the verifier fills it in."""
+
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+
+class ReductionCase(_Result):
+    _fields = (
+        "index", "source", "source_verdict", "target_verdict", "status", "target_vars",
+        "target_atoms", "seconds",
+    )
+
+    def __init__(
+        self,
+        index: int,
+        source: str,
+        source_verdict: str,
+        target_verdict: str,
+        status: str,
+        target_vars: int = 0,
+        target_atoms: int = 0,
+        seconds: float = 0.0,
+    ) -> None:
+        self.index = index
+        self.source = source
+        self.source_verdict = source_verdict
+        self.target_verdict = target_verdict
+        self.status = status
+        self.target_vars = target_vars
+        self.target_atoms = target_atoms
+        self.seconds = seconds
 
     def line(self) -> str:
         return f"{self.index} {self.source_verdict} {self.target_verdict} {self.status}"
 
 
-@dataclass
-class ReductionReport:
-    rule: ReductionRule
-    cases: list[ReductionCase] = field(default_factory=list)
+class ReductionReport(_Result):
+    _fields = ("rule", "cases")
+
+    def __init__(self, rule: ReductionRule, cases: list[ReductionCase] | None = None) -> None:
+        self.rule = rule
+        self.cases = [] if cases is None else cases
 
     def lines(self) -> list[str]:
         return [c.line() for c in self.cases]
@@ -669,7 +705,7 @@ def universal_path_cases(n: int, j: int) -> list[tuple[str, bool, Structure, Sen
 
 
 def _random_graph_sentence(
-    rng, n_vars: int, max_atoms: int, thresholds: Sequence[Optional[int]]
+    rng, n_vars: int, max_atoms: int, thresholds: Sequence[int | None]
 ) -> Sentence:
     names = [f"s{i}" for i in range(n_vars)]
     prefix = tuple(Quantifier(rng.choice(list(thresholds)), v) for v in names)
@@ -691,7 +727,7 @@ def verify_reduction(
     source_template: Structure,
     sources: Sequence[Sentence],
     *,
-    budget: Optional[int] = None,
+    budget: int | None = None,
     corrupt: bool = False,
 ) -> ReductionReport:
     """Evaluate each source and its compiled target with the oracle.
@@ -740,7 +776,7 @@ def _check(
     label: str,
     source_verdict: Callable[[], str],
     target: tuple[Structure, Sentence],
-    budget: Optional[int],
+    budget: int | None,
     start: float,
 ) -> ReductionCase:
     """Compare the source verdict with the oracle's verdict on the target; a
@@ -762,21 +798,19 @@ def _check(
 # The rule registry
 
 
-class RuleSpec(NamedTuple):
-    """One reduction rule, declared once: the parameters it needs, the
-    templates its sources and its targets are evaluated on, its compiler
-    (source sentence to target sentence), its seeded source suite (rule,
-    trials, rng) and the error for any other source template.  A rule
-    without a compiler is checked on its fixed ``cases`` (label, expected
-    verdict, template, sentence) instead."""
-
-    params: tuple[str, ...]
-    source_template: Callable[[ReductionRule], Structure]
-    target_template: Optional[Callable[[ReductionRule], Structure]]
-    compile: Optional[Callable[[ReductionRule, Sentence], Sentence]]
-    sources: Callable[[ReductionRule, int, random.Random], list[Sentence]]
-    mismatch: str = ""
-    cases: Optional[Callable[[ReductionRule], list[tuple[str, bool, Structure, Sentence]]]] = None
+RuleSpec = namedtuple(
+    "RuleSpec",
+    "params source_template target_template compile sources mismatch cases",
+    defaults=("", None),
+)
+RuleSpec.__doc__ = """One reduction rule, declared once: the ``params`` it needs, the
+templates its sources and its targets are evaluated on
+(``source_template(rule)``, ``target_template(rule)``), its compiler
+``compile(rule, source sentence) -> target sentence``, its seeded source
+suite ``sources(rule, trials, rng)`` and the error for any other source
+template (``mismatch``).  A rule without a compiler (``target_template``
+and ``compile`` None) is checked on its fixed ``cases(rule)`` (label,
+expected verdict, template, sentence) instead."""
 
 
 def _nae_sources(rule_: ReductionRule, trials: int, rng: random.Random) -> list[Sentence]:

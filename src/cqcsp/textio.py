@@ -9,13 +9,13 @@ parse(render(x)) == x.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from .model import (
     IDENTIFIER,
     InvalidStructureError,
     Quantifier,
+    Record,
     Sentence,
     Signature,
     Structure,
@@ -23,13 +23,15 @@ from .model import (
 from .oracle import LEAF, StrategyNode
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     """Location of a token in parsed text; attached to every parse error."""
 
-    line: int
-    column: int
-    length: int
+    _fields = ("line", "column", "length")
+
+    def __init__(self, line: int, column: int, length: int) -> None:
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "length", length)
 
     def __str__(self) -> str:
         return f"line {self.line}, column {self.column}"
@@ -213,7 +215,7 @@ def parse_sentence(text: str) -> Sentence:
     # first column when it has none
     end = tokens[-1] if tokens else (" ", 1, 1)
 
-    def take(expect: Optional[str] = None) -> tuple[str, int, int]:
+    def take(expect: str | None = None) -> tuple[str, int, int]:
         tok = next(it, None)
         if tok is None:
             raise _token_error("unexpected end of sentence", end)
@@ -232,7 +234,7 @@ def parse_sentence(text: str) -> Sentence:
             break
         m = _QUANT_RE.match(q)
         if q == "A":
-            threshold: Optional[int] = None
+            threshold: int | None = None
         elif m:
             threshold = int(m.group(1))
             if threshold < 1:
@@ -315,7 +317,7 @@ def _row_error(message: str, row: tuple[int, int, tuple[int, ...], int]) -> Pars
     return ParseError(message, SourceSpan(line, 2 * level + 1, width))
 
 
-def parse_strategy(text: str, thresholds: Optional[Sequence[int]] = None) -> StrategyNode:
+def parse_strategy(text: str, thresholds: Sequence[int] | None = None) -> StrategyNode:
     """Parse the indented strategy tree; the inverse of render_strategy.
 
     When ``thresholds`` is given, each node's offered-set size is checked

@@ -140,6 +140,7 @@ def test_internal_error_exit_4(files, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: internal: RecursionError(")
+    assert "Traceback (most recent call last):" in captured.err
 
 
 def test_missing_rule_parameter_exit_2(capsys):

@@ -6,13 +6,14 @@ from cqcsp.fastpath import ComplexityClass as CC
 from cqcsp.fastpath import PreconditionError
 from cqcsp.model import (
     BoundedPrefix,
+    Quantifier,
     Sentence,
     build_template,
     threshold_set,
 )
 from cqcsp.textio import parse_sentence
 
-from conftest import graph_sentences
+from conftest import brute_count_eval, graph_sentences, matrices
 
 
 def test_all_universal_examples(zoo):
@@ -127,6 +128,20 @@ def test_forest_decider_is_adaptive(zoo):
     s = parse_sentence("E2 x E2 y | E(x,y)")
     assert fp.decide_forest_bounded_prefix(zoo["P4"], 2, s)
     assert oracle.evaluate(zoo["P4"], s)
+
+
+@pytest.mark.parametrize("key", ["P4", "P5"])
+@pytest.mark.parametrize("block, n_vars", [(2, 3), (3, 3), (2, 4), (3, 4)])
+def test_forest_decider_agrees_with_semantics_on_threshold_two_blocks(key, block, n_vars, zoo):
+    """A threshold-2 variable is won once two values win: the decider's
+    count agrees with the counting semantics on every matrix of at most
+    three atoms."""
+    b = zoo[key]
+    names = [f"x{i}" for i in range(n_vars)]
+    prefix = tuple(Quantifier(2 if i < block else 1, v) for i, v in enumerate(names))
+    for atoms in matrices(n_vars, 3):
+        s = Sentence(prefix, atoms)
+        assert fp.decide_forest_bounded_prefix(b, block, s) == brute_count_eval(b, s), str(s)
 
 
 def test_path5_examples(zoo):

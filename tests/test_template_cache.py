@@ -33,6 +33,8 @@ FACTS = (
     "is_forest",
     "complete_bipartite_sides",
     "contains_c4",
+    "girth",
+    "diameter",
 )
 
 
@@ -177,3 +179,23 @@ def test_rule_templates_built_once_per_rule():
     assert again is first is rule.target_template()
     assert first == build_template(model.clique(5))
     assert source.canonical_form() is source.canonical_form()
+
+
+def test_isolation_spine_built_once_per_template():
+    """girth-isolation reads its template's girth, diameter and spine once;
+    every compile under the rule reuses them, and a fresh equal template
+    builds equal ones."""
+    h = build_template(model.hairy_cycle(6))
+    g = graph_view(h)
+    assert (g.girth(), g.diameter()) == (6, 5)
+    assert g.girth() is g.girth() and g.diameter() is g.diameter()
+    spine, blocks = rd.isolation_spine(h), rd.isolation_blocks(h)
+    assert rd.isolation_spine(h) is spine and rd.isolation_blocks(h) is blocks
+    hash(blocks)
+    rule = rd.rule("girth-isolation", h=h)
+    source = rule.source_template()
+    first = rd.compile_rule(rule, source, parse_sentence("E1 u E1 v | E(u,v)"))[1]
+    assert rd.compile_rule(rule, source, parse_sentence("E1 u E1 v | E(u,v)"))[1] == first
+    fresh = _fresh(h)
+    assert rd.isolation_spine(fresh) is not spine and rd.isolation_spine(fresh) == spine
+    assert rd.isolation_blocks(fresh) == blocks

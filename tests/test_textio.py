@@ -259,6 +259,6 @@ def test_deep_strategy_round_trip_and_verify():
     text = textio.render_strategy(w)
     assert text.count("\n") == k
     back = parse_strategy(text, thresholds=[1] * k)
-    # compare the renderings: dataclass equality recurses once per level
+    # compare the renderings: record equality recurses once per level
     assert textio.render_strategy(back) == text
     assert verify_strategy(build_template(model.clique(2)), s, back)
