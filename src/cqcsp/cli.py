@@ -10,8 +10,8 @@ the default oracle node budget.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
-from pathlib import Path
 
 from . import fastpath, oracle, reductions, textio
 from .model import (
@@ -30,9 +30,23 @@ EXIT_INTERNAL = 4
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except OSError as exc:
         raise InvalidStructureError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w") as f:
+        f.write(text)
+
+
+def _stem(path: str) -> str:
+    """The file name without its last suffix, as ``pathlib`` reads it: a
+    leading dot or a trailing one is not a suffix."""
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name
 
 
 def _parse_params(tokens: list[str]) -> dict:
@@ -73,7 +87,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.strategy_out:
         if verdict:
             strategy = oracle.extract_strategy(template, s, budget=budget)
-            Path(args.strategy_out).write_text(textio.render_strategy(strategy))
+            _write(args.strategy_out, textio.render_strategy(strategy))
         else:
             print("no strategy: no-instance", file=sys.stderr)
     print("yes" if verdict else "no")
@@ -95,28 +109,23 @@ def cmd_gen(args: argparse.Namespace) -> int:
     if args.out == "-":
         sys.stdout.write(text)
     else:
-        Path(args.out).write_text(text)
+        _write(args.out, text)
     return EXIT_YES
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     rule = reductions.rule(args.rule, **_parse_params(args.params))
     source_template = rule.source_template()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     for source_path in args.sources:
         source = textio.parse_sentence(_read(source_path))
         compiled = reductions.compile_rule(rule, source_template, source)
         if args.inject_fault:
             compiled = reductions.corrupt_compiled(compiled)
         target_template, target_sentence = compiled
-        stem = Path(source_path).stem
-        (out_dir / f"{stem}.target.structure").write_text(
-            textio.render_structure(target_template)
-        )
-        (out_dir / f"{stem}.target.sentence").write_text(
-            textio.render_sentence(target_sentence) + "\n"
-        )
+        stem = os.path.join(args.out_dir, _stem(source_path))
+        _write(f"{stem}.target.structure", textio.render_structure(target_template))
+        _write(f"{stem}.target.sentence", textio.render_sentence(target_sentence) + "\n")
     return EXIT_YES
 
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import random
 from collections import namedtuple
 from collections.abc import Callable, Sequence
 
@@ -34,7 +33,6 @@ from .model import (
     GraphView,
     InstanceGraph,
     InvalidStructureError,
-    Quantifier,
     Record,
     Sentence,
     Structure,
@@ -87,11 +85,10 @@ def decide_all_universal(b: Structure, s: Sentence) -> bool:
     """All-universal sentences: true iff every atom holds under every
     assignment consistent with its variable-repetition pattern."""
     n = b.domain_size
-    rs = oracle.resolve_thresholds(s, n)
-    if any(q.threshold != n for q in rs.prefix):
+    if any(t != n for t in oracle.prefix_thresholds(s, n)):
         raise PreconditionError("decider needs every threshold equal to |B|")
-    oracle.check_signature(b, rs)
-    for name, vs in rs.atoms:
+    oracle.check_signature(b, s)
+    for name, vs in s.atoms:
         distinct = sorted(set(vs))
         tuples = b.tuples(name)
         for combo in itertools.product(range(n), repeat=len(distinct)):
@@ -108,11 +105,10 @@ def decide_clique_high_thresholds(n: int, s: Sentence) -> bool:
     neighbours in the instance graph (or the matrix has a loop)."""
     if n < 1:
         raise PreconditionError("clique size must be >= 1")
-    rs = oracle.resolve_thresholds(s, n)
-    th = [q.threshold for q in rs.prefix]
+    th = oracle.prefix_thresholds(s, n)
     if any(t <= n // 2 for t in th):
         raise PreconditionError("decider needs every threshold above n/2")
-    ig = instance_graph(rs)
+    ig = instance_graph(s)
     if ig.loops:
         return False
     for i, t in enumerate(th):
@@ -154,9 +150,8 @@ def decide_cycle_tractable(n: int, s: Sentence) -> bool:
     """
     if n < 3:
         raise PreconditionError("cycles need n >= 3")
-    rs = oracle.resolve_thresholds(s, n)
-    th = [q.threshold for q in rs.prefix]
-    ig = instance_graph(rs)
+    th = oracle.prefix_thresholds(s, n)
+    ig = instance_graph(s)
     if ig.loops:
         return False
     if not _cycle_claims(n, ig, th):
@@ -188,18 +183,16 @@ def decide_complete_bipartite(k: int, l: int, s: Sentence) -> bool:
     """
     if k < 1 or l < 1:
         raise PreconditionError("complete bipartite sides must be >= 1")
-    n = k + l
-    rs = oracle.resolve_thresholds(s, n)
     lo, hi = min(k, l), max(k, l)
     roles = []
-    for q in rs.prefix:
-        if q.threshold <= lo:
+    for t in oracle.prefix_thresholds(s, k + l):
+        if t <= lo:
             roles.append("E")
-        elif q.threshold > hi:
+        elif t > hi:
             roles.append("A")
         else:
             roles.append("P")
-    ig = instance_graph(rs)
+    ig = instance_graph(s)
     if ig.loops:
         return False
     colors = ig.bipartition()
@@ -234,10 +227,10 @@ def _edge_constraints(
     return [(target, t) for t in pairs]
 
 
-def _domains(n: int, comp: Sequence[int], pins: dict[int, int]) -> list[set[int]]:
+def _domains(n: int, comp: Sequence[int], pins: dict[int, int]) -> list[int]:
     """Every template element for each variable of ``comp``, or only the
-    value it is pinned to."""
-    return [{pins[v]} if v in pins else set(range(n)) for v in comp]
+    value it is pinned to, as bitmasks."""
+    return [1 << pins[v] if v in pins else (1 << n) - 1 for v in comp]
 
 
 def decide_bipartite_small_partition(h: Structure, j: int, s: Sentence) -> bool:
@@ -257,11 +250,10 @@ def decide_bipartite_small_partition(h: Structure, j: int, s: Sentence) -> bool:
         raise PreconditionError("template is not bipartite")
     if g.largest_colour_class() >= j:
         raise PreconditionError("a component has a colour class of size >= j")
-    rs = oracle.resolve_thresholds(s, h.domain_size)
-    th = [q.threshold for q in rs.prefix]
+    th = oracle.prefix_thresholds(s, h.domain_size)
     if any(t not in (1, j) for t in th):
         raise PreconditionError(f"thresholds must lie in {{1, {j}}}")
-    ig = instance_graph(rs)
+    ig = instance_graph(s)
     if ig.loops:
         return False
     for comp in ig.components():
@@ -298,11 +290,18 @@ def decide_bipartite_with_c4(h: Structure, s: Sentence) -> bool:
         raise PreconditionError("template is not bipartite")
     if not g.contains_c4():
         raise PreconditionError("template contains no 4-cycle")
-    rs = oracle.resolve_thresholds(s, h.domain_size)
-    if any(q.threshold not in (1, 2) for q in rs.prefix):
+    if any(t not in (1, 2) for t in oracle.prefix_thresholds(s, h.domain_size)):
         raise PreconditionError("thresholds must lie in {1, 2}")
-    ig = instance_graph(rs)
+    ig = instance_graph(s)
     return not ig.loops and ig.bipartition() is not None
+
+
+def _leading_twos(th: Sequence[int]) -> int | None:
+    """The length of the leading threshold-2 block when ``th`` is 2*1*."""
+    block = 0
+    while block < len(th) and th[block] == 2:
+        block += 1
+    return block if all(t == 1 for t in th[block:]) else None
 
 
 def decide_forest_bounded_prefix(h: Structure, m: int, s: Sentence) -> bool:
@@ -317,19 +316,13 @@ def decide_forest_bounded_prefix(h: Structure, m: int, s: Sentence) -> bool:
     g = require_graph(h)
     if not g.is_forest():
         raise PreconditionError("template is not a forest")
-    rs = oracle.resolve_thresholds(s, h.domain_size)
-    th = [q.threshold for q in rs.prefix]
-    if any(t not in (1, 2) for t in th):
+    block = _leading_twos(oracle.prefix_thresholds(s, h.domain_size))
+    if block is None:
         raise PreconditionError("prefix is not in the bounded 2-then-1 fragment")
-    block = 0
-    while block < len(th) and th[block] == 2:
-        block += 1
-    if any(t == 2 for t in th[block:]):
-        raise PreconditionError("threshold-2 quantifier after an existential")
     if block > m:
         raise PreconditionError(f"more than {m} threshold-2 quantifiers")
 
-    ig = instance_graph(rs)
+    ig = instance_graph(s)
     if ig.loops:
         return False
     n = h.domain_size
@@ -364,11 +357,10 @@ def decide_path5_one_three(s: Sentence) -> bool:
     threshold-3 variables sits at even distance at least 4, and no
     existential variable precedes an adjacent threshold-3 variable.
     """
-    rs = oracle.resolve_thresholds(s, 5)
-    th = [q.threshold for q in rs.prefix]
+    th = oracle.prefix_thresholds(s, 5)
     if any(t not in (1, 3) for t in th):
         raise PreconditionError("thresholds must lie in {1, 3}")
-    ig = instance_graph(rs)
+    ig = instance_graph(s)
     if ig.loops:
         return False
     if ig.bipartition() is None:
@@ -396,18 +388,10 @@ Tractable = namedtuple("Tractable", "tag citation applies decide graph", default
 Tractable.__doc__ = """One tractable case: its dispatch ``tag``, the ``citation``
 ``classify`` gives it, ``applies(|B|, template graph, thresholds in prefix
 order)``, the condition under which its decider applies, and the decider
-``decide(template, template graph, sentence)``.  An entry with
+``decide(template, template graph, sentence, thresholds)``.  An entry with
 ``graph=False`` uses no graph, is passed None for it, and also covers
 templates that are not loop-free graphs; `dispatch` tests it before
 reading the template's graph view."""
-
-
-def _leading_twos(th: Sequence[int]) -> int | None:
-    """The length of the leading threshold-2 block when ``th`` is 2*1*."""
-    block = 0
-    while block < len(th) and th[block] == 2:
-        block += 1
-    return block if all(t == 1 for t in th[block:]) else None
 
 
 def _small_bipartition(g: GraphView, th: Sequence[int]) -> bool:
@@ -423,50 +407,50 @@ ALL_UNIVERSAL = Tractable(
     "all-universal",
     "universal-only",
     lambda n, g, th: all(t == n for t in th),
-    lambda b, g, rs: decide_all_universal(b, rs),
+    lambda b, g, s, th: decide_all_universal(b, s),
     graph=False,
 )
 CLIQUE_HIGH = Tractable(
     "clique high thresholds",
     "Thm 1 i",
     lambda n, g, th: all(t > n // 2 for t in th) and g.is_complete(),
-    lambda b, g, rs: decide_clique_high_thresholds(b.domain_size, rs),
+    lambda b, g, s, th: decide_clique_high_thresholds(b.domain_size, s),
 )
 CYCLE = Tractable(
     "cycle tractable",
     "Thm 2 i",
     lambda n, g, th: _cycle_tractable(n, set(th)) and g.is_cycle(),
-    lambda b, g, rs: decide_cycle_tractable(b.domain_size, rs),
+    lambda b, g, s, th: decide_cycle_tractable(b.domain_size, s),
 )
 COMPLETE_BIPARTITE = Tractable(
     "complete bipartite",
     "Prop complete-bipartite",
     lambda n, g, th: g.complete_bipartite_sides() is not None,
-    lambda b, g, rs: decide_complete_bipartite(*g.complete_bipartite_sides(), rs),
+    lambda b, g, s, th: decide_complete_bipartite(*g.complete_bipartite_sides(), s),
 )
 C4_CONTAINMENT = Tractable(
     "C4 containment",
     "Prop C4-containment",
     lambda n, g, th: set(th) <= {1, 2} and g.bipartition() is not None and g.contains_c4(),
-    lambda b, g, rs: decide_bipartite_with_c4(b, rs),
+    lambda b, g, s, th: decide_bipartite_with_c4(b, s),
 )
 SMALL_BIPARTITION = Tractable(
     "small bipartition",
     "Prop small-bipartition",
     lambda n, g, th: _small_bipartition(g, th),
-    lambda b, g, rs: decide_bipartite_small_partition(b, max(rs.thresholds()), rs),
+    lambda b, g, s, th: decide_bipartite_small_partition(b, max(th), s),
 )
 P5_ONE_THREE = Tractable(
     "P5 {1,3}",
     "Prop P5 {1,3}",
     lambda n, g, th: n == 5 and set(th) <= {1, 3} and g.is_path_graph(),
-    lambda b, g, rs: decide_path5_one_three(rs),
+    lambda b, g, s, th: decide_path5_one_three(s),
 )
 FOREST = Tractable(
     "forest bounded prefix",
     "Thm 4",
     lambda n, g, th: _leading_twos(th) is not None and g.is_forest(),
-    lambda b, g, rs: decide_forest_bounded_prefix(b, _leading_twos(rs.thresholds()), rs),
+    lambda b, g, s, th: decide_forest_bounded_prefix(b, _leading_twos(th), s),
 )
 
 # In matching order: `dispatch` takes the first entry that applies.
@@ -481,18 +465,12 @@ TRACTABLE = (
     FOREST,
 )
 
-_complete_bipartite_enabled = True
-
-
-def set_complete_bipartite_enabled(enabled: bool) -> None:
-    """Route the complete-bipartite decider in or out of `auto`; routing it
-    out sends matching instances to the oracle instead."""
-    global _complete_bipartite_enabled
-    _complete_bipartite_enabled = bool(enabled)
-
 
 def complete_bipartite_enabled() -> bool:
-    return _complete_bipartite_enabled
+    """Always True: `auto` routes every complete bipartite template to its
+    decider, which the test suite's gate checks against the oracle.  Kept
+    for the bench harness, which records it with each run."""
+    return True
 
 
 def dispatch(b: Structure, s: Sentence) -> tuple[str, Callable[[], bool]] | None:
@@ -503,7 +481,7 @@ def dispatch(b: Structure, s: Sentence) -> tuple[str, Callable[[], bool]] | None
     report which result fired.
     """
     n = b.domain_size
-    th = oracle._prefix_thresholds(s, n)
+    th = oracle.prefix_thresholds(s, n)
     g = None
     for case in TRACTABLE:
         if case.graph and g is None:
@@ -512,10 +490,8 @@ def dispatch(b: Structure, s: Sentence) -> tuple[str, Callable[[], bool]] | None
                 return None
             if any(name != g.relation or len(vs) != 2 for name, vs in s.atoms):
                 return None
-        if case is COMPLETE_BIPARTITE and not _complete_bipartite_enabled:
-            continue
         if case.applies(n, g, th):
-            return case.tag, lambda: case.decide(b, g, oracle.resolve_thresholds(s, n))
+            return case.tag, lambda: case.decide(b, g, s, th)
     return None
 
 
@@ -572,10 +548,6 @@ def _classify_bipartite_threshold_set(
         for case in (SMALL_BIPARTITION, C4_CONTAINMENT, P5_ONE_THREE):
             if case.applies(size, g, th):
                 return _verdict(case)
-        if j >= size - 2:
-            return ComplexityVerdict(
-                ComplexityClass.IN_L, "near-universal thresholds (experimental)"
-            )
     return ComplexityVerdict(ComplexityClass.OPEN, "")
 
 
@@ -629,58 +601,3 @@ def classify(family: TemplateFamily, fragment: FragmentSpec) -> ComplexityVerdic
         return ComplexityVerdict(ComplexityClass.NP_COMPLETE, FOREST.citation)
 
     raise InvalidStructureError(f"unknown fragment {fragment!r}")
-
-
-# ---------------------------------------------------------------------------
-# Derived-decider gate for the complete-bipartite core
-
-
-def _enumerate_graph_sentences(n_vars: int, thresholds: list[int]):
-    """All sentences over one binary symbol with the given variable count:
-    every undirected matrix (pairs and loops) crossed with every threshold
-    tuple."""
-    names = [f"x{i}" for i in range(n_vars)]
-    slots = [(i, j) for i in range(n_vars) for j in range(i, n_vars)]
-    for mask in range(1 << len(slots)):
-        atoms = []
-        for bit, (i, j) in enumerate(slots):
-            if mask >> bit & 1:
-                atoms.append(("E", (names[i], names[j])))
-        for combo in itertools.product(thresholds, repeat=n_vars):
-            prefix = tuple(Quantifier(t, v) for t, v in zip(combo, names))
-            yield Sentence(prefix, tuple(atoms))
-
-
-def complete_bipartite_gate_failures(
-    sides: tuple[tuple[int, int], ...] = ((2, 3), (1, 3)),
-    exhaustive_vars: int = 3,
-    random_cases: int = 2000,
-    max_random_vars: int = 5,
-    seed: int = 1,
-) -> list[tuple[tuple[int, int], Sentence]]:
-    """Compare the parity-propagation core against the oracle; returns the
-    disagreeing (sides, sentence) pairs (empty means the gate passes)."""
-    failures = []
-    rng = random.Random(seed)
-    for k, l in sides:
-        b = build_template(TemplateFamily("complete_bipartite", k=k, l=l))
-        thresholds = list(range(1, k + l + 1))
-        for n_vars in range(1, exhaustive_vars + 1):
-            for s in _enumerate_graph_sentences(n_vars, thresholds):
-                if decide_complete_bipartite(k, l, s) != oracle.evaluate(b, s):
-                    failures.append(((k, l), s))
-        for _ in range(random_cases):
-            n_vars = rng.randint(exhaustive_vars + 1, max_random_vars)
-            names = [f"x{i}" for i in range(n_vars)]
-            atoms = []
-            for _ in range(rng.randint(0, 5)):
-                i = rng.randrange(n_vars)
-                j = rng.randrange(n_vars)
-                atoms.append(("E", (names[i], names[j])))
-            prefix = tuple(
-                Quantifier(rng.choice(thresholds), v) for v in names
-            )
-            s = Sentence(prefix, tuple(atoms))
-            if decide_complete_bipartite(k, l, s) != oracle.evaluate(b, s):
-                failures.append(((k, l), s))
-    return failures

@@ -494,15 +494,14 @@ class TemplateFamily(Record):
         object.__setattr__(self, "edges", edges)
 
     def __str__(self) -> str:
-        for head, (kind, fields, _) in _FAMILY_SPECS.items():
-            if kind != self.kind:
-                continue
-            if fields == "edges":
-                body = ",".join(f"{a}-{b}" for a, b in (self.edges or ()))
-            else:
-                body = ",".join(str(getattr(self, f)) for f in fields)
-            return f"{head}:{body}" if fields else head
-        return self.kind
+        if self.kind not in _FAMILY_KINDS:
+            return self.kind
+        head, fields, _ = _FAMILY_KINDS[self.kind]
+        if fields == "edges":
+            body = ",".join(f"{a}-{b}" for a, b in (self.edges or ()))
+        else:
+            body = ",".join(str(getattr(self, f)) for f in fields)
+        return f"{head}:{body}" if fields else head
 
 
 def clique(n: int) -> TemplateFamily:
@@ -598,88 +597,113 @@ def _check_forest(fam: TemplateFamily) -> None:
 def build_template(family: TemplateFamily) -> Structure:
     """Materialise a family with the package's vertex-numbering
     conventions; built once per family instance."""
-    kind = family.kind
-    if kind == "clique":
-        n = family.n
-        return graph_structure(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    if kind == "cycle":
-        n = family.n
-        return graph_structure(n, [(i, (i + 1) % n) for i in range(n)])
-    if kind == "reflexive_cycle":
-        n = family.n
-        return graph_structure(n, [(i, (i + 1) % n) for i in range(n)], loops=range(n))
-    if kind == "path":
-        n = family.n
-        return graph_structure(n, [(i, i + 1) for i in range(n - 1)])
-    if kind == "star":
-        n = family.n
-        return graph_structure(n + 1, [(0, j) for j in range(1, n + 1)])
-    if kind == "complete_bipartite":
-        k, l = family.k, family.l
-        return graph_structure(k + l, [(i, k + j) for i in range(k) for j in range(l)])
-    if kind in ("forest", "graph"):
-        edges = family.edges or ()
-        if family.n is not None:
-            n = family.n
-        elif edges:
-            n = max(max(a, b) for a, b in edges) + 1
-        else:
-            n = 1
-        for a, b in edges:
-            if not (0 <= a < n and 0 <= b < n):
-                raise InvalidStructureError("edge endpoint out of range")
-        return graph_structure(n, edges)
-    if kind == "nae":
-        triples = {
-            t for t in itertools.product((0, 1), repeat=3) if t != (0, 0, 0) and t != (1, 1, 1)
-        }
-        return make_structure([("R", 3)], 2, {"R": triples})
-    if kind == "single_quantifier":
-        n, j = family.n, family.j
-        if j <= n // 2:
-            # low threshold: drop every triple whose entries share a parity
-            def dropped(t: tuple[int, int, int]) -> bool:
-                return len({e % 2 for e in t}) == 1
-        else:
-            # high threshold: only entries <= n - j can act as truth values
-            def dropped(t: tuple[int, int, int]) -> bool:
-                return all(e <= n - j for e in t) and len({e % 2 for e in t}) == 1
-
-        triples = {t for t in itertools.product(range(n), repeat=3) if not dropped(t)}
-        return make_structure(
-            [("U", 1), ("R", 3)], n, {"U": {(u,) for u in range(j)}, "R": triples}
-        )
-    if kind == "hairy":
-        n = family.n
-        edges = [(i, (i + 1) % n) for i in range(n)]
-        for i in range(n):
-            edges.append((i, n + 2 * i))
-            edges.append((i, n + 2 * i + 1))
-        return graph_structure(3 * n, edges)
-    if kind == "hj":
-        j = family.j
-        edges = [(i, (i + 1) % 6) for i in range(6)]
-        for a in range(j - 3):
-            apex = 6 + a
-            edges.extend([(apex, 1), (apex, 3), (apex, 5)])
-        return graph_structure(6 + (j - 3), edges)
-    raise InvalidStructureError(f"unknown template family {kind!r}")
+    spec = _FAMILY_KINDS.get(family.kind)
+    if spec is None:
+        raise InvalidStructureError(f"unknown template family {family.kind!r}")
+    return spec[2](family)
 
 
-# spec head -> (kind, the parameters the spec lists in order, factory)
+def _build_clique(family: TemplateFamily) -> Structure:
+    return graph_structure(family.n, itertools.combinations(range(family.n), 2))
+
+
+def _build_cycle(family: TemplateFamily) -> Structure:
+    return graph_structure(family.n, _cycle_edges(family.n))
+
+
+def _build_reflexive_cycle(family: TemplateFamily) -> Structure:
+    return graph_structure(family.n, _cycle_edges(family.n), loops=range(family.n))
+
+
+def _cycle_edges(n: int) -> list[tuple[int, int]]:
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def _build_path(family: TemplateFamily) -> Structure:
+    return graph_structure(family.n, [(i, i + 1) for i in range(family.n - 1)])
+
+
+def _build_star(family: TemplateFamily) -> Structure:
+    return graph_structure(family.n + 1, [(0, j) for j in range(1, family.n + 1)])
+
+
+def _build_complete_bipartite(family: TemplateFamily) -> Structure:
+    k, l = family.k, family.l
+    return graph_structure(k + l, [(i, k + j) for i in range(k) for j in range(l)])
+
+
+def _build_edge_list(family: TemplateFamily) -> Structure:
+    edges = family.edges or ()
+    if family.n is not None:
+        n = family.n
+    elif edges:
+        n = max(max(a, b) for a, b in edges) + 1
+    else:
+        n = 1
+    for a, b in edges:
+        if not (0 <= a < n and 0 <= b < n):
+            raise InvalidStructureError("edge endpoint out of range")
+    return graph_structure(n, edges)
+
+
+def _build_nae(family: TemplateFamily) -> Structure:
+    triples = {t for t in itertools.product((0, 1), repeat=3) if t != (0, 0, 0) and t != (1, 1, 1)}
+    return make_structure([("R", 3)], 2, {"R": triples})
+
+
+def _build_single(family: TemplateFamily) -> Structure:
+    n, j = family.n, family.j
+    if j <= n // 2:
+        # low threshold: drop every triple whose entries share a parity
+        def dropped(t: tuple[int, int, int]) -> bool:
+            return len({e % 2 for e in t}) == 1
+    else:
+        # high threshold: only entries <= n - j can act as truth values
+        def dropped(t: tuple[int, int, int]) -> bool:
+            return all(e <= n - j for e in t) and len({e % 2 for e in t}) == 1
+
+    triples = {t for t in itertools.product(range(n), repeat=3) if not dropped(t)}
+    return make_structure([("U", 1), ("R", 3)], n, {"U": {(u,) for u in range(j)}, "R": triples})
+
+
+def _build_hairy(family: TemplateFamily) -> Structure:
+    n = family.n
+    edges = _cycle_edges(n)
+    for i in range(n):
+        edges.append((i, n + 2 * i))
+        edges.append((i, n + 2 * i + 1))
+    return graph_structure(3 * n, edges)
+
+
+def _build_hj(family: TemplateFamily) -> Structure:
+    j = family.j
+    edges = _cycle_edges(6)
+    for a in range(j - 3):
+        apex = 6 + a
+        edges.extend([(apex, 1), (apex, 3), (apex, 5)])
+    return graph_structure(6 + (j - 3), edges)
+
+
+# spec head -> (kind, the parameters the spec lists in order, factory,
+# builder of the family's template)
 _FAMILY_SPECS = {
-    "clique": ("clique", ("n",), clique),
-    "cycle": ("cycle", ("n",), cycle),
-    "reflexive-cycle": ("reflexive_cycle", ("n",), reflexive_cycle),
-    "path": ("path", ("n",), path),
-    "star": ("star", ("n",), star),
-    "bipartite": ("complete_bipartite", ("k", "l"), complete_bipartite),
-    "nae": ("nae", (), nae_boolean),
-    "single": ("single_quantifier", ("n", "j"), single_quantifier_template),
-    "hairy": ("hairy", ("n",), hairy_cycle),
-    "hj": ("hj", ("j",), hj_template),
-    "forest": ("forest", "edges", forest_from_edges),
-    "graph": ("graph", "edges", general_graph),
+    "clique": ("clique", ("n",), clique, _build_clique),
+    "cycle": ("cycle", ("n",), cycle, _build_cycle),
+    "reflexive-cycle": ("reflexive_cycle", ("n",), reflexive_cycle, _build_reflexive_cycle),
+    "path": ("path", ("n",), path, _build_path),
+    "star": ("star", ("n",), star, _build_star),
+    "bipartite": ("complete_bipartite", ("k", "l"), complete_bipartite, _build_complete_bipartite),
+    "nae": ("nae", (), nae_boolean, _build_nae),
+    "single": ("single_quantifier", ("n", "j"), single_quantifier_template, _build_single),
+    "hairy": ("hairy", ("n",), hairy_cycle, _build_hairy),
+    "hj": ("hj", ("j",), hj_template, _build_hj),
+    "forest": ("forest", "edges", forest_from_edges, _build_edge_list),
+    "graph": ("graph", "edges", general_graph, _build_edge_list),
+}
+
+# kind -> (spec head, the parameters the spec lists in order, builder)
+_FAMILY_KINDS = {
+    kind: (head, fields, build) for head, (kind, fields, _, build) in _FAMILY_SPECS.items()
 }
 
 _FAMILY_RE = re.compile(r"([a-z0-9*-]+)(?::(.*))?\Z")
@@ -719,7 +743,7 @@ def parse_family_spec(text: str) -> TemplateFamily:
 
     if head not in _FAMILY_SPECS:
         raise InvalidStructureError(f"unknown family {head!r}")
-    _, fields, factory = _FAMILY_SPECS[head]
+    _, fields, factory, _ = _FAMILY_SPECS[head]
     if fields == "edges":
         return factory(edge_list())
     return factory(*ints(len(fields))) if fields else factory()

@@ -107,23 +107,13 @@ class StrategyShapeError(ValueError):
     """A strategy tree does not structurally match the sentence prefix."""
 
 
-def resolve_thresholds(s: Sentence, n: int) -> Sentence:
-    """``s`` with the for-all sugar resolved to ``n``; every threshold must
-    lie in 1..n."""
-    rs = s.resolved(n)
-    for q in rs.prefix:
-        if not 1 <= q.threshold <= n:
-            raise ThresholdError(f"threshold {q.threshold} for {q.variable!r} outside 1..{n}")
-    return rs
-
-
-def _prefix_thresholds(s: Sentence, n: int) -> list[int]:
+def prefix_thresholds(s: Sentence, n: int) -> list[int]:
     """The thresholds of ``s``'s prefix with the for-all sugar resolved to
-    ``n``, without building the resolved sentence; every threshold must lie
-    in 1..n."""
+    ``n``; every threshold must lie in 1..n."""
     thresholds = [n if q.threshold is None else q.threshold for q in s.prefix]
     if thresholds and (min(thresholds) < 1 or max(thresholds) > n):
-        resolve_thresholds(s, n)  # raises, naming the first bad threshold
+        t, v = next((t, q.variable) for t, q in zip(thresholds, s.prefix) if not 1 <= t <= n)
+        raise ThresholdError(f"threshold {t} for {v!r} outside 1..{n}")
     return thresholds
 
 
@@ -620,7 +610,7 @@ class _Search:
 
     def __init__(self, b: Structure, s: Sentence, budget: int | None, *, reorder: bool) -> None:
         n = b.domain_size
-        thresholds = _prefix_thresholds(s, n)
+        thresholds = prefix_thresholds(s, n)
         check_signature(b, s)
 
         m = self.m = len(thresholds)
@@ -929,7 +919,7 @@ def verify_strategy(b: Structure, s: Sentence, w: StrategyNode) -> bool:
     the matrix.  Raises StrategyShapeError when the tree does not match
     the prefix."""
     n = b.domain_size
-    thresholds = _prefix_thresholds(s, n)
+    thresholds = prefix_thresholds(s, n)
     check_signature(b, s)
     m = len(thresholds)
     index = s.var_index()
@@ -980,9 +970,9 @@ def solve_retraction(
         if cname not in h.constants:
             raise SignatureError(f"constant {cname!r} not named in target")
 
-    domains = [set(range(h.domain_size)) for _ in range(instance.domain_size)]
+    domains = [(1 << h.domain_size) - 1] * instance.domain_size
     for cname, var in instance.constants.items():
-        domains[var] &= {h.constants[cname]}
+        domains[var] &= 1 << h.constants[cname]
     constraints = [
         (h.tuples(name), t) for name in instance.signature.names() for t in instance.tuples(name)
     ]
@@ -991,67 +981,71 @@ def solve_retraction(
 
 def search_homomorphism(
     constraints: list[tuple[frozenset, tuple[int, ...]]],
-    domains: list[set[int]],
+    domains: list[int],
     *,
     budget: int | None = None,
 ) -> bool:
-    """Can each variable 0..len(domains)-1 take a value from its domain so
-    that every constraint ``(allowed tuples, variables)`` holds?
-    Arc-consistency propagation first, then backtracking on smallest
-    domains; ``domains`` is narrowed in place."""
+    """Can each variable 0..len(domains)-1 take a value from its domain, a
+    bitmask of template elements, so that every constraint ``(allowed
+    tuples, variables)`` holds?  Arc-consistency propagation first, then
+    backtracking on smallest domains, values in ascending order; each
+    level of the search is a stack entry [domains after propagation,
+    branch variable, values left to try].  ``domains`` is narrowed in
+    place."""
     n_vars = len(domains)
     by_var: list[list[int]] = [[] for _ in range(n_vars)]
     for ci, (_, t) in enumerate(constraints):
         for v in set(t):
             by_var[v].append(ci)
-
     max_nodes = effective_budget(budget)
     nodes = 0
 
-    def supported(doms: list[set[int]], ci: int) -> dict[int, set[int]]:
-        """Per-variable values of constraint ci that occur in some tuple
-        drawn from the current domains."""
-        target, t = constraints[ci]
-        keep: dict[int, set[int]] = {v: set() for v in set(t)}
-        for tup in target:
-            if all(tup[k] in doms[t[k]] for k in range(len(t))):
-                for k, v in enumerate(t):
-                    keep[v].add(tup[k])
-        return keep
-
-    def propagate(doms: list[set[int]], queue: set[int]) -> bool:
+    def propagate(doms: list[int], queue: set[int]) -> bool:
         while queue:
             ci = queue.pop()
-            keep = supported(doms, ci)
+            target, t = constraints[ci]
+            # per variable, the values of constraint ci occurring in some
+            # tuple drawn from the current domains
+            keep = dict.fromkeys(t, 0)
+            for tup in target:
+                if all(doms[v] >> e & 1 for v, e in zip(t, tup)):
+                    for v, e in zip(t, tup):
+                        keep[v] |= 1 << e
             for v, vals in keep.items():
-                if doms[v] - vals:
+                if doms[v] & ~vals:
                     doms[v] &= vals
                     if not doms[v]:
                         return False
                     queue.update(c for c in by_var[v] if c != ci)
         return True
 
-    def search(doms: list[set[int]]) -> bool:
-        nonlocal nodes
-        undecided = [v for v in range(n_vars) if len(doms[v]) > 1]
-        if not undecided:
-            return all(
-                tuple(next(iter(doms[v])) for v in t) in target
-                for target, t in constraints
-            )
-        var = min(undecided, key=lambda v: len(doms[v]))
-        for value in sorted(doms[var]):
+    if not all(domains) or not propagate(domains, set(range(len(constraints)))):
+        return False
+    doms = domains
+    stack: list[list] = []
+    while True:
+        undecided = [v for v in range(n_vars) if doms[v] & (doms[v] - 1)]
+        if undecided:
+            var = min(undecided, key=lambda v: doms[v].bit_count())
+            stack.append([doms, var, doms[var]])
+        elif all(
+            tuple(doms[v].bit_length() - 1 for v in t) in target for target, t in constraints
+        ):
+            return True
+        while stack:  # try the next value left at the deepest level
+            level = stack[-1]
+            parent, var, left = level
+            if not left:
+                stack.pop()
+                continue
+            value = left & -left
+            level[2] = left ^ value
             nodes += 1
             if nodes > max_nodes:
                 raise BudgetExceededError(nodes)
-            trial = [set(d) for d in doms]
-            trial[var] = {value}
-            if propagate(trial, set(by_var[var])) and search(trial):
-                return True
-        return False
-
-    if any(not d for d in domains):
-        return False
-    if not propagate(domains, set(range(len(constraints)))):
-        return False
-    return search(domains)
+            doms = parent.copy()
+            doms[var] = value
+            if propagate(doms, set(by_var[var])):
+                break
+        else:
+            return False

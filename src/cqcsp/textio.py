@@ -72,11 +72,8 @@ def parse_structure(text: str) -> Structure:
     lines = _content_lines(text)
     pos = 0
 
-    def span(no: int, col: int, length: int) -> SourceSpan:
-        return SourceSpan(no, col, length)
-
     def fail(message: str, no: int, col: int = 1, length: int = 1):
-        raise ParseError(message, span(no, col, length))
+        raise ParseError(message, SourceSpan(no, col, length))
 
     if not lines:
         fail("empty structure file", 1)

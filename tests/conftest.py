@@ -9,7 +9,8 @@ import random
 import pytest
 
 from cqcsp.model import Quantifier, Sentence, Structure, build_template
-from cqcsp import model
+from cqcsp import model, oracle
+from cqcsp.fastpath import decide_complete_bipartite
 
 
 def undirected_slots(n_vars: int) -> list[tuple[int, int]]:
@@ -94,6 +95,39 @@ def brute_count_eval(b: Structure, s: Sentence) -> bool:
         return count >= thresholds[depth]
 
     return rec(0, {})
+
+
+def complete_bipartite_gate_failures(
+    sides: tuple[tuple[int, int], ...] = ((2, 3), (1, 3)),
+    exhaustive_vars: int = 3,
+    random_cases: int = 2000,
+    max_random_vars: int = 5,
+    seed: int = 1,
+) -> list[tuple[tuple[int, int], Sentence]]:
+    """The gate of the complete-bipartite decider that `auto` routes to:
+    the (sides, sentence) pairs on which its parity-propagation core and
+    the oracle disagree, over every sentence of up to ``exhaustive_vars``
+    variables and ``random_cases`` drawn ones per template."""
+    failures = []
+    rng = random.Random(seed)
+    for k, l in sides:
+        b = build_template(model.complete_bipartite(k, l))
+        thresholds = range(1, k + l + 1)
+        exhaustive = (
+            s
+            for n_vars in range(1, exhaustive_vars + 1)
+            for s in graph_sentences(n_vars, thresholds, len(undirected_slots(n_vars)))
+        )
+        drawn = (
+            random_graph_sentence(
+                rng, rng.randint(exhaustive_vars + 1, max_random_vars), thresholds, 5
+            )
+            for _ in range(random_cases)
+        )
+        for s in itertools.chain(exhaustive, drawn):
+            if decide_complete_bipartite(k, l, s) != oracle.evaluate(b, s):
+                failures.append(((k, l), s))
+    return failures
 
 
 @pytest.fixture(scope="session")

@@ -114,6 +114,17 @@ def test_deep_sentence_budget_exit_3(files, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "yes"
 
 
+def test_deep_auto_answers(files, capsys):
+    """`auto` decides a 3,000-variable chain with the small-bipartition
+    decider: its retraction search keeps each level on a stack, not on
+    the interpreter's."""
+    tmp, write = files
+    p4 = write("p4.structure", textio.render_structure(build_template(model.path(4))))
+    deep = write("deep.sentence", "E3 h " + _chain_sentence(3000))
+    assert run(["solve", p4, deep, "--engine", "auto"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["yes", "engine: small bipartition"]
+
+
 def test_strategy_out_budget_exit_3(files, capsys):
     tmp, write = files
     k2 = write("k2.structure", textio.render_structure(build_template(model.clique(2))))
@@ -192,6 +203,13 @@ def test_reduce_writes_artifacts(files, capsys):
     assert set(q.threshold for q in s.prefix) <= {1, 4}
     template = textio.parse_structure((outdir / "src.target.structure").read_text())
     assert template == build_template(model.reflexive_cycle(4))
+
+
+def test_reduce_artifact_stem():
+    """Artifacts are named by the source's file name less its last suffix;
+    a leading or trailing dot starts no suffix."""
+    names = {"a.txt": "a", "d/a.b.c": "a.b", "a.": "a.", "a..": "a..", ".a": ".a", "..a": "."}
+    assert {name: cli._stem(name) for name in names} == names
 
 
 def test_verify_ok_and_fault_injection(files, capsys):

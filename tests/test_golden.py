@@ -197,7 +197,7 @@ CLASSIFY = {
     "path:1": "97f5a3c77db6dfdc842bfa9b09b6b0ff8115b4e3adae0217b84a44632e59a6d3",
     "path:2": "106df8a7088ebd5def5c3594c7a788504254fb1b657692dba3e87e3cb0a43517",
     "path:3": "1c10ee35f93854c78d4cbc9c6d9a485bdb1b28d89911e1582aa81a3445e3689f",
-    "path:4": "e8ef1d1493661aa0f64693ad269925098ed7c6c48f1cc7def6843e786fc8748d",
+    "path:4": "7387999037b90c71e6c76d2b649a18bcd6b1d7798266fc780b8d15076ee270bd",
     "path:5": "65f38cce276fe9c457f6c55e110cc33632a4b1875e488d6fcba8e4031d3a2ba0",
     "path:6": "f571214f8033f6b58d735d16d5afc16fa4081d5eea96f3c8ef043529a8ed9aaf",
     "path:7": "affa0979ee3b404cac490b3982dd093f5a5a446a652663dd89bb1678076e0556",
@@ -224,8 +224,8 @@ CLASSIFY = {
     "nae": "5b51898b61085047a86b2ed538cb9f99c479ff82b2ecffb8b10aea930bd130f2",
     "single:4,2": "534799b4b13215c3cab8ef92c615c37d539d3e31a93f1eccd0b53bd96d24bbeb",
     "single:5,3": "a2cb9467a9e5ed1959ab705226c577cc5777c2f9f1997065e4d872c15a8efc8e",
-    "graph:0-1,0-2,0-3,3-4": "19a59d25c0dc2b21f4254c495dd96f1bb9d85fc8adcb13c3c09d363d6fae2f11",
-    "graph:0-1,1-2,2-3,0-3,3-4": "dc25d291b69bd2968817a5b557782d6e6ac3a895c22d7079914ff75498703739",
+    "graph:0-1,0-2,0-3,3-4": "ffc0ac0c993b50180755ea7c413f94edf81047d14e08b519aa93bed3439ebb6a",
+    "graph:0-1,1-2,2-3,0-3,3-4": "16f829f352350018b87268a89247105f68af9926b27121760ced737b2d29e66b",
 }
 VERIFY = {
     "clique-pad": "fd8e6bd6f41e5c7fc61a5a519058580f3248dc6d7db224703a5ec3623ec737d7",

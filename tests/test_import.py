@@ -1,6 +1,7 @@
 """``import cqcsp`` loads only what the package uses: no ``dataclasses``
 (with the ``inspect``, ``ast`` and ``dis`` it loads) and no ``typing``,
-and the CLI module leaves ``traceback`` for its internal-error path.
+and the CLI module leaves ``traceback`` for its internal-error path and
+reads and writes files without ``pathlib``.
 Checked in a fresh interpreter without ``site``, as the commands start."""
 
 from __future__ import annotations
@@ -34,3 +35,7 @@ def test_import_leaves_out_dataclasses_inspect_and_typing():
 
 def test_cli_import_leaves_out_traceback():
     assert _loaded("cqcsp.cli", HEAVY + ("traceback",)) == []
+
+
+def test_cli_import_leaves_out_pathlib():
+    assert _loaded("cqcsp.cli", ("pathlib",)) == []
