@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 yes/success, 1 no (or verification disagreement), 2
-usage/parse error, 3 node budget exceeded (or a search nested too deep
-to recurse), 4 internal error (a crash, never a verdict).  The
-environment variable CQ_NODE_BUDGET, a non-negative integer, overrides
-the default oracle node budget.
+usage/parse error, 3 node budget exceeded, 4 internal error (a crash,
+never a verdict).  The environment variable CQ_NODE_BUDGET, a
+non-negative integer, overrides the default oracle node budget.
 """
 
 from __future__ import annotations

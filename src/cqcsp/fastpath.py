@@ -308,10 +308,13 @@ def decide_forest_bounded_prefix(h: Structure, m: int, s: Sentence) -> bool:
     """Forests with a bounded block of threshold-2 quantifiers followed by
     existentials.
 
-    The threshold-2 block is searched adaptively: a threshold-2 variable
-    is won when at least two values, once pinned, leave a winnable rest,
-    so the values are tried in turn until two win (|B|^block sub-games,
-    not one per pair); leaves are retraction instances.
+    Since every threshold is at least 1, ``E^j x (A(x) & B)`` equals
+    ``(E^j x A(x)) & B`` when x does not occur in B, so the sentence holds
+    iff each instance-graph component's own sentence does.  In each
+    component the block variables are searched adaptively: one is won
+    when at least two values, once pinned, leave a winnable rest, so the
+    values are tried in turn until two win (|B|^k sub-games for k block
+    variables, not one per pair); leaves are retraction instances.
     """
     g = require_graph(h)
     if not g.is_forest():
@@ -327,26 +330,25 @@ def decide_forest_bounded_prefix(h: Structure, m: int, s: Sentence) -> bool:
         return False
     n = h.domain_size
     target = h.tuples(g.relation)
-    parts = [(comp, _edge_constraints(target, ig, comp)) for comp in ig.components()]
 
-    def leaf(pins: dict[int, int]) -> bool:
-        return all(
-            oracle.search_homomorphism(constraints, _domains(n, comp, pins))
-            for comp, constraints in parts
-        )
+    def holds(comp: tuple[int, ...]) -> bool:
+        constraints = _edge_constraints(target, ig, comp)
+        moves = [v for v in comp if v < block]
 
-    def game(d: int, pins: dict[int, int]) -> bool:
-        if d == block:
-            return leaf(pins)
-        wins = 0
-        for v in range(n):
-            if game(d + 1, {**pins, d: v}):
-                wins += 1
-                if wins == 2:
-                    return True
-        return False
+        def game(d: int, pins: dict[int, int]) -> bool:
+            if d == len(moves):
+                return oracle.search_homomorphism(constraints, _domains(n, comp, pins))
+            wins = 0
+            for v in range(n):
+                if game(d + 1, {**pins, moves[d]: v}):
+                    wins += 1
+                    if wins == 2:
+                        return True
+            return False
 
-    return game(0, {})
+        return game(0, {})
+
+    return all(holds(comp) for comp in ig.components())
 
 
 def decide_path5_one_three(s: Sentence) -> bool:

@@ -50,10 +50,12 @@ the next position is the one sharing an atom with the most positions
 already placed, ties going to the lower position, which keeps the search
 next to assigned neighbours (the width of an ordering, Freuder, JACM
 1982; AND/OR search over pseudo-trees, Dechter and Mateescu, AIJ 2007).
-A chain keeps its order.  When the reordered component tree is too deep
-to recurse and the prefix-order tree is not, compile keeps the prefix
-order.  ``extract_strategy`` always searches in prefix order, the order
-canonical trees are defined in.
+A chain keeps its order.  ``extract_strategy`` always searches in prefix
+order, the order canonical trees are defined in.
+
+Search and extraction keep their state on explicit stacks, so the depth of
+a component tree is limited by the node budget alone, not by the
+interpreter's recursion limit.
 
 ``extract_strategy`` returns the canonical witness-strategy tree (offered
 sets are the smallest winning elements), ``verify_strategy`` replays every
@@ -64,7 +66,6 @@ constant-preserving homomorphism by arc consistency plus backtracking.
 from __future__ import annotations
 
 import os
-import sys
 from itertools import combinations, filterfalse
 from operator import itemgetter
 
@@ -80,19 +81,6 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, nodes: int) -> None:
         super().__init__(f"node budget exceeded after {nodes} nodes")
         self.nodes = nodes
-
-
-class SearchDepthError(BudgetExceededError):
-    """The search would nest deeper than the interpreter can recurse."""
-
-    def __init__(self, depth: int) -> None:
-        RuntimeError.__init__(
-            self,
-            f"search depth {depth} does not fit below the recursion limit"
-            f" {sys.getrecursionlimit()}",
-        )
-        self.nodes = 0
-        self.depth = depth
 
 
 class ThresholdError(ValueError):
@@ -246,27 +234,13 @@ def _value_classes(b: Structure) -> tuple[tuple[int, ...], ...] | None:
     return tuple(map(tuple, classes.values())) if len(classes) < n else None
 
 
-def _canonical_context(values: tuple[int, ...], members: list[tuple[int, ...]]):
-    """The memo key of a context's values and the mask of those values:
-    inside each class, the values are relabelled by the class members in
-    order of first occurrence."""
-    relabel: dict[int, int] = {}
-    used: dict[tuple[int, ...], int] = {}
-    taken = 0
-    for v in values:
-        if v not in relabel:
-            cls = members[v]
-            i = used.get(cls, 0)
-            used[cls] = i + 1
-            relabel[v] = cls[i]
-            taken |= 1 << v
-    return tuple([relabel[v] for v in values]), taken
-
-
 @once_per_instance
 def _orbit_tables(b: Structure):
-    """Per value, the mask of its class and the class itself; None when
-    the template has no interchangeable values."""
+    """Per value, the mask of its class and the class itself, and an empty
+    table for ``_WideContexts`` to fill with the candidate groups of each
+    mask of context values (at most 2^|B| entries, kept with the template
+    since they depend on nothing else); None when the template has no
+    interchangeable values."""
     classes = _value_classes(b)
     if classes is None:
         return None
@@ -277,7 +251,44 @@ def _orbit_tables(b: Structure):
         for v in cls:
             orbit[v] = mask
             members[v] = cls
-    return orbit, members
+    return orbit, members, {}
+
+
+class _WideContexts(dict):
+    """Memo keys and candidate groups for the nodes whose context holds two
+    or more positions, on a template with interchangeable values.
+
+    Maps the tuple of a context's values to ``(memo key, groups)``.  The
+    key relabels the values inside each class by the class members in
+    order of first occurrence: the i-th value of a class to appear becomes
+    its i-th member.  ``groups[v]`` is the mask of the candidates that v
+    is searched for: v alone when it is one of the context's values, else
+    the members of v's class outside them.  The arguments are the tables
+    of ``_orbit_tables``."""
+
+    def __init__(
+        self, orbit: list[int], members: list[tuple[int, ...]], groups: dict[int, list[int]]
+    ) -> None:
+        self.orbit = orbit
+        self.members = members
+        self.groups = groups
+
+    def __missing__(self, values: tuple[int, ...]):
+        orbit = self.orbit
+        members = self.members
+        relabel = [0] * len(orbit)
+        taken = 0
+        for v in values:
+            if not taken >> v & 1:
+                relabel[v] = members[v][(taken & orbit[v]).bit_count()]
+                taken |= 1 << v
+        groups = self.groups.get(taken)
+        if groups is None:
+            groups = self.groups[taken] = [
+                1 << v if taken >> v & 1 else mask & ~taken for v, mask in enumerate(orbit)
+            ]
+        entry = self[values] = (tuple([relabel[v] for v in values]), groups)
+        return entry
 
 
 # Images one pair search may try before it gives up.
@@ -496,24 +507,6 @@ def _automorphisms(b: Structure) -> _Automorphisms | None:
     return None if all(sym.rep[v] == v for v in range(b.domain_size)) else sym
 
 
-# Frames kept free below the recursion limit for the calls a search makes
-# besides its own recursion; a search no deeper than this is not checked.
-_FRAME_MARGIN = 20
-
-
-def _check_depth(depth: int) -> None:
-    """Raise SearchDepthError unless ``depth`` more nested calls fit below
-    the interpreter's recursion limit."""
-    if depth <= _FRAME_MARGIN:
-        return
-    free = sys.getrecursionlimit() - depth - _FRAME_MARGIN
-    try:
-        sys._getframe(max(free, 0))
-    except ValueError:
-        return
-    raise SearchDepthError(depth)
-
-
 def _no_context(assign: list[int]) -> tuple:
     return ()
 
@@ -590,22 +583,25 @@ class _Search:
 
     Position q's component tree node is the component of q among the
     positions >= q (two positions are adjacent when they share an atom).
-    ``children[q]`` holds the least positions of the components left when
-    q is removed from it, ``frontier[p]`` the least positions of the
-    components of the positions >= p, ``height[q]`` the number of levels
-    of q's subtree, and ``key[q]`` reads q's context: the positions < q
-    sharing an atom with its component, all of them ancestors of q.
-    ``visit[q]`` is the function that searches node q: ``run``, or
-    ``run_symmetric``, which groups x_q's candidates by orbit.  With a
-    nontrivial Aut(B), ``tables[q]`` is the template's ``_Automorphisms``
-    at a node whose context has no position or one, else None.  On a
-    template with interchangeable values every node takes
-    ``run_symmetric``, and ``orbit`` and ``members`` are the template's
-    per-value class masks and classes (else None), read at wider contexts.
+    Its context is the positions < q sharing an atom with its component,
+    all of them ancestors of q.  ``probe[q]`` is (the function reading q's
+    context from the assignment, q's table, q's memo): the table maps what
+    the function reads to q's memo key and the groups x_q's candidates are
+    searched in; it is the template's ``_Automorphisms`` at a node whose
+    context has no position or one, a ``_WideContexts`` at a wider one on a
+    template with interchangeable values, and None where each candidate is
+    searched alone and the memo key is what the function reads.
+    ``opening[q]`` is (the values allowed at q whatever came before, the
+    filters ``(value -> mask table, earlier position)`` of binary atoms
+    with q last, q's threshold, q's children in descending order), where
+    the children are the least positions of the components left when q is
+    removed from its own.  ``frontier[p]`` holds the least positions of the
+    components of the positions >= p, in descending order too, and
+    ``general[p]`` the atoms of arity 3 or more with p last, checked per
+    candidate.
 
     Positions are numbered in search order: the prefix order, or with
-    ``reorder`` the order of ``_commuting_order`` unless its tree is too
-    deep to search.
+    ``reorder`` the order of ``_commuting_order``.
     """
 
     def __init__(self, b: Structure, s: Sentence, budget: int | None, *, reorder: bool) -> None:
@@ -614,19 +610,10 @@ class _Search:
         check_signature(b, s)
 
         m = self.m = len(thresholds)
-        self.n = n
         self.thresholds = thresholds
         self.budget = effective_budget(budget)
         self.nodes = 0
         self.assign = [0] * m
-        self.memo: list[dict] = [{} for _ in range(m)]
-        orbits = _orbit_tables(b)
-        if orbits is None:
-            self.orbit = self.members = self.canonical = None
-        else:
-            self.orbit, self.members = orbits
-            # context read by key[q] -> (memo key, mask of its values)
-            self.canonical = {}
 
         index = s.var_index()
         atoms = [(name, tuple([index[v] for v in vs])) for name, vs in s.atoms]
@@ -637,26 +624,11 @@ class _Search:
                 place[p] = i
             # positions move only inside runs of one threshold, so the
             # thresholds keep their places
-            try:
-                self._compile(b, [(name, tuple([place[i] for i in idxs])) for name, idxs in atoms])
-            except SearchDepthError:
-                order = None
-        if order is None:
-            self._compile(b, atoms)
+            atoms = [(name, tuple([place[i] for i in idxs])) for name, idxs in atoms]
 
-    def _compile(self, b: Structure, atoms: list) -> None:
-        """Build the filters and the component tree for the positions
-        numbered as in the atoms' index tuples; raise SearchDepthError when
-        the tree is too deep to search."""
-        m = self.m
-        full = (1 << self.n) - 1
         out_bits, in_bits, loop_bits, unary_bits = _value_tables(b)
-
-        # static_mask[p]: values allowed at p regardless of earlier choices
-        # dyn[p]: (value->mask table, earlier position) filters
-        # general[p]: residual atom checks evaluated per candidate value
-        self.static_mask = [full] * m
-        self.dyn: list[list[tuple[list[int], int]]] = [[] for _ in range(m)]
+        static_mask = [(1 << n) - 1] * m
+        dyn: list[list[tuple[list[int], int]]] = [[] for _ in range(m)]
         self.general: list[list[tuple[frozenset, tuple[int, ...]]]] = [[] for _ in range(m)]
         # above[i]: later positions sharing an atom with i; context[k]:
         # earlier positions sharing an atom with k, widened below to k's
@@ -679,62 +651,59 @@ class _Search:
                             above[i].add(k)
                             context[k].add(i)
             if arity == 1:
-                self.static_mask[last] &= unary_bits[name]
+                static_mask[last] &= unary_bits[name]
             elif arity == 2:
                 a, c = idxs
                 if a == c:
-                    self.static_mask[last] &= loop_bits[name]
+                    static_mask[last] &= loop_bits[name]
                 elif a == last:
-                    self.dyn[last].append((in_bits[name], c))
+                    dyn[last].append((in_bits[name], c))
                 else:
-                    self.dyn[last].append((out_bits[name], a))
+                    dyn[last].append((out_bits[name], a))
             else:
                 self.general[last].append((b.tuples(name), idxs))
 
-        # Nodes with a context of two or more positions lose their table;
-        # the search functions are unbound, so that the search holds no
-        # cycle through itself and its memo is freed as soon as it is
-        # dropped.
         sym = _automorphisms(b)
-        self.tables = tables = None if sym is None else [sym] * m
-        self.visit = visit = [_Search.run if sym is None else _Search.run_symmetric] * m
-        wide = _Search.run if self.orbit is None else _Search.run_symmetric
+        orbits = _orbit_tables(b)
+        wide = None
 
         # One backward union-find pass; a set's root is its least position.
         root = list(range(m))
-        self.children = children = [()] * m
-        self.key = key = [_no_context] * m
+        self.probe = probe = [None] * m
+        self.opening = opening = [None] * m
         self.frontier = frontier = [()] * (m + 1)
-        self.height = height = [1] * m
         for q in range(m - 1, -1, -1):
             ctx = context[q]
+            kids = ()
             if above[q]:
-                kids = set()
+                found = set()
                 for k in above[q]:
                     while root[k] != k:
                         root[k] = k = root[root[k]]
-                    kids.add(k)
-                for c in kids:
+                    found.add(k)
+                for c in found:
                     root[c] = q
                     ctx |= context[c]
-                    if height[c] >= height[q]:
-                        height[q] = height[c] + 1
                 ctx.discard(q)
-                children[q] = tuple(sorted(kids))
-                frontier[q] = (q, *filterfalse(kids.__contains__, frontier[q + 1]))
+                kids = tuple(sorted(found, reverse=True))
+                frontier[q] = (*filterfalse(found.__contains__, frontier[q + 1]), q)
             else:
-                frontier[q] = (q,) + frontier[q + 1]
+                frontier[q] = frontier[q + 1] + (q,)
+            key = _no_context
+            table = sym
             if ctx:
-                key[q] = itemgetter(*sorted(ctx))
-                if tables is not None and len(ctx) > 1:
-                    tables[q] = None
-                    visit[q] = wide
-        _check_depth(max(height, default=0) + 1)
+                key = itemgetter(*sorted(ctx))
+                if len(ctx) > 1:
+                    if wide is None and orbits is not None:
+                        wide = _WideContexts(*orbits)
+                    table = wide
+            probe[q] = (key, table, {})
+            opening[q] = (static_mask[q], dyn[q], thresholds[q], kids)
 
     def _candidates(self, p: int) -> int:
-        cand = self.static_mask[p]
+        cand, dyn, _, _ = self.opening[p]
         assign = self.assign
-        for table, q in self.dyn[p]:
+        for table, q in dyn:
             cand &= table[assign[q]]
             if not cand:
                 break
@@ -749,147 +718,140 @@ class _Search:
 
     def holds_from(self, p: int) -> bool:
         """Does the sentence's suffix from position p hold under the
-        current assignment of the positions < p?"""
-        visit = self.visit
-        for c in self.frontier[p]:
-            if not visit[c](self, c):
-                return False
-        return True
+        current assignment of the positions < p?
 
-    def run(self, q: int) -> bool:
-        """Does node q's sub-sentence hold: do at least j values of x_q
-        make every child component hold?"""
+        Node q's sub-sentence holds when at least j values of x_q make
+        every child component hold.  One loop searches the frontier's
+        trees depth first.  The node being searched lives in locals: its
+        position q, memo and memo key, its candidates left, the wins it
+        still needs and the losses it can still spare, its candidate
+        groups, its children, how many of them are left to check for
+        x_q's current value, and that value's weight.  A child whose
+        verdict is memoised is answered in place; the loop descends into
+        any other, pushing the node on an explicit stack, and pops it when
+        the child is decided.  Positions increase along a path, so the
+        stack holds at most one node per position.  At its bottom lies the
+        frontier, as a node that needs one win and spares no loss.
+        Children are stored in descending order and read from the end, as
+        ``kids[i - 1]``, since a negative index is slower."""
         assign = self.assign
-        memo = self.memo[q]
-        key = self.key[q](assign)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        cand = self.static_mask[q]
-        for table, r in self.dyn[q]:
-            cand &= table[assign[r]]
-        j = self.thresholds[q]
-        result = False
-        remaining = cand.bit_count()
-        if remaining >= j:
-            general = self.general[q]
-            children = self.children[q]
-            visit = self.visit
-            count = 0
-            while cand:
-                self.nodes += 1
-                if self.nodes > self.budget:
-                    raise BudgetExceededError(self.nodes)
-                low = cand & -cand
-                cand ^= low
-                assign[q] = low.bit_length() - 1
-                if not general or self._general_ok(q):
-                    for c in children:
-                        if not visit[c](self, c):
-                            break
-                    else:
-                        count += 1
-                        if count >= j:
-                            result = True
-                            break
-                remaining -= 1
-                if count + remaining < j:
-                    break
-        memo[key] = result
-        return result
-
-    def run_symmetric(self, q: int) -> bool:
-        """``run`` with the candidates of x_q grouped by orbit: the least
-        candidate of a group is searched and counts for all of it.  With a
-        context of no value or one (a), the groups are the orbits of Aut(B)
-        or Aut(B)_a, and the memo key is a's least Aut(B)-image.  With a
-        wider one, the memo is keyed by the canonical context and the
-        candidates outside the context's values are grouped by class."""
-        assign = self.assign
-        raw = self.key[q](assign)
-        table = self.tables[q]
-        if table is None:
-            seen = self.canonical.get(raw)
-            if seen is None:
-                seen = self.canonical[raw] = _canonical_context(raw, self.members)
-            key, taken = seen
-            orbit = self.orbit
-        else:
-            key, orbit = table[raw]
-            taken = 0
-        memo = self.memo[q]
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        cand = self.static_mask[q]
-        for table, r in self.dyn[q]:
-            cand &= table[assign[r]]
-        j = self.thresholds[q]
-        result = False
-        remaining = cand.bit_count()
-        if remaining >= j:
-            general = self.general[q]
-            children = self.children[q]
-            visit = self.visit
-            count = 0
-            while cand:
-                self.nodes += 1
-                if self.nodes > self.budget:
-                    raise BudgetExceededError(self.nodes)
-                low = cand & -cand
-                v = low.bit_length() - 1
-                group = low if low & taken else orbit[v] & cand & ~taken
-                cand ^= group
-                weight = group.bit_count()
-                assign[q] = v
-                if not general or self._general_ok(q):
-                    for c in children:
-                        if not visit[c](self, c):
-                            break
-                    else:
-                        count += weight
-                        if count >= j:
-                            result = True
-                            break
-                remaining -= weight
-                if count + remaining < j:
-                    break
-        memo[key] = result
-        return result
-
-    def extract_depth(self) -> int:
-        """The deepest nesting of calls ``extract(0)`` makes."""
-        return max(
-            (p + 2 + max((self.height[c] for c in self.frontier[p + 1]), default=0)
-             for p in range(self.m)),
-            default=1,
+        probe = self.probe
+        opening = self.opening
+        general = self.general
+        budget = self.budget
+        nodes = self.nodes
+        stack = []
+        kids = self.frontier[p]
+        q, memo, key, cand, need, spare, groups, i, weight = (
+            -1, {}, None, 0, 1, 0, None, len(kids), 1
         )
+        while True:
+            # x_q's current value holds while each child left holds
+            while i:
+                c = kids[i - 1]
+                keyf, table, cmemo = probe[c]
+                if table is None:
+                    ckey = keyf(assign)
+                    cgroups = None
+                else:
+                    ckey, cgroups = table[keyf(assign)]
+                held = cmemo.get(ckey)
+                if not held:
+                    break
+                i -= 1
+            else:
+                held = True
+            if held is None:
+                stack.append((q, memo, key, cand, need, spare, groups, kids, i, weight))
+                q = c
+                memo = cmemo
+                key = ckey
+                groups = cgroups
+                cand, dyn, need, kids = opening[c]
+                for table, r in dyn:
+                    cand &= table[assign[r]]
+                spare = cand.bit_count() - need
+                if spare < 0:
+                    memo[key] = held = False
+                    q, memo, key, cand, need, spare, groups, kids, i, weight = stack.pop()
+            while True:
+                if held is not None:
+                    # x_q's current value won or lost; is node q decided?
+                    if held:
+                        need -= weight
+                        decided = need <= 0
+                    else:
+                        spare -= weight
+                        decided = spare < 0
+                    if decided:
+                        memo[key] = held
+                        if not stack:
+                            self.nodes = nodes
+                            return held
+                        q, memo, key, cand, need, spare, groups, kids, i, weight = stack.pop()
+                        if held:
+                            i -= 1
+                            break
+                        continue
+                # the next value of x_q: the least of its group
+                nodes += 1
+                if nodes > budget:
+                    self.nodes = nodes
+                    raise BudgetExceededError(nodes)
+                low = cand & -cand
+                v = assign[q] = low.bit_length() - 1
+                if groups is None:
+                    cand ^= low
+                    weight = 1
+                else:
+                    low = groups[v] & cand
+                    cand ^= low
+                    weight = low.bit_count()
+                if general[q] and not self._general_ok(q):
+                    held = False
+                    continue
+                i = len(kids)
+                break
 
-    def extract(self, p: int) -> StrategyNode:
-        """The canonical strategy tree below position p; each offer node
-        counts against the node budget."""
-        if p == self.m:
-            return LEAF
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceededError(self.nodes)
-        j = self.thresholds[p]
-        cand = self._candidates(p)
-        winners = []
-        while cand and len(winners) < j:
-            low = cand & -cand
-            cand ^= low
-            v = low.bit_length() - 1
-            self.assign[p] = v
-            if (not self.general[p] or self._general_ok(p)) and self.holds_from(p + 1):
-                winners.append(v)
-        if len(winners) < j:
-            raise AssertionError("extraction entered a losing position")
-        children = []
-        for v in winners:
-            self.assign[p] = v
-            children.append(self.extract(p + 1))
-        return StrategyNode(tuple(winners), tuple(children))
+    def extract(self) -> StrategyNode:
+        """The canonical strategy tree, built depth first on an explicit
+        stack whose entry p holds position p's winners and the subtrees
+        built under them so far; each offer node counts against the node
+        budget."""
+        m = self.m
+        assign = self.assign
+        stack: list[tuple[list[int], list[StrategyNode]]] = []
+        while True:
+            p = len(stack)
+            if p < m:
+                self.nodes += 1
+                if self.nodes > self.budget:
+                    raise BudgetExceededError(self.nodes)
+                j = self.thresholds[p]
+                cand = self._candidates(p)
+                winners = []
+                while cand and len(winners) < j:
+                    low = cand & -cand
+                    cand ^= low
+                    v = assign[p] = low.bit_length() - 1
+                    if (not self.general[p] or self._general_ok(p)) and self.holds_from(p + 1):
+                        winners.append(v)
+                if len(winners) < j:
+                    raise AssertionError("extraction entered a losing position")
+                stack.append((winners, []))
+                assign[p] = winners[0]
+                continue
+            node = LEAF
+            while stack:
+                winners, done = stack[-1]
+                done.append(node)
+                if len(done) < len(winners):
+                    assign[len(stack) - 1] = winners[len(done)]
+                    break
+                stack.pop()
+                node = StrategyNode(tuple(winners), tuple(done))
+            else:
+                return node
 
 
 def evaluate(b: Structure, s: Sentence, *, budget: int | None = None) -> bool:
@@ -908,10 +870,7 @@ def extract_strategy(
     nodes and offer nodes share the node budget.
     """
     search = _Search(b, s, budget, reorder=False)
-    if not search.holds_from(0):
-        return None
-    _check_depth(search.extract_depth())
-    return search.extract(0)
+    return search.extract() if search.holds_from(0) else None
 
 
 def verify_strategy(b: Structure, s: Sentence, w: StrategyNode) -> bool:

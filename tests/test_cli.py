@@ -101,17 +101,27 @@ def _chain_sentence(k: int) -> str:
     return prefix + " | " + " & ".join(f"E({a},{b})" for a, b in zip(names, names[1:])) + "\n"
 
 
-def test_deep_sentence_budget_exit_3(files, capsys):
+def test_deep_sentence_strategy_out_answers(files, capsys):
+    """The oracle searches and extracts on explicit stacks, so a
+    1,500-variable chain is answered and its strategy written."""
     tmp, write = files
     k2 = write("k2.structure", textio.render_structure(build_template(model.clique(2))))
     deep = write("deep.sentence", _chain_sentence(1500))
-    assert run(["solve", k2, deep, "--engine", "oracle"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "search depth" in captured.err
-    shallow = write("shallow.sentence", _chain_sentence(900))
-    assert run(["solve", k2, shallow, "--engine", "oracle"]) == 0
+    strat = tmp / "strategy.txt"
+    assert run(["solve", k2, deep, "--strategy-out", str(strat)]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "yes"
+    assert strat.read_text().count("offer") == 1500
+
+
+def test_forest_decider_splits_threshold_two_blocks_by_component(files, capsys):
+    """`auto` plays the forest decider's game per instance-graph component,
+    so 1,200 threshold-2 variables sharing no atom are 1,200 small games,
+    not one game nested 1,200 deep."""
+    tmp, write = files
+    p4 = write("p4.structure", textio.render_structure(build_template(model.path(4))))
+    block = write("block.sentence", " ".join(f"E2 x{i}" for i in range(1200)) + " |\n")
+    assert run(["solve", p4, block, "--engine", "auto"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["yes", "engine: forest bounded prefix"]
 
 
 def test_deep_auto_answers(files, capsys):

@@ -10,7 +10,6 @@ from cqcsp.model import canonical_query, sentence
 from cqcsp.oracle import (
     LEAF,
     BudgetExceededError,
-    SearchDepthError,
     SignatureError,
     StrategyNode,
     StrategyShapeError,
@@ -20,7 +19,7 @@ from cqcsp.oracle import (
     solve_retraction,
     verify_strategy,
 )
-from cqcsp.textio import parse_sentence
+from cqcsp.textio import parse_sentence, parse_strategy, render_strategy
 
 from conftest import brute_count_eval, graph_sentences
 
@@ -214,18 +213,29 @@ def _chain(k: int):
     return sentence([(1, v) for v in names], [("E", (a, b)) for a, b in zip(names, names[1:])])
 
 
-def test_deep_sentence_is_a_depth_error(zoo):
-    """A component tree deeper than the interpreter can recurse raises a
-    budget error naming the depth, not RecursionError."""
-    with pytest.raises(SearchDepthError) as info:
-        evaluate(zoo["K2"], _chain(1500))
-    assert isinstance(info.value, BudgetExceededError)
-    assert info.value.depth > 1500
-    assert "search depth" in str(info.value)
-    with pytest.raises(SearchDepthError):
-        extract_strategy(zoo["K2"], _chain(1500))
-    assert evaluate(zoo["K2"], _chain(900))
-    assert verify_strategy(zoo["K2"], _chain(900), extract_strategy(zoo["K2"], _chain(900)))
+def _default_recursion_limit(run):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1_000)
+    try:
+        return run()
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_deep_sentence_is_answered(zoo):
+    """Search and extraction keep their state on explicit stacks, so a
+    10,000-variable chain is answered at the default recursion limit, and
+    its 10,000-level strategy tree verifies.  Rendered, that tree takes
+    about 100 MB (the indentation grows with depth), so the text round
+    trip runs on the 1,500-level tree of a shorter chain."""
+    k2, chain = zoo["K2"], _chain(10_000)
+    assert _default_recursion_limit(lambda: evaluate(k2, chain))
+    tree = _default_recursion_limit(lambda: extract_strategy(k2, chain))
+    assert verify_strategy(k2, chain, tree)
+    tree = _default_recursion_limit(lambda: extract_strategy(k2, _chain(1_500)))
+    text = render_strategy(tree)
+    assert text.count("\n") == 1_500
+    assert render_strategy(parse_strategy(text, [1] * 1_500)) == text
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +278,19 @@ def test_value_classes_split_by_a_unary_relation():
 
 
 def test_canonical_context_relabels_inside_classes():
-    _, members = oracle._orbit_tables(model.build_template(model.complete_bipartite(2, 3)))
-    key, taken = oracle._canonical_context((4, 1, 2, 4, 0), members)
+    """On K2,3 (classes {0, 1} and {2, 3, 4}) a context's values are
+    relabelled inside their classes in order of first occurrence; a value
+    of the context is searched alone and any other for the members of its
+    class outside the context."""
+    b = model.build_template(model.complete_bipartite(2, 3))
+    contexts = oracle._WideContexts(*oracle._orbit_tables(b))
+    key, groups = contexts[(4, 1, 2, 4, 0)]
     assert key == (2, 0, 3, 2, 1)
-    assert taken == 0b10111
-    assert oracle._canonical_context((3, 0, 4, 3, 1), members)[0] == key
+    assert groups == [0b00001, 0b00010, 0b00100, 0b01000, 0b10000]
+    assert contexts[(3, 0, 4, 3, 1)][0] == key
+    key, groups = contexts[(4, 2)]
+    assert key == (2, 3)
+    assert groups == [0b00011, 0b00011, 0b00100, 0b01000, 0b10000]
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +506,43 @@ def test_gadget_targets_within_budget():
     assert not evaluate(*_target("even-cycle-csp", {"n": 6, "j": 2}, K4_SOURCE), budget=60_000)
 
 
+C6 = model.build_template(model.cycle(6))
+
+# (rule, parameters, source sentence, nodes the target's search takes,
+# verdict): the benchmark's gadget targets and the K4 frontier
+PINNED_TARGETS = [
+    ("clique-gj", {"j": 2}, "E1 u E10 v | E(u,v)", 1_311, False),
+    ("clique-gj", {"j": 2}, "E10 u E10 v | E(u,v)", 734, False),
+    ("clique-gj", {"j": 2}, "E10 u E1 v | E(u,v)", 70, True),
+    ("even-cycle", {"n": 6, "j": 2}, "A u E1 v | E(u,v)", 6_053, True),
+    ("even-cycle", {"n": 6, "j": 2}, "A u A v | E(u,v)", 23_558, False),
+    ("even-cycle", {"n": 6, "j": 2}, "E1 u E1 v | E(u,v)", 186, True),
+    ("even-cycle-csp", {"n": 6, "j": 2}, "E1 u | E(u,u)", 515, False),
+    ("even-cycle-csp", {"n": 6, "j": 2}, "E1 u E1 v | E(u,v)", 186, True),
+    ("even-cycle-csp", {"n": 6, "j": 2}, "E1 u E1 v E1 t | E(u,v) & E(v,t) & E(t,u)", 986, True),
+    ("girth-isolation", {"h": C6}, "E1 u | E(u,u)", 520, False),
+    ("girth-isolation", {"h": C6}, "E1 u E1 v | E(u,v)", 192, True),
+    ("reflexive-c4", {}, "E1 u A v | E(u,v)", 424, False),
+    ("reflexive-c4", {}, "A u A v | E(u,v)", 841, False),
+    ("even-cycle-csp", {"n": 6, "j": 2}, K4_SOURCE, 11_344, False),
+]
+
+
+@pytest.mark.parametrize(
+    "name, params, text, nodes, verdict",
+    PINNED_TARGETS,
+    ids=[f"{name}:{text.split(' |')[0]}" for name, _, text, _, _ in PINNED_TARGETS],
+)
+def test_node_counts_pinned_through_the_budget(name, params, text, nodes, verdict):
+    """Each target's search takes exactly ``nodes`` nodes: it is decided
+    within that budget and stops one node short of it."""
+    target, compiled = _target(name, params, text)
+    assert evaluate(target, compiled, budget=nodes) is verdict
+    with pytest.raises(BudgetExceededError) as info:
+        evaluate(target, compiled, budget=nodes - 1)
+    assert info.value.nodes == nodes
+
+
 def _stack_depth() -> int:
     depth = 0
     frame = sys._getframe()
@@ -497,20 +552,21 @@ def _stack_depth() -> int:
     return depth
 
 
-def test_reordered_tree_too_deep_keeps_prefix_order():
-    """The K4 frontier target's component tree is 56 levels high in prefix
-    order and 191 after reordering; below a recursion limit that only the
-    first fits, evaluation keeps the prefix order and still answers."""
-    target, compiled = _target("even-cycle-csp", {"n": 6, "j": 2}, K4_SOURCE)
-    assert max(oracle._Search(target, compiled, None, reorder=True).height) == 191
-    assert max(oracle._Search(target, compiled, None, reorder=False).height) == 56
+def test_gadget_targets_decided_near_the_recursion_limit():
+    """The search nests no Python calls per tree level: with the recursion
+    limit 50 frames above the caller, every pinned target is decided,
+    although the K4 frontier's component tree is 56 levels high in prefix
+    order and 191 after reordering."""
+    targets = [
+        (_target(name, params, text), verdict) for name, params, text, _, verdict in PINNED_TARGETS
+    ]
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 120)
+    sys.setrecursionlimit(_stack_depth() + 50)
     try:
-        assert max(oracle._Search(target, compiled, None, reorder=True).height) == 56
-        assert not evaluate(target, compiled)
+        verdicts = [evaluate(target, compiled) for (target, compiled), _ in targets]
     finally:
         sys.setrecursionlimit(limit)
+    assert verdicts == [verdict for _, verdict in targets]
 
 
 # ---------------------------------------------------------------------------
