@@ -16,7 +16,10 @@ template alone plus the thresholds.  The template side -- a family's
 template, its graph view and the view's facts -- is computed once per
 instance (see ``model``), so `dispatch` and `classify` read it from the
 second call on; threshold resolution, the atom check and the instance
-graph stay per sentence.
+graph stay per sentence.  The instance graph is a ``GraphView`` too, so
+the deciders read a sentence's components, two-colouring, distances and
+earlier neighbours with the same methods the classifier reads off a
+template.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .model import (
     BoundedPrefix,
     FragmentSpec,
     GraphView,
-    InstanceGraph,
     InvalidStructureError,
     Record,
     Sentence,
@@ -117,7 +119,7 @@ def decide_clique_high_thresholds(n: int, s: Sentence) -> bool:
     return True
 
 
-def _cycle_claims(n: int, ig: InstanceGraph, th: list[int]) -> bool:
+def _cycle_claims(n: int, ig: GraphView, th: list[int]) -> bool:
     """Necessary conditions for yes-instances on the n-cycle:
     (1a) a threshold >= 3 variable has no predecessors;
     (1b) for even n, a threshold > n/2 variable is first in its component;
@@ -193,8 +195,6 @@ def decide_complete_bipartite(k: int, l: int, s: Sentence) -> bool:
         else:
             roles.append("P")
     ig = instance_graph(s)
-    if ig.loops:
-        return False
     colors = ig.bipartition()
     if colors is None:
         return False
@@ -214,17 +214,12 @@ def decide_complete_bipartite(k: int, l: int, s: Sentence) -> bool:
 
 
 def _edge_constraints(
-    target: frozenset, ig: InstanceGraph, comp: Sequence[int]
+    target: frozenset, ig: GraphView, comp: Sequence[int]
 ) -> list[tuple[frozenset, tuple[int, int]]]:
     """The edges of one instance-graph component, both orientations, as
     constraints on the component's positions in ``comp``."""
     local = {v: i for i, v in enumerate(comp)}
-    pairs = set()
-    for a, b in ig.edges:
-        if a in local:
-            pairs.add((local[a], local[b]))
-            pairs.add((local[b], local[a]))
-    return [(target, t) for t in pairs]
+    return [(target, (local[a], local[b])) for a in comp for b in ig.adj[a]]
 
 
 def _domains(n: int, comp: Sequence[int], pins: dict[int, int]) -> list[int]:
@@ -293,7 +288,7 @@ def decide_bipartite_with_c4(h: Structure, s: Sentence) -> bool:
     if any(t not in (1, 2) for t in oracle.prefix_thresholds(s, h.domain_size)):
         raise PreconditionError("thresholds must lie in {1, 2}")
     ig = instance_graph(s)
-    return not ig.loops and ig.bipartition() is not None
+    return ig.bipartition() is not None
 
 
 def _leading_twos(th: Sequence[int]) -> int | None:
@@ -363,8 +358,6 @@ def decide_path5_one_three(s: Sentence) -> bool:
     if any(t not in (1, 3) for t in th):
         raise PreconditionError("thresholds must lie in {1, 3}")
     ig = instance_graph(s)
-    if ig.loops:
-        return False
     if ig.bipartition() is None:
         return False
     threes = [i for i, t in enumerate(th) if t == 3]
@@ -375,7 +368,7 @@ def decide_path5_one_three(s: Sentence) -> bool:
             if d is not None and (d % 2 == 1 or d < 4):
                 return False
     for x in threes:
-        for p in ig.neighbors(x):
+        for p in ig.adj[x]:
             if p < x and th[p] == 1:
                 return False
     return True

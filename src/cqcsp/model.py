@@ -1,5 +1,6 @@
 """Core domain types: finite relational templates, counting-quantifier
-sentences, instance graphs, and the template-family generators.
+sentences, the template-family generators, and one graph view shared by
+templates and sentences' instance graphs.
 
 Conventions kept throughout the package:
 
@@ -283,20 +284,6 @@ class Sentence(Record):
         )
         return Sentence(prefix, self.atoms)
 
-    def thresholds(self) -> tuple[int | None, ...]:
-        return tuple(q.threshold for q in self.prefix)
-
-    def threshold_set(self, domain_size: int | None = None) -> frozenset[int]:
-        out = set()
-        for q in self.prefix:
-            if q.threshold is None:
-                if domain_size is None:
-                    raise InvalidStructureError("universal sugar needs a domain size")
-                out.add(domain_size)
-            else:
-                out.add(q.threshold)
-        return frozenset(out)
-
     def __str__(self) -> str:
         head = " ".join(str(q) for q in self.prefix)
         body = " & ".join(f"{n}({','.join(vs)})" for n, vs in self.atoms)
@@ -307,134 +294,6 @@ def sentence(prefix: Sequence[tuple[int | None, str]], atoms: Sequence[Atom]) ->
     return Sentence(
         tuple(Quantifier(j, v) for j, v in prefix),
         tuple((n, tuple(vs)) for n, vs in atoms),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Instance graphs
-
-
-class _Graph:
-    """Traversals shared by template and instance graphs, over ``adj``: one
-    neighbour set per vertex, loops left out."""
-
-    adj: tuple[frozenset[int], ...]
-
-    def components(self) -> tuple[tuple[int, ...], ...]:
-        seen: set[int] = set()
-        comps = []
-        for start in range(len(self.adj)):
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            stack = [start]
-            while stack:
-                v = stack.pop()
-                for u in self.adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        comp.append(u)
-                        stack.append(u)
-            comps.append(tuple(sorted(comp)))
-        return tuple(comps)
-
-    def _two_colouring(self) -> tuple[int, ...] | None:
-        """Colour classes by parity, or None on an odd cycle; loops are not
-        in ``adj`` and so are ignored here."""
-        colors = [-1] * len(self.adj)
-        for start in range(len(self.adj)):
-            if colors[start] != -1:
-                continue
-            colors[start] = 0
-            queue = [start]
-            while queue:
-                v = queue.pop()
-                for u in self.adj[v]:
-                    if colors[u] == -1:
-                        colors[u] = 1 - colors[v]
-                        queue.append(u)
-                    elif colors[u] == colors[v]:
-                        return None
-        return tuple(colors)
-
-    def distances_from(self, source: int) -> dict[int, int]:
-        dist = {source: 0}
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for u in self.adj[v]:
-                    if u not in dist:
-                        dist[u] = dist[v] + 1
-                        nxt.append(u)
-            frontier = nxt
-        return dist
-
-
-class InstanceGraph(Record, _Graph):
-    """The graph induced by a sentence's matrix over a single binary symbol.
-
-    Vertices are the prefix variables in quantifier order; proper edges are
-    deduplicated index pairs ``(i, j)`` with ``i < j``; a loop atom is
-    recorded as a flag, not an edge.
-    """
-
-    _fields = ("variables", "thresholds", "edges", "loops", "adj")
-
-    def __init__(
-        self,
-        variables: tuple[str, ...],
-        thresholds: tuple[int | None, ...],
-        edges: frozenset[tuple[int, int]],
-        loops: frozenset[int],
-        adj: tuple[frozenset[int], ...],
-    ) -> None:
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "thresholds", thresholds)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "loops", loops)
-        object.__setattr__(self, "adj", adj)
-
-    def neighbors(self, i: int) -> list[int]:
-        return sorted(self.adj[i])
-
-    def predecessors(self, i: int) -> list[int]:
-        """Earlier-quantified neighbours of vertex ``i``."""
-        return [v for v in self.neighbors(i) if v < i]
-
-    def bipartition(self) -> tuple[int, ...] | None:
-        """Two-colouring over proper edges, or None on an odd cycle.  Loops
-        are ignored here; callers reject them separately."""
-        return self._two_colouring()
-
-
-def instance_graph(s: Sentence) -> InstanceGraph:
-    """Build the instance graph; requires a single binary relation symbol."""
-    names = {name for name, _ in s.atoms}
-    if len(names) > 1:
-        raise InvalidStructureError("instance graph needs a single relation symbol")
-    for name, vs in s.atoms:
-        if len(vs) != 2:
-            raise InvalidStructureError("instance graph needs a binary relation symbol")
-    index = s.var_index()
-    edges: set[tuple[int, int]] = set()
-    loops: set[int] = set()
-    adj: list[set[int]] = [set() for _ in s.prefix]
-    for _, (a, b) in s.atoms:
-        i, j = index[a], index[b]
-        if i == j:
-            loops.add(i)
-        else:
-            edges.add((min(i, j), max(i, j)))
-            adj[i].add(j)
-            adj[j].add(i)
-    return InstanceGraph(
-        s.variables(),
-        s.thresholds(),
-        frozenset(edges),
-        frozenset(loops),
-        tuple(frozenset(a) for a in adj),
     )
 
 
@@ -807,25 +666,70 @@ def parse_fragment_spec(text: str) -> FragmentSpec:
 
 
 # ---------------------------------------------------------------------------
-# Graph analysis of templates (used by the deciders and reductions)
+# Graphs: templates and sentences' matrices (read by the deciders,
+# the classifier and the reductions)
 
 
-class GraphView(Record, _Graph):
-    """Adjacency view of a structure with one symmetric binary relation.
-    The facts marked ``once_per_instance`` are computed at most once per
-    view."""
+class GraphView(Record):
+    """A symmetric graph on vertices ``0..n-1``: a template with one
+    symmetric binary relation (``graph_view``) or a sentence's matrix over
+    one binary symbol (``instance_graph``, whose vertices are the prefix
+    positions).  ``adj`` holds one neighbour set per vertex, loops left
+    out; ``loops`` the looped vertices; ``relation`` the symbol, None for
+    an empty matrix.  The facts marked ``once_per_instance`` are computed
+    at most once per view."""
 
     _fields = ("n", "adj", "loops", "relation")
 
     def __init__(
-        self, n: int, adj: tuple[frozenset[int], ...], loops: frozenset[int], relation: str
+        self,
+        n: int,
+        adj: tuple[frozenset[int], ...],
+        loops: frozenset[int],
+        relation: str | None,
     ) -> None:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", adj)
         object.__setattr__(self, "loops", loops)
         object.__setattr__(self, "relation", relation)
 
-    components = once_per_instance(_Graph.components)
+    @once_per_instance
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        seen: set[int] = set()
+        comps = []
+        for start in range(self.n):
+            if start in seen:
+                continue
+            comp = [start]
+            seen.add(start)
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                for u in self.adj[v]:
+                    if u not in seen:
+                        seen.add(u)
+                        comp.append(u)
+                        stack.append(u)
+            comps.append(tuple(sorted(comp)))
+        return tuple(comps)
+
+    def distances_from(self, source: int) -> dict[int, int]:
+        dist = {source: 0}
+        frontier = [source]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for u in self.adj[v]:
+                    if u not in dist:
+                        dist[u] = dist[v] + 1
+                        nxt.append(u)
+            frontier = nxt
+        return dist
+
+    def predecessors(self, i: int) -> list[int]:
+        """The neighbours of vertex ``i`` below ``i``, ascending: in an
+        instance graph, its earlier-quantified neighbours."""
+        return sorted(v for v in self.adj[i] if v < i)
 
     def edge_count(self) -> int:
         return sum(len(a) for a in self.adj) // 2
@@ -833,7 +737,23 @@ class GraphView(Record, _Graph):
     @once_per_instance
     def bipartition(self) -> tuple[int, ...] | None:
         """Colour classes, or None if the graph has a loop or odd cycle."""
-        return None if self.loops else self._two_colouring()
+        if self.loops:
+            return None
+        colors = [-1] * self.n
+        for start in range(self.n):
+            if colors[start] != -1:
+                continue
+            colors[start] = 0
+            queue = [start]
+            while queue:
+                v = queue.pop()
+                for u in self.adj[v]:
+                    if colors[u] == -1:
+                        colors[u] = 1 - colors[v]
+                        queue.append(u)
+                    elif colors[u] == colors[v]:
+                        return None
+        return tuple(colors)
 
     @once_per_instance
     def largest_colour_class(self) -> int:
@@ -970,6 +890,30 @@ def require_graph(b: Structure) -> GraphView:
     if g is None:
         raise InvalidStructureError("template is not a symmetric graph over one binary symbol")
     return g
+
+
+def instance_graph(s: Sentence) -> GraphView:
+    """The graph of ``s``'s matrix, which must use a single binary symbol:
+    an atom ``E(x, y)`` joins the positions of x and y, or loops the
+    position of x when x is y."""
+    names = {name for name, _ in s.atoms}
+    if len(names) > 1:
+        raise InvalidStructureError("instance graph needs a single relation symbol")
+    # a Sentence uses each symbol with one arity, so the first atom speaks for all
+    if s.atoms and len(s.atoms[0][1]) != 2:
+        raise InvalidStructureError("instance graph needs a binary relation symbol")
+    index = s.var_index()
+    adj: list[set[int]] = [set() for _ in s.prefix]
+    loops: set[int] = set()
+    for _, (a, c) in s.atoms:
+        i, j = index[a], index[c]
+        if i == j:
+            loops.add(i)
+        else:
+            adj[i].add(j)
+            adj[j].add(i)
+    relation = names.pop() if names else None
+    return GraphView(len(adj), tuple(frozenset(a) for a in adj), frozenset(loops), relation)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,62 @@ class StrategyNode(Record):
         object.__setattr__(self, "offer", offer)
         object.__setattr__(self, "children", children)
 
+    # A tree is as deep as its sentence's prefix, so ``==``, ``hash`` and
+    # ``repr`` walk explicit stacks rather than recurse once per level; each
+    # gives the value the plain record would.
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if (
+                a.__class__ is not b.__class__
+                or a.offer != b.offer
+                or len(a.children) != len(b.children)
+            ):
+                return False
+            stack.extend(zip(a.children, b.children))
+        return True
+
+    def __hash__(self) -> int:
+        """``hash((offer, children))``.  Children are hashed first, bottom
+        up, and each node keeps its hash, so every tuple hash reads the
+        stored hashes one level down."""
+        stack = [self]
+        while stack:
+            node = stack[-1]
+            if "_hash" in node.__dict__:
+                stack.pop()
+                continue
+            pending = [c for c in node.children if "_hash" not in c.__dict__]
+            if pending:
+                stack.extend(pending)
+            else:
+                stack.pop()
+                node.__dict__["_hash"] = hash((node.offer, node.children))
+        return self.__dict__["_hash"]
+
+    def __repr__(self) -> str:
+        parts = []
+        stack: list[StrategyNode | str] = [self]
+        while stack:
+            item = stack.pop()
+            if item.__class__ is str:
+                parts.append(item)
+                continue
+            parts.append(f"{item.__class__.__qualname__}(offer={item.offer!r}, children=(")
+            kids = item.children
+            stack.append(",))" if len(kids) == 1 else "))")
+            for i in range(len(kids) - 1, -1, -1):
+                stack.append(kids[i])
+                if i:
+                    stack.append(", ")
+        return "".join(parts)
+
 
 LEAF = StrategyNode()
 

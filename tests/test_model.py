@@ -119,23 +119,29 @@ def test_canonical_roundtrip_is_isomorphic(family):
 def test_instance_graph_examples():
     s = sentence([(2, "x"), (2, "y")], [("E", ("x", "y")), ("E", ("y", "x"))])
     ig = instance_graph(s)
-    assert ig.edges == frozenset({(0, 1)})
+    assert ig.adj == (frozenset({1}), frozenset({0}))
+    assert ig.edge_count() == 1 and ig.relation == "E"
     assert ig.predecessors(1) == [0]
     tri = sentence(
         [(1, "x"), (1, "y"), (1, "z")],
         [("E", ("x", "y")), ("E", ("y", "z")), ("E", ("z", "x"))],
     )
     ig = instance_graph(tri)
-    assert len(ig.edges) == 3
+    assert ig.edge_count() == 3
     assert ig.bipartition() is None
     loop = sentence([(1, "x")], [("E", ("x", "x"))])
     ig = instance_graph(loop)
-    assert ig.loops == frozenset({0}) and not ig.edges
+    assert ig.loops == frozenset({0}) and ig.edge_count() == 0
+    empty = instance_graph(sentence([(1, "x"), (1, "y")], []))
+    assert (empty.n, empty.relation, empty.components()) == (2, None, ((0,), (1,)))
 
 
 def test_instance_graph_rejects_mixed_signature():
     s = sentence([(1, "x")], [("R", ("x", "x", "x"))])
-    with pytest.raises(InvalidStructureError):
+    with pytest.raises(InvalidStructureError, match="binary relation symbol"):
+        instance_graph(s)
+    s = sentence([(1, "x")], [("E", ("x", "x")), ("F", ("x", "x"))])
+    with pytest.raises(InvalidStructureError, match="single relation symbol"):
         instance_graph(s)
 
 
@@ -145,9 +151,24 @@ def test_instance_graph_vertex_order_and_predecessors():
         [("E", ("c", "a")), ("E", ("b", "c"))],
     )
     ig = instance_graph(s)
-    assert ig.variables == ("a", "b", "c")
+    assert ig.n == 3
+    assert ig.adj == (frozenset({2}), frozenset({2}), frozenset({0, 1}))
+    assert ig.loops == frozenset()
     assert ig.predecessors(2) == [0, 1]
     assert ig.predecessors(0) == []
+
+
+def test_instance_graph_of_canonical_query_is_graph_view(zoo):
+    """One graph toolkit: a graph template and its canonical query's
+    instance graph are the same view."""
+    checked = 0
+    for name, b in zoo.items():
+        g = graph_view(b)
+        if g is None or not b.tuples(g.relation):
+            continue
+        assert instance_graph(canonical_query(b)) == g, name
+        checked += 1
+    assert checked >= 10
 
 
 @pytest.mark.parametrize("n", range(3, 13))
@@ -174,7 +195,6 @@ def test_universal_sugar_resolution():
     s = sentence([(None, "x"), (2, "y")], [("E", ("x", "y"))])
     rs = s.resolved(5)
     assert rs.prefix[0].threshold == 5
-    assert s.threshold_set(5) == frozenset({5, 2})
 
 
 def test_structure_equality_canonical():

@@ -13,7 +13,6 @@ from cqcsp.model import (
     GRAPH_SIGNATURE,
     BoundedPrefix,
     GraphView,
-    InstanceGraph,
     InvalidStructureError,
     Quantifier,
     Sentence,
@@ -40,12 +39,6 @@ RECORDS = {
         ("prefix", "atoms"),
         ((Q,), (("E", ("x", "x")),)),
         "Sentence(prefix=(Quantifier(threshold=2, variable='x'),), atoms=(('E', ('x', 'x')),))",
-    ),
-    InstanceGraph: (
-        ("variables", "thresholds", "edges", "loops", "adj"),
-        (("x", "y"), (1, None), frozenset({(0, 1)}), frozenset(), (frozenset({1}), frozenset({0}))),
-        "InstanceGraph(variables=('x', 'y'), thresholds=(1, None), edges=frozenset({(0, 1)}), "
-        "loops=frozenset(), adj=(frozenset({1}), frozenset({0})))",
     ),
     TemplateFamily: (
         ("kind", "n", "k", "l", "j", "edges"),

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from cqcsp import model, textio
 from cqcsp.model import Quantifier, Sentence, build_template
-from cqcsp.oracle import LEAF, StrategyNode, verify_strategy
+from cqcsp.oracle import LEAF, StrategyNode, extract_strategy, verify_strategy
 from cqcsp.textio import ParseError, parse_sentence, parse_strategy, parse_structure
 
 
@@ -253,12 +253,23 @@ def test_deep_strategy_round_trip_and_verify():
         " ".join(f"E1 {v}" for v in names)
         + " | " + " & ".join(f"E({a},{b})" for a, b in zip(names, names[1:]))
     )
-    w = LEAF
+    k2 = build_template(model.clique(2))
+    w = extract_strategy(k2, s)
+    by_hand = LEAF
     for depth in reversed(range(k)):
-        w = StrategyNode((depth % 2,), (w,))
+        by_hand = StrategyNode((depth % 2,), (by_hand,))
+    assert w == by_hand
     text = textio.render_strategy(w)
     assert text.count("\n") == k
     back = parse_strategy(text, thresholds=[1] * k)
-    # compare the renderings: record equality recurses once per level
     assert textio.render_strategy(back) == text
-    assert verify_strategy(build_template(model.clique(2)), s, back)
+    assert back == w and not back != w
+    assert back != StrategyNode((0,), (LEAF,))
+    assert hash(back) == hash(w) == hash((w.offer, w.children))
+    expected = (
+        "".join(f"StrategyNode(offer=({depth % 2},), children=(" for depth in range(k))
+        + repr(LEAF)
+        + ",))" * k
+    )
+    assert repr(back) == repr(w) == expected
+    assert verify_strategy(k2, s, back)
