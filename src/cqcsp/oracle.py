@@ -66,7 +66,7 @@ constant-preserving homomorphism by arc consistency plus backtracking.
 from __future__ import annotations
 
 import os
-from itertools import combinations, filterfalse
+from itertools import combinations
 from operator import itemgetter
 
 from .model import Record, Sentence, Structure, once_per_instance
@@ -206,10 +206,8 @@ class StrategyNode(Record):
 LEAF = StrategyNode()
 
 
-@once_per_instance
 def _value_tables(b: Structure):
-    """Per-relation value masks for the unary/binary fast paths, computed
-    once per (immutable) structure instance."""
+    """Per-relation value masks for the unary/binary fast paths."""
     n = b.domain_size
     out_bits: dict[str, list[int]] = {}
     in_bits: dict[str, list[int]] = {}
@@ -563,6 +561,15 @@ def _automorphisms(b: Structure) -> _Automorphisms | None:
     return None if all(sym.rep[v] == v for v in range(b.domain_size)) else sym
 
 
+@once_per_instance
+def _template_view(b: Structure):
+    """What compiling a sentence reads of the template, gathered on the
+    first compile against it: each relation's arity, the value masks of
+    ``_value_tables``, the orbit tables of ``_automorphisms`` and the
+    class tables of ``_orbit_tables``."""
+    return dict(b.signature.relations), _value_tables(b), _automorphisms(b), _orbit_tables(b)
+
+
 def _no_context(assign: list[int]) -> tuple:
     return ()
 
@@ -658,12 +665,30 @@ class _Search:
 
     Positions are numbered in search order: the prefix order, or with
     ``reorder`` the order of ``_commuting_order``.
+
+    The compile reads the template through one view, ``_template_view``,
+    built on the first compile against the template and kept with it: the
+    arity of each relation, the value masks, the automorphism orbits and
+    the class tables.  It reads the thresholds and the variable index in
+    one pass over the prefix, checks the signature atom by atom as it
+    numbers the atoms' positions, and keeps the positions above and
+    before each position as bitmasks.  Nothing of the sentence outlives
+    the call.
     """
 
     def __init__(self, b: Structure, s: Sentence, budget: int | None, *, reorder: bool) -> None:
+        arity_of, (out_bits, in_bits, loop_bits, unary_bits), sym, orbits = _template_view(b)
         n = b.domain_size
-        thresholds = prefix_thresholds(s, n)
-        check_signature(b, s)
+        thresholds = []
+        index = {}
+        for q in s.prefix:
+            t = q.threshold
+            if t is None:
+                t = n
+            elif not 1 <= t <= n:
+                prefix_thresholds(s, n)  # raises the ThresholdError
+            index[q.variable] = len(thresholds)
+            thresholds.append(t)
 
         m = self.m = len(thresholds)
         self.thresholds = thresholds
@@ -671,8 +696,11 @@ class _Search:
         self.nodes = 0
         self.assign = [0] * m
 
-        index = s.var_index()
-        atoms = [(name, tuple([index[v] for v in vs])) for name, vs in s.atoms]
+        atoms = []
+        for name, vs in s.atoms:
+            if arity_of.get(name) != len(vs):
+                check_signature(b, s)  # raises the SignatureError
+            atoms.append((name, tuple([index[v] for v in vs])))
         order = _commuting_order(thresholds, n, map(itemgetter(1), atoms)) if reorder else None
         if order is not None:
             place = [0] * m
@@ -682,47 +710,43 @@ class _Search:
             # thresholds keep their places
             atoms = [(name, tuple([place[i] for i in idxs])) for name, idxs in atoms]
 
-        out_bits, in_bits, loop_bits, unary_bits = _value_tables(b)
         static_mask = [(1 << n) - 1] * m
-        dyn: list[list[tuple[list[int], int]]] = [[] for _ in range(m)]
-        self.general: list[list[tuple[frozenset, tuple[int, ...]]]] = [[] for _ in range(m)]
-        # above[i]: later positions sharing an atom with i; context[k]:
-        # earlier positions sharing an atom with k, widened below to k's
-        # whole component
-        above: list[set[int]] = [set() for _ in range(m)]
-        context: list[set[int]] = [set() for _ in range(m)]
-
+        # per position, the binary filters and the wider atoms with it
+        # last; a shared empty tuple where none lands
+        dyn: list[tuple[tuple[list[int], int], ...]] = [()] * m
+        general: list[tuple[tuple[frozenset, tuple[int, ...]], ...]] = [()] * m
+        # above[i]: mask of the later positions sharing an atom with i;
+        # context[k]: mask of the earlier positions sharing an atom with k,
+        # widened below to k's whole component
+        above = [0] * m
+        context = [0] * m
         for name, idxs in atoms:
-            last = max(idxs)
-            arity = len(idxs)
-            if arity <= 2:
-                first = min(idxs)
-                if first != last:
-                    above[first].add(last)
-                    context[last].add(first)
-            else:
-                for i in idxs:
-                    for k in idxs:
-                        if k > i:
-                            above[i].add(k)
-                            context[k].add(i)
-            if arity == 1:
-                static_mask[last] &= unary_bits[name]
-            elif arity == 2:
+            if len(idxs) == 2:
                 a, c = idxs
-                if a == c:
-                    static_mask[last] &= loop_bits[name]
-                elif a == last:
-                    dyn[last].append((in_bits[name], c))
+                if a < c:
+                    above[a] |= 1 << c
+                    context[c] |= 1 << a
+                    dyn[c] += ((out_bits[name], a),)
+                elif c < a:
+                    above[c] |= 1 << a
+                    context[a] |= 1 << c
+                    dyn[a] += ((in_bits[name], c),)
                 else:
-                    dyn[last].append((out_bits[name], a))
+                    static_mask[a] &= loop_bits[name]
+            elif len(idxs) == 1:
+                static_mask[idxs[0]] &= unary_bits[name]
             else:
-                self.general[last].append((b.tuples(name), idxs))
+                mask = 0
+                for i in idxs:
+                    mask |= 1 << i
+                for i in idxs:
+                    above[i] |= (mask >> (i + 1)) << (i + 1)
+                    context[i] |= mask & ((1 << i) - 1)
+                last = max(idxs)
+                general[last] += ((b.tuples(name), idxs),)
+        self.general = general
 
-        sym = _automorphisms(b)
-        orbits = _orbit_tables(b)
         wide = None
-
         # One backward union-find pass; a set's root is its least position.
         root = list(range(m))
         self.probe = probe = [None] * m
@@ -731,25 +755,39 @@ class _Search:
         for q in range(m - 1, -1, -1):
             ctx = context[q]
             kids = ()
-            if above[q]:
-                found = set()
-                for k in above[q]:
+            up = above[q]
+            if up:
+                # the roots of the components above q that share an atom
+                # with q become q's children, and their contexts join q's
+                found = 0
+                while up:
+                    k = (up & -up).bit_length() - 1
+                    up &= up - 1
                     while root[k] != k:
                         root[k] = k = root[root[k]]
-                    found.add(k)
-                for c in found:
+                    found |= 1 << k
+                kids = []
+                while found:
+                    c = (found & -found).bit_length() - 1
+                    found &= found - 1
                     root[c] = q
                     ctx |= context[c]
-                ctx.discard(q)
-                kids = tuple(sorted(found, reverse=True))
-                frontier[q] = (*filterfalse(found.__contains__, frontier[q + 1]), q)
+                    kids.append(c)
+                kids = tuple(reversed(kids))
+                ctx &= ~(1 << q)
+                context[q] = ctx
+                frontier[q] = (*[c for c in frontier[q + 1] if c not in kids], q)
             else:
                 frontier[q] = frontier[q + 1] + (q,)
             key = _no_context
             table = sym
             if ctx:
-                key = itemgetter(*sorted(ctx))
-                if len(ctx) > 1:
+                positions = []
+                while ctx:
+                    positions.append((ctx & -ctx).bit_length() - 1)
+                    ctx &= ctx - 1
+                key = itemgetter(*positions)
+                if len(positions) > 1:
                     if wide is None and orbits is not None:
                         wide = _WideContexts(*orbits)
                     table = wide

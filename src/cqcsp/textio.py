@@ -1,9 +1,13 @@
 """Line-based text formats for structures, sentences and strategies.
 
-All three grammars are ASCII, comment lines start with ``#``, and an
-optional leading ``format 1`` line versions the files.  Rendering is
-canonical (sorted tuples, two-space strategy indentation), so
-parse(render(x)) == x.
+All three grammars are ASCII (numbers are ASCII digits), comment lines
+start with ``#``, and an optional leading ``format 1`` line versions the
+files.  Rendering is canonical (sorted tuples, two-space strategy
+indentation), so parse(render(x)) == x.
+
+The parsers build only their result on valid input.  The sentence parser
+reads plain tokens; the line and column of a token are found again, by a
+second tokenisation, only when it raises a ParseError.
 """
 
 from __future__ import annotations
@@ -57,6 +61,12 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
+def _is_number(token: str) -> bool:
+    """Is ``token`` a run of ASCII digits?  ``str.isdigit`` alone also
+    accepts other scripts' digits and superscripts."""
+    return token.isascii() and token.isdigit()
+
+
 # ---------------------------------------------------------------------------
 # Structures
 
@@ -79,7 +89,7 @@ def parse_structure(text: str) -> Structure:
         fail("empty structure file", 1)
     no, body = lines[pos]
     parts = body.split()
-    if parts[0] != "domain" or len(parts) != 2 or not parts[1].isdigit():
+    if parts[0] != "domain" or len(parts) != 2 or not _is_number(parts[1]):
         fail("expected 'domain <n>'", no, body.index(parts[0]) + 1, len(parts[0]))
     n = int(parts[1])
     if n < 1:
@@ -96,7 +106,7 @@ def parse_structure(text: str) -> Structure:
         parts = body.split()
         head = parts[0]
         if head == "rel":
-            if len(parts) != 3 or not parts[2].isdigit():
+            if len(parts) != 3 or not _is_number(parts[2]):
                 fail("expected 'rel <name> <arity>'", no)
             name, arity = parts[1], int(parts[2])
             if any(name == existing for existing, _ in arities):
@@ -118,7 +128,7 @@ def parse_structure(text: str) -> Structure:
                 col = 1
                 for tok in t_parts:
                     col = t_body.index(tok, col - 1) + 1
-                    if not tok.isdigit():
+                    if not _is_number(tok):
                         fail(f"bad tuple entry {tok!r}", t_no, col, len(tok))
                     value = int(tok)
                     if value >= n:
@@ -136,7 +146,7 @@ def parse_structure(text: str) -> Structure:
                 fail(f"relation {name!r} not terminated by 'end'", no)
             relations[name] = tuples
         elif head == "const":
-            if len(parts) != 3 or not parts[2].isdigit():
+            if len(parts) != 3 or not _is_number(parts[2]):
                 fail("expected 'const <name> <element>'", no)
             value = int(parts[2])
             if value >= n:
@@ -183,15 +193,28 @@ def render_structure(b: Structure) -> str:
 # Sentences
 
 
-_QUANT_RE = re.compile(r"E(\d+)\Z")
+_QUANT_RE = re.compile(r"E([0-9]+)\Z")
 
-_token_re = re.compile(rf"{IDENTIFIER.pattern}|\d+|[(),&|]|\S")
+# One token per match: an identifier in the first group, or anything else
+# (a number, a punctuation mark, a stray character) in the second.
+_token_re = re.compile(rf"({IDENTIFIER.pattern})|(\d+|[(),&|]|\S)")
 
 
-def _token_error(message: str, token: tuple[str, int, int]) -> ParseError:
-    """A ParseError located at a ``(text, line, column)`` token."""
-    text, line, column = token
-    return ParseError(message, SourceSpan(line, column, len(text)))
+def _sentence_error(text: str, message: str, index: int) -> ParseError:
+    """The ParseError located at token ``index`` of ``text``, found by
+    tokenising the text again; an index past the last token is the end of
+    the text, which points at its last token, or at its first column when
+    it has none."""
+    tokens = [
+        (m.group(), no, m.start() + 1)
+        for no, body in _content_lines(text)
+        for m in _token_re.finditer(body)
+    ]
+    if index < len(tokens):
+        token, line, column = tokens[index]
+    else:
+        token, line, column = tokens[-1] if tokens else (" ", 1, 1)
+    return ParseError(message, SourceSpan(line, column, len(token)))
 
 
 def parse_sentence(text: str) -> Sentence:
@@ -201,84 +224,84 @@ def parse_sentence(text: str) -> Sentence:
     threshold and resolves against the template at solve time.  The matrix
     after ``|`` is a conjunction of atoms ``name(v1,...,vk)``; it may be
     empty.
+
+    The parser walks plain ``(identifier, other)`` token pairs by index;
+    the line and column of a token are found again only when it raises.
     """
-    tokens = [
-        (m.group(), no, m.start() + 1)
-        for no, body in _content_lines(text)
-        for m in _token_re.finditer(body)
-    ]
-    it = iter(tokens)
-    # errors at the end of the text point at its last token, or at its
-    # first column when it has none
-    end = tokens[-1] if tokens else (" ", 1, 1)
-
-    def take(expect: str | None = None) -> tuple[str, int, int]:
-        tok = next(it, None)
-        if tok is None:
-            raise _token_error("unexpected end of sentence", end)
-        if expect is not None and tok[0] != expect:
-            raise _token_error(f"expected {expect!r}, found {tok[0]!r}", tok)
-        return tok
-
+    tokens = [tok for _, body in _content_lines(text) for tok in _token_re.findall(body)]
+    count = len(tokens)
     prefix: list[Quantifier] = []
     seen: set[str] = set()
-    while True:
-        qtok = next(it, None)
-        if qtok is None:
-            raise _token_error("missing '|' between prefix and matrix", end)
-        q = qtok[0]
-        if q == "|":
-            break
-        m = _QUANT_RE.match(q)
-        if q == "A":
-            threshold: int | None = None
-        elif m:
-            threshold = int(m.group(1))
-            if threshold < 1:
-                raise _token_error("threshold must be >= 1", qtok)
-        else:
-            raise _token_error(f"expected quantifier, found {q!r}", qtok)
-        vtok = take()
-        v = vtok[0]
-        if not IDENTIFIER.fullmatch(v) or v == "A" or _QUANT_RE.match(v):
-            raise _token_error(f"bad variable name {v!r}", vtok)
-        if v in seen:
-            raise _token_error(f"duplicate prefix variable {v!r}", vtok)
-        seen.add(v)
-        prefix.append(Quantifier(threshold, v))
-
     atoms: list[tuple[str, tuple[str, ...]]] = []
-    ntok = next(it, None)
-    while ntok is not None:
-        if atoms:
-            if ntok[0] != "&":
-                raise _token_error(f"expected '&', found {ntok[0]!r}", ntok)
-            ntok = take()
-        name = ntok[0]
-        if not IDENTIFIER.fullmatch(name):
-            raise _token_error(f"bad relation name {name!r}", ntok)
-        take("(")
-        vs = []
+    i = 0
+    try:
         while True:
-            vtok = take()
-            v = vtok[0]
-            if not IDENTIFIER.fullmatch(v):
-                raise _token_error(f"bad atom variable {v!r}", vtok)
-            if v not in seen:
-                raise _token_error(f"unbound atom variable {v!r}", vtok)
-            vs.append(v)
-            sep = take()
-            if sep[0] == ")":
+            if i == count:
+                raise _sentence_error(text, "missing '|' between prefix and matrix", i)
+            word, other = tokens[i]
+            if other == "|":
                 break
-            if sep[0] != ",":
-                raise _token_error(f"expected ',' or ')', found {sep[0]!r}", sep)
-        atoms.append((name, tuple(vs)))
-        ntok = next(it, None)
+            if word == "A":
+                threshold: int | None = None
+            else:
+                m = _QUANT_RE.match(word)
+                if m is None:
+                    raise _sentence_error(text, f"expected quantifier, found {word or other!r}", i)
+                threshold = int(m.group(1))
+                if threshold < 1:
+                    raise _sentence_error(text, "threshold must be >= 1", i)
+            i += 1
+            v, other = tokens[i]
+            if not v or v == "A" or _QUANT_RE.match(v):
+                raise _sentence_error(text, f"bad variable name {v or other!r}", i)
+            if v in seen:
+                raise _sentence_error(text, f"duplicate prefix variable {v!r}", i)
+            seen.add(v)
+            prefix.append(Quantifier(threshold, v))
+            i += 1
+
+        i += 1
+        while i < count:
+            if atoms:
+                word, other = tokens[i]
+                if other != "&":
+                    raise _sentence_error(text, f"expected '&', found {word or other!r}", i)
+                i += 1
+            name, other = tokens[i]
+            if not name:
+                raise _sentence_error(text, f"bad relation name {other!r}", i)
+            i += 1
+            word, other = tokens[i]
+            if other != "(":
+                raise _sentence_error(text, f"expected '(', found {word or other!r}", i)
+            vs = []
+            while True:
+                i += 1
+                v, other = tokens[i]
+                if not v:
+                    raise _sentence_error(text, f"bad atom variable {other!r}", i)
+                if v not in seen:
+                    raise _sentence_error(text, f"unbound atom variable {v!r}", i)
+                vs.append(v)
+                i += 1
+                word, other = tokens[i]
+                if other == ")":
+                    break
+                if other != ",":
+                    raise _sentence_error(
+                        text, f"expected ',' or ')', found {word or other!r}", i
+                    )
+            atoms.append((name, tuple(vs)))
+            i += 1
+    except IndexError:
+        # only the token reads index the list: one past its end is the
+        # unexpected end
+        raise _sentence_error(text, "unexpected end of sentence", count) from None
 
     try:
         return Sentence(tuple(prefix), tuple(atoms))
     except InvalidStructureError as exc:
-        raise _token_error(str(exc), end) from exc
+        raise _sentence_error(text, str(exc), count) from exc
 
 
 def render_sentence(s: Sentence) -> str:
@@ -305,7 +328,7 @@ def render_strategy(w: StrategyNode) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-_OFFER_RE = re.compile(r"offer \{(\d+(?:,\d+)*)?\}\Z")
+_OFFER_RE = re.compile(r"offer \{([0-9]+(?:,[0-9]+)*)?\}\Z")
 
 
 def _row_error(message: str, row: tuple[int, int, tuple[int, ...], int]) -> ParseError:

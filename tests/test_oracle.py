@@ -543,6 +543,36 @@ def test_node_counts_pinned_through_the_budget(name, params, text, nodes, verdic
     assert info.value.nodes == nodes
 
 
+# (template, sentence, verdict, nodes): small sentences, one for each
+# branch the compile takes
+PINNED_SMALL = [
+    ("clique:4", "E2 x E3 y E1 z | E(x,y) & E(y,z) & E(x,z)", True, 3),  # _WideContexts
+    ("cycle:5", "E2 x E1 y E2 z | E(x,y) & E(y,z)", True, 3),  # one-position contexts
+    ("cycle:6", "E1 x E2 y E1 z E1 w | E(x,y) & E(y,z) & E(z,w) & E(w,x)", True, 4),  # no table
+    ("nae", "A x E2 y E1 z | R(x,y,z) & R(y,z,x)", True, 6),  # arity-3 atoms
+    ("path:4", "E1 x E1 y E1 z | E(x,y) & E(z,y) & E(y,y)", False, 2),  # loop mask
+    ("graph:0-1,1-2,2-3,0-3,3-4", "E3 a E1 b E1 c E5 d | E(a,d) & E(b,d) & E(d,c) & E(a,b)",
+     False, 20),  # three-position context, run kept in prefix order
+    ("path:5", "E1 x E1 y E1 z E1 w | E(x,w) & E(w,y) & E(y,z)", True, 4),  # run reordered
+    ("reflexive-cycle:4", "A x A y E1 z | E(x,z) & E(y,z)", True, 7),  # run of for-alls
+    ("clique:3", "E1 x E2 y |", True, 2),  # empty matrix
+]
+
+
+@pytest.mark.parametrize(
+    "family, text, verdict, nodes", PINNED_SMALL, ids=[row[0] for row in PINNED_SMALL]
+)
+def test_small_sentence_node_counts_pinned_through_the_budget(family, text, verdict, nodes):
+    """Each small sentence takes exactly ``nodes`` nodes: it is decided
+    within that budget and stops one node short of it."""
+    b = model.build_template(model.parse_family_spec(family))
+    s = parse_sentence(text)
+    assert evaluate(b, s, budget=nodes) is verdict
+    with pytest.raises(BudgetExceededError) as info:
+        evaluate(b, s, budget=nodes - 1)
+    assert info.value.nodes == nodes
+
+
 def _stack_depth() -> int:
     depth = 0
     frame = sys._getframe()

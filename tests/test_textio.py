@@ -206,6 +206,13 @@ SENTENCE_ERRORS = [
     ("E1 x | E(x) & E(x,x)", "relation 'E' used with two arities", 1, 20, 1),
     ("format 1\n# c\nE1 x\n  E1 yy | E(x,\n   yy) & Rel(x,zz)",
      "unbound atom variable 'zz'", 5, 16, 2),
+    # locations found by tokenising again after the parse fails
+    ("E1 x\r\nE1 y |\r\n E(x,y) E(y,x)\r\n", "expected '&', found 'E'", 3, 9, 1),
+    ("format 1\r\n\tE1 y |\r\n\tE(y,\r\n", "unexpected end of sentence", 3, 5, 1),
+    ("E1\tx\t|\tE(x,\t1)", "bad atom variable '1'", 1, 13, 1),
+    ("E1 x\n# between\n| E(x y)", "expected ',' or ')', found 'y'", 3, 7, 1),
+    ("E1 x |\nE(x) &\n1(x)", "bad relation name '1'", 3, 1, 1),
+    ("format 1\nE1 x x |", "expected quantifier, found 'x'", 2, 6, 1),
 ]
 
 STRATEGY_ERRORS = [
@@ -225,6 +232,18 @@ STRATEGY_ERRORS = [
     ("offer {0,1}\n  offer {0}\n    offer {1}\n  offer {2}", [2, 1, 1],
      "strategy shallower than the prefix", 4, 3, 9),
     ("# no strategy\n", [1], "strategy shallower than the prefix", 1, 1, 0),
+    ("offer {\u0663}", None, "expected 'offer {..}'", 1, 1, 9),
+    ("offer {0,1}\n  offer {\u00b2}", None, "expected 'offer {..}'", 2, 3, 9),
+]
+
+# Structure lines whose numbers are not ASCII digits: str.isdigit() holds
+# for superscripts and other scripts' digits, which int() rejects or reads.
+STRUCTURE_DIGIT_ERRORS = [
+    ("domain \u00b2\n", "expected 'domain <n>'", 1, 1, 6),
+    ("domain \u0663\nrel E 2\n0 1\nend\n", "expected 'domain <n>'", 1, 1, 6),
+    ("domain 3\nrel E \u0662\n0 1\nend\n", "expected 'rel <name> <arity>'", 2, 1, 1),
+    ("domain 3\nrel E 2\n0 \u0661\nend\n", "bad tuple entry '\u0661'", 3, 3, 1),
+    ("domain 3\nconst c \u0661\n", "expected 'const <name> <element>'", 2, 1, 1),
 ]
 
 
@@ -244,6 +263,14 @@ def test_strategy_error_locations(text, thresholds, reason, line, column, length
     e = err.value
     assert (e.reason, e.span.line, e.span.column, e.span.length) == (reason, line, column, length)
     assert str(e) == f"{reason} (line {line}, column {column})"
+
+
+@pytest.mark.parametrize("text, reason, line, column, length", STRUCTURE_DIGIT_ERRORS)
+def test_structure_numbers_are_ascii_digits(text, reason, line, column, length):
+    with pytest.raises(ParseError) as err:
+        parse_structure(text)
+    e = err.value
+    assert (e.reason, e.span.line, e.span.column, e.span.length) == (reason, line, column, length)
 
 
 def test_deep_strategy_round_trip_and_verify():
