@@ -12,14 +12,16 @@ Membership-in-L results are implemented as ordinary polynomial procedures
 reproduced.
 
 Every tractable case and every classifier verdict is a condition on the
-template alone plus the thresholds.  The template side -- a family's
-template, its graph view and the view's facts -- is computed once per
-instance (see ``model``), so `dispatch` and `classify` read it from the
-second call on; threshold resolution, the atom check and the instance
-graph stay per sentence.  The instance graph is a ``GraphView`` too, so
-the deciders read a sentence's components, two-colouring, distances and
-earlier neighbours with the same methods the classifier reads off a
-template.
+template alone plus the thresholds.  Each case states its condition once,
+as the reason it fails: `dispatch` and `classify` read it through the
+case's ``Tractable.why_not``, and its decider raises the same reason as a
+PreconditionError.  The family deciders (clique, cycle, complete
+bipartite, P5) take no template and check only the threshold side.  The
+template side -- a family's template, its graph view and the view's
+facts -- is computed once per instance (see ``model``).  The instance
+graph is a ``GraphView`` too, so the deciders read a sentence's
+components, two-colouring and earlier neighbours with the methods the
+classifier reads off a template.
 """
 
 from __future__ import annotations
@@ -80,15 +82,76 @@ class ComplexityVerdict(Record):
 
 
 # ---------------------------------------------------------------------------
-# Deciders
+# Deciders.  Each tractable condition is stated once, as the reason it fails
+# (None when it holds), which `dispatch` and `classify` read and its decider
+# raises.
+
+_NOT_BIPARTITE = "template is not bipartite"
+
+
+def _require(reason: str | None) -> None:
+    if reason is not None:
+        raise PreconditionError(reason)
+
+
+def _above_half(n: int, th: Sequence[int]) -> str | None:
+    """Theorem 1(i): every threshold above n/2."""
+    return None if min(th, default=n) > n // 2 else "decider needs every threshold above n/2"
+
+
+def _cycle_tractable(n: int, th: Sequence[int]) -> str | None:
+    """Theorem 2(i): n = 4, or no plain existential, or even n with no
+    threshold in 2..n/2."""
+    used = set(th)
+    if n == 4 or 1 not in used or (n % 2 == 0 and not any(1 < t <= n // 2 for t in used)):
+        return None
+    return f"threshold set {sorted(used)} on the {n}-cycle is not tractable"
+
+
+def _one_and(j: int, th: Sequence[int]) -> str | None:
+    """Every threshold within {1, j}."""
+    return None if {1, j}.issuperset(th) else f"thresholds must lie in {{1, {j}}}"
+
+
+def _with_c4(g: GraphView, th: Sequence[int]) -> str | None:
+    """A bipartite template containing a 4-cycle, thresholds within {1, 2}."""
+    if g.bipartition() is None:
+        return _NOT_BIPARTITE
+    if not g.contains_c4():
+        return "template contains no 4-cycle"
+    return _one_and(2, th)
+
+
+def _small_bipartition(g: GraphView, j: int, th: Sequence[int]) -> str | None:
+    """A bipartite template whose components have both colour classes
+    smaller than j >= 2, thresholds within {1, j}."""
+    if j < 2:
+        return "needs j >= 2"
+    if g.bipartition() is None:
+        return _NOT_BIPARTITE
+    if g.largest_colour_class() >= j:
+        return "a component has a colour class of size >= j"
+    return _one_and(j, th)
+
+
+def _forest_prefix(g: GraphView, m: int, th: Sequence[int]) -> str | None:
+    """Theorem 4: a forest, and a prefix of at most m threshold-2
+    quantifiers followed by existentials."""
+    if not g.is_forest():
+        return "template is not a forest"
+    block = next((i for i, t in enumerate(th) if t != 2), len(th))
+    if any(t != 1 for t in th[block:]):
+        return "prefix is not in the bounded 2-then-1 fragment"
+    if block > m:
+        return f"more than {m} threshold-2 quantifiers"
+    return None
 
 
 def decide_all_universal(b: Structure, s: Sentence) -> bool:
     """All-universal sentences: true iff every atom holds under every
     assignment consistent with its variable-repetition pattern."""
     n = b.domain_size
-    if any(t != n for t in oracle.prefix_thresholds(s, n)):
-        raise PreconditionError("decider needs every threshold equal to |B|")
+    _require(ALL_UNIVERSAL.why_not(n, None, oracle.prefix_thresholds(s, n)))
     oracle.check_signature(b, s)
     for name, vs in s.atoms:
         distinct = sorted(set(vs))
@@ -108,8 +171,7 @@ def decide_clique_high_thresholds(n: int, s: Sentence) -> bool:
     if n < 1:
         raise PreconditionError("clique size must be >= 1")
     th = oracle.prefix_thresholds(s, n)
-    if any(t <= n // 2 for t in th):
-        raise PreconditionError("decider needs every threshold above n/2")
+    _require(_above_half(n, th))
     ig = instance_graph(s)
     if ig.loops:
         return False
@@ -158,20 +220,12 @@ def decide_cycle_tractable(n: int, s: Sentence) -> bool:
         return False
     if not _cycle_claims(n, ig, th):
         return False
-    used = set(th)
-    if not _cycle_tractable(n, used):
-        raise PreconditionError(f"threshold set {sorted(used)} on the {n}-cycle is not tractable")
-    if n != 4 and 1 not in used:
+    _require(_cycle_tractable(n, th))
+    if n != 4 and 1 not in th:
         # claims (1a) and (1c) leave at most one predecessor per vertex,
         # which a walk-following strategy always satisfies
         return True
     return ig.bipartition() is not None
-
-
-def _cycle_tractable(n: int, used: set[int]) -> bool:
-    """Theorem 2(i): n = 4, or no plain existential, or even n with no
-    threshold in 2..n/2."""
-    return n == 4 or 1 not in used or (n % 2 == 0 and not (used & set(range(2, n // 2 + 1))))
 
 
 def decide_complete_bipartite(k: int, l: int, s: Sentence) -> bool:
@@ -213,19 +267,38 @@ def decide_complete_bipartite(k: int, l: int, s: Sentence) -> bool:
     return True
 
 
-def _edge_constraints(
-    target: frozenset, ig: GraphView, comp: Sequence[int]
-) -> list[tuple[frozenset, tuple[int, int]]]:
-    """The edges of one instance-graph component, both orientations, as
-    constraints on the component's positions in ``comp``."""
-    local = {v: i for i, v in enumerate(comp)}
-    return [(target, (local[a], local[b])) for a in comp for b in ig.adj[a]]
+def _component_games(h: Structure, g: GraphView, ig: GraphView, th: Sequence[int]) -> bool:
+    """Does each instance-graph component's own sentence hold, when its
+    positions above threshold 1 come before its others?  Such a position
+    v is won when ``th[v]`` of its values, pinned in ascending order,
+    leave a winnable rest; the rest is a homomorphism search over the
+    component's edges (a retraction instance)."""
+    if ig.loops:
+        return False
+    n = h.domain_size
+    target = h.tuples(g.relation)
+    for comp in ig.components():
+        local = {v: i for i, v in enumerate(comp)}
+        constraints = [(target, (local[a], local[b])) for a in comp for b in ig.adj[a]]
+        moves = [(i, th[v]) for i, v in enumerate(comp) if th[v] > 1]
 
+        def won(d: int, domains: list[int]) -> bool:
+            if d == len(moves):
+                return oracle.search_homomorphism(constraints, domains)
+            i, need = moves[d]
+            wins = 0
+            for value in range(n):
+                pinned = domains.copy()
+                pinned[i] = 1 << value
+                if won(d + 1, pinned):
+                    wins += 1
+                    if wins == need:
+                        return True
+            return False
 
-def _domains(n: int, comp: Sequence[int], pins: dict[int, int]) -> list[int]:
-    """Every template element for each variable of ``comp``, or only the
-    value it is pinned to, as bitmasks."""
-    return [1 << pins[v] if v in pins else (1 << n) - 1 for v in comp]
+        if not won(0, [(1 << n) - 1] * len(comp)):
+            return False
+    return True
 
 
 def decide_bipartite_small_partition(h: Structure, j: int, s: Sentence) -> bool:
@@ -234,20 +307,14 @@ def decide_bipartite_small_partition(h: Structure, j: int, s: Sentence) -> bool:
 
     A threshold-j variable with a path to another threshold-j variable or
     to an earlier existential must straddle both sides of a component, so
-    any such variable forces false.  The residual existential parts are
-    decided by homomorphism search, counting extendable values for the
-    surviving threshold-j variables.
+    any such variable forces false; these checks run on every component
+    before any search.  The rest is the component game: a surviving
+    threshold-j variable needs j extendable values.
     """
-    if j < 2:
-        raise PreconditionError("needs j >= 2")
     g = require_graph(h)
-    if g.bipartition() is None:
-        raise PreconditionError("template is not bipartite")
-    if g.largest_colour_class() >= j:
-        raise PreconditionError("a component has a colour class of size >= j")
     th = oracle.prefix_thresholds(s, h.domain_size)
-    if any(t not in (1, j) for t in th):
-        raise PreconditionError(f"thresholds must lie in {{1, {j}}}")
+    _require(_small_bipartition(g, j, th))
+    oracle.check_signature(h, s)
     ig = instance_graph(s)
     if ig.loops:
         return False
@@ -257,46 +324,15 @@ def decide_bipartite_small_partition(h: Structure, j: int, s: Sentence) -> bool:
             return False
         if heavy and any(th[v] == 1 and v < heavy[0] for v in comp):
             return False
-    n = h.domain_size
-    target = h.tuples(g.relation)
-    for comp in ig.components():
-        constraints = _edge_constraints(target, ig, comp)
-        heavy = [v for v in comp if th[v] == j]
-        if heavy:
-            x = heavy[0]
-            extendable = 0
-            for value in range(n):
-                if oracle.search_homomorphism(constraints, _domains(n, comp, {x: value})):
-                    extendable += 1
-                if extendable >= j:
-                    break
-            if extendable < j:
-                return False
-        elif not oracle.search_homomorphism(constraints, _domains(n, comp, {})):
-            return False
-    return True
+    return _component_games(h, g, ig, th)
 
 
 def decide_bipartite_with_c4(h: Structure, s: Sentence) -> bool:
     """Bipartite templates containing a 4-cycle, thresholds within {1, 2}:
     true iff the instance graph is loop-free and bipartite."""
-    g = require_graph(h)
-    if g.bipartition() is None:
-        raise PreconditionError("template is not bipartite")
-    if not g.contains_c4():
-        raise PreconditionError("template contains no 4-cycle")
-    if any(t not in (1, 2) for t in oracle.prefix_thresholds(s, h.domain_size)):
-        raise PreconditionError("thresholds must lie in {1, 2}")
-    ig = instance_graph(s)
-    return ig.bipartition() is not None
-
-
-def _leading_twos(th: Sequence[int]) -> int | None:
-    """The length of the leading threshold-2 block when ``th`` is 2*1*."""
-    block = 0
-    while block < len(th) and th[block] == 2:
-        block += 1
-    return block if all(t == 1 for t in th[block:]) else None
+    _require(_with_c4(require_graph(h), oracle.prefix_thresholds(s, h.domain_size)))
+    oracle.check_signature(h, s)
+    return instance_graph(s).bipartition() is not None
 
 
 def decide_forest_bounded_prefix(h: Structure, m: int, s: Sentence) -> bool:
@@ -305,45 +341,14 @@ def decide_forest_bounded_prefix(h: Structure, m: int, s: Sentence) -> bool:
 
     Since every threshold is at least 1, ``E^j x (A(x) & B)`` equals
     ``(E^j x A(x)) & B`` when x does not occur in B, so the sentence holds
-    iff each instance-graph component's own sentence does.  In each
-    component the block variables are searched adaptively: one is won
-    when at least two values, once pinned, leave a winnable rest, so the
-    values are tried in turn until two win (|B|^k sub-games for k block
-    variables, not one per pair); leaves are retraction instances.
+    iff each instance-graph component's own sentence does: the component
+    game, with |B|^k sub-games for k block variables, not one per pair.
     """
     g = require_graph(h)
-    if not g.is_forest():
-        raise PreconditionError("template is not a forest")
-    block = _leading_twos(oracle.prefix_thresholds(s, h.domain_size))
-    if block is None:
-        raise PreconditionError("prefix is not in the bounded 2-then-1 fragment")
-    if block > m:
-        raise PreconditionError(f"more than {m} threshold-2 quantifiers")
-
-    ig = instance_graph(s)
-    if ig.loops:
-        return False
-    n = h.domain_size
-    target = h.tuples(g.relation)
-
-    def holds(comp: tuple[int, ...]) -> bool:
-        constraints = _edge_constraints(target, ig, comp)
-        moves = [v for v in comp if v < block]
-
-        def game(d: int, pins: dict[int, int]) -> bool:
-            if d == len(moves):
-                return oracle.search_homomorphism(constraints, _domains(n, comp, pins))
-            wins = 0
-            for v in range(n):
-                if game(d + 1, {**pins, moves[d]: v}):
-                    wins += 1
-                    if wins == 2:
-                        return True
-            return False
-
-        return game(0, {})
-
-    return all(holds(comp) for comp in ig.components())
+    th = oracle.prefix_thresholds(s, h.domain_size)
+    _require(_forest_prefix(g, m, th))
+    oracle.check_signature(h, s)
+    return _component_games(h, g, instance_graph(s), th)
 
 
 def decide_path5_one_three(s: Sentence) -> bool:
@@ -355,8 +360,7 @@ def decide_path5_one_three(s: Sentence) -> bool:
     existential variable precedes an adjacent threshold-3 variable.
     """
     th = oracle.prefix_thresholds(s, 5)
-    if any(t not in (1, 3) for t in th):
-        raise PreconditionError("thresholds must lie in {1, 3}")
+    _require(_one_and(3, th))
     ig = instance_graph(s)
     if ig.bipartition() is None:
         return False
@@ -379,73 +383,66 @@ def decide_path5_one_three(s: Sentence) -> bool:
 # `classify`
 
 
-Tractable = namedtuple("Tractable", "tag citation applies decide graph", defaults=(True,))
+Tractable = namedtuple("Tractable", "tag citation why_not decide graph", defaults=(True,))
 Tractable.__doc__ = """One tractable case: its dispatch ``tag``, the ``citation``
-``classify`` gives it, ``applies(|B|, template graph, thresholds in prefix
-order)``, the condition under which its decider applies, and the decider
-``decide(template, template graph, sentence, thresholds)``.  An entry with
+``classify`` gives it, ``why_not(|B|, template graph, thresholds in prefix
+order)``, None when its decider applies and otherwise the reason its decider
+raises, and the decider ``decide(template, template graph, sentence,
+thresholds)``.  A family decider (clique, cycle, complete bipartite, P5)
+takes no template and checks only its thresholds.  An entry with
 ``graph=False`` uses no graph, is passed None for it, and also covers
 templates that are not loop-free graphs; `dispatch` tests it before
 reading the template's graph view."""
 
 
-def _small_bipartition(g: GraphView, th: Sequence[int]) -> bool:
-    heavy = set(th) - {1}
-    return (
-        len(heavy) == 1
-        and g.bipartition() is not None
-        and g.largest_colour_class() < min(heavy)
-    )
-
-
 ALL_UNIVERSAL = Tractable(
     "all-universal",
     "universal-only",
-    lambda n, g, th: all(t == n for t in th),
+    lambda n, g, th: None if set(th) <= {n} else "decider needs every threshold equal to |B|",
     lambda b, g, s, th: decide_all_universal(b, s),
     graph=False,
 )
 CLIQUE_HIGH = Tractable(
     "clique high thresholds",
     "Thm 1 i",
-    lambda n, g, th: all(t > n // 2 for t in th) and g.is_complete(),
+    lambda n, g, th: _above_half(n, th) if g.is_complete() else "template is not a clique",
     lambda b, g, s, th: decide_clique_high_thresholds(b.domain_size, s),
 )
 CYCLE = Tractable(
     "cycle tractable",
     "Thm 2 i",
-    lambda n, g, th: _cycle_tractable(n, set(th)) and g.is_cycle(),
+    lambda n, g, th: _cycle_tractable(n, th) if g.is_cycle() else "template is not a cycle",
     lambda b, g, s, th: decide_cycle_tractable(b.domain_size, s),
 )
 COMPLETE_BIPARTITE = Tractable(
     "complete bipartite",
     "Prop complete-bipartite",
-    lambda n, g, th: g.complete_bipartite_sides() is not None,
+    lambda n, g, th: None if g.complete_bipartite_sides() else "template is not K_{k,l}",
     lambda b, g, s, th: decide_complete_bipartite(*g.complete_bipartite_sides(), s),
 )
 C4_CONTAINMENT = Tractable(
     "C4 containment",
     "Prop C4-containment",
-    lambda n, g, th: set(th) <= {1, 2} and g.bipartition() is not None and g.contains_c4(),
+    lambda n, g, th: _with_c4(g, th),
     lambda b, g, s, th: decide_bipartite_with_c4(b, s),
 )
 SMALL_BIPARTITION = Tractable(
     "small bipartition",
     "Prop small-bipartition",
-    lambda n, g, th: _small_bipartition(g, th),
+    lambda n, g, th: _small_bipartition(g, max(th, default=1), th),
     lambda b, g, s, th: decide_bipartite_small_partition(b, max(th), s),
 )
 P5_ONE_THREE = Tractable(
     "P5 {1,3}",
     "Prop P5 {1,3}",
-    lambda n, g, th: n == 5 and set(th) <= {1, 3} and g.is_path_graph(),
+    lambda n, g, th: _one_and(3, th) if n == 5 and g.is_path_graph() else "template is not P5",
     lambda b, g, s, th: decide_path5_one_three(s),
 )
 FOREST = Tractable(
     "forest bounded prefix",
     "Thm 4",
-    lambda n, g, th: _leading_twos(th) is not None and g.is_forest(),
-    lambda b, g, s, th: decide_forest_bounded_prefix(b, _leading_twos(th), s),
+    lambda n, g, th: _forest_prefix(g, len(th), th),
+    lambda b, g, s, th: decide_forest_bounded_prefix(b, len(th), s),
 )
 
 # In matching order: `dispatch` takes the first entry that applies.
@@ -471,9 +468,9 @@ def complete_bipartite_enabled() -> bool:
 def dispatch(b: Structure, s: Sentence) -> tuple[str, Callable[[], bool]] | None:
     """Match a decider's precondition against (template, sentence).
 
-    Returns (tag, thunk) for the first matching decider, or None when only
-    the oracle applies.  The tag names the matched criterion so `auto` can
-    report which result fired.
+    Returns (tag, thunk) for the first entry whose ``why_not`` is None, or
+    None when only the oracle applies.  The tag names the matched
+    criterion so `auto` can report which result fired.
     """
     n = b.domain_size
     th = oracle.prefix_thresholds(s, n)
@@ -485,7 +482,7 @@ def dispatch(b: Structure, s: Sentence) -> tuple[str, Callable[[], bool]] | None
                 return None
             if any(name != g.relation or len(vs) != 2 for name, vs in s.atoms):
                 return None
-        if case.applies(n, g, th):
+        if case.why_not(n, g, th) is None:
             return case.tag, lambda: case.decide(b, g, s, th)
     return None
 
@@ -499,7 +496,7 @@ def _verdict(case: Tractable) -> ComplexityVerdict:
 
 
 def _classify_clique(n: int, g: GraphView, X: frozenset[int]) -> ComplexityVerdict:
-    if n <= 2 or CLIQUE_HIGH.applies(n, g, sorted(X)):
+    if n <= 2 or CLIQUE_HIGH.why_not(n, g, sorted(X)) is None:
         return _verdict(CLIQUE_HIGH)
     if X == frozenset({1}):
         return ComplexityVerdict(ComplexityClass.NP_COMPLETE, "Thm 1 ii")
@@ -511,7 +508,7 @@ def _classify_clique(n: int, g: GraphView, X: frozenset[int]) -> ComplexityVerdi
 
 
 def _classify_cycle(n: int, g: GraphView, X: frozenset[int]) -> ComplexityVerdict:
-    if CYCLE.applies(n, g, sorted(X)):
+    if CYCLE.why_not(n, g, sorted(X)) is None:
         return _verdict(CYCLE)
     if n % 2 == 1 and X == frozenset({1}):
         return ComplexityVerdict(ComplexityClass.NP_COMPLETE, "Thm 2 ii")
@@ -522,7 +519,7 @@ def _classify_bipartite_threshold_set(
     family: TemplateFamily, g: GraphView, size: int, X: frozenset[int]
 ) -> ComplexityVerdict:
     th = sorted(X)
-    if ALL_UNIVERSAL.applies(size, g, th):
+    if ALL_UNIVERSAL.why_not(size, g, th) is None:
         return _verdict(ALL_UNIVERSAL)
     if g.bipartition() is None:
         if X == frozenset({1}):
@@ -532,7 +529,7 @@ def _classify_bipartite_threshold_set(
         return ComplexityVerdict(ComplexityClass.OPEN, "")
     if X == frozenset({1}):
         return ComplexityVerdict(ComplexityClass.IN_L, "bipartite CSP (cited)")
-    if COMPLETE_BIPARTITE.applies(size, g, th):
+    if COMPLETE_BIPARTITE.why_not(size, g, th) is None:
         return _verdict(COMPLETE_BIPARTITE)
     if 1 in X and len(X) == 2:
         j = max(X)
@@ -541,7 +538,7 @@ def _classify_bipartite_threshold_set(
         if family.kind == "hj" and j == family.j:
             return ComplexityVerdict(ComplexityClass.PSPACE_COMPLETE, "Prop bipartite H_j")
         for case in (SMALL_BIPARTITION, C4_CONTAINMENT, P5_ONE_THREE):
-            if case.applies(size, g, th):
+            if case.why_not(size, g, th) is None:
                 return _verdict(case)
     return ComplexityVerdict(ComplexityClass.OPEN, "")
 
@@ -563,11 +560,11 @@ def classify(family: TemplateFamily, fragment: FragmentSpec) -> ComplexityVerdic
         if family.kind == "cycle":
             return _classify_cycle(family.n, g, X)
         bipartite_kind = family.kind in ("complete_bipartite", "star", "path")
-        if bipartite_kind and COMPLETE_BIPARTITE.applies(size, g, sorted(X)):
+        if bipartite_kind and COMPLETE_BIPARTITE.why_not(size, g, sorted(X)) is None:
             return _verdict(COMPLETE_BIPARTITE)
         if g is not None and not g.loops:
             return _classify_bipartite_threshold_set(family, g, size, X)
-        if ALL_UNIVERSAL.applies(size, g, sorted(X)):
+        if ALL_UNIVERSAL.why_not(size, g, sorted(X)) is None:
             return _verdict(ALL_UNIVERSAL)
         if family.kind == "reflexive_cycle" and family.n == 4:
             if X == frozenset({1, 2, 3, 4}):
@@ -591,7 +588,7 @@ def classify(family: TemplateFamily, fragment: FragmentSpec) -> ComplexityVerdic
         if g is None or g.loops:
             return ComplexityVerdict(ComplexityClass.OPEN, "")
         prefix = (2,) * fragment.m + (1,)
-        if FOREST.applies(size, g, prefix) or C4_CONTAINMENT.applies(size, g, prefix):
+        if any(case.why_not(size, g, prefix) is None for case in (FOREST, C4_CONTAINMENT)):
             return ComplexityVerdict(ComplexityClass.IN_P, FOREST.citation)
         return ComplexityVerdict(ComplexityClass.NP_COMPLETE, FOREST.citation)
 

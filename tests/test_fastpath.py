@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import pytest
 
 from cqcsp import fastpath as fp
@@ -19,7 +22,7 @@ from conftest import brute_count_eval, complete_bipartite_gate_failures, graph_s
 def test_all_universal_examples(zoo):
     assert not fp.decide_all_universal(zoo["K2"], parse_sentence("A x A y | E(x,y)"))
     assert fp.decide_all_universal(zoo["C4star"], parse_sentence("A x | E(x,x)"))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^decider needs every threshold equal to \|B\|$"):
         fp.decide_all_universal(zoo["K3"], parse_sentence("E1 x | E(x,x)"))
 
 
@@ -37,7 +40,7 @@ def test_clique_high_thresholds_examples():
     s = parse_sentence("E3 a E3 b E3 c E3 x | E(a,x) & E(b,x) & E(c,x)")
     assert not fp.decide_clique_high_thresholds(5, s)
     assert fp.decide_clique_high_thresholds(4, parse_sentence("E3 x E4 y |"))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^decider needs every threshold above n/2$"):
         fp.decide_clique_high_thresholds(4, parse_sentence("E2 x | E(x,x)"))
 
 
@@ -62,7 +65,9 @@ def test_cycle_tractable_examples(zoo):
     assert not fp.decide_cycle_tractable(6, parse_sentence("E1 x E3 y | E(x,y)"))
     assert fp.decide_cycle_tractable(6, parse_sentence("E3 x E2 y | E(x,y)"))
     assert oracle.evaluate(zoo["C6"], parse_sentence("E3 x E2 y | E(x,y)"))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(
+        PreconditionError, match=r"^threshold set \[1, 2\] on the 6-cycle is not tractable$"
+    ):
         fp.decide_cycle_tractable(6, parse_sentence("E1 x E2 y | E(x,y)"))
 
 
@@ -87,9 +92,9 @@ def test_small_partition_examples(zoo):
     s = parse_sentence("E3 x E3 y | E(x,y)")
     assert not fp.decide_bipartite_small_partition(zoo["P3"], 3, s)
     assert fp.decide_bipartite_small_partition(zoo["P3"], 3, parse_sentence("E3 x |"))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^template is not bipartite$"):
         fp.decide_bipartite_small_partition(zoo["K3"], 3, s)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^a component has a colour class of size >= j$"):
         fp.decide_bipartite_small_partition(zoo["P5"], 3, s)
 
 
@@ -107,7 +112,7 @@ def test_bipartite_with_c4_examples(zoo):
     tri = parse_sentence("E2 x E2 y E2 z | E(x,y) & E(y,z) & E(z,x)")
     assert not fp.decide_bipartite_with_c4(zoo["C4"], tri)
     assert fp.decide_bipartite_with_c4(zoo["K23"], parse_sentence("E2 x E2 y | E(x,y)"))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^template contains no 4-cycle$"):
         fp.decide_bipartite_with_c4(zoo["P5"], parse_sentence("E2 x |"))
 
 
@@ -116,9 +121,11 @@ def test_forest_bounded_prefix_examples(zoo):
     assert fp.decide_forest_bounded_prefix(zoo["K2"], 1, parse_sentence("E2 x E1 y | E(x,y)"))
     lonely = model.graph_structure(2, [])
     assert not fp.decide_forest_bounded_prefix(lonely, 1, parse_sentence("E2 x E1 y | E(x,y)"))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^more than 0 threshold-2 quantifiers$"):
         fp.decide_forest_bounded_prefix(zoo["P3"], 0, parse_sentence("E2 x E1 y | E(x,y)"))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(
+        PreconditionError, match="^prefix is not in the bounded 2-then-1 fragment$"
+    ):
         fp.decide_forest_bounded_prefix(zoo["P3"], 2, parse_sentence("E1 y E2 x | E(x,y)"))
 
 
@@ -149,8 +156,99 @@ def test_path5_examples(zoo):
     assert fp.decide_path5_one_three(parse_sentence("E3 x |"))
     assert fp.decide_path5_one_three(parse_sentence("E3 x E1 y | E(x,y)"))
     assert not fp.decide_path5_one_three(parse_sentence("E1 y E3 x | E(x,y)"))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"^thresholds must lie in \{1, 3\}$"):
         fp.decide_path5_one_three(parse_sentence("E2 x |"))
+
+
+@pytest.mark.parametrize("matrix", ["F(x,y)", "E(x,y) & R(x,y,y)"])
+def test_template_deciders_reject_foreign_relations(matrix, zoo):
+    """A relation the template lacks is a SignatureError, as in the oracle,
+    not an answer."""
+    with pytest.raises(oracle.SignatureError):
+        oracle.evaluate(zoo["P3"], parse_sentence(f"E2 x E1 y | {matrix}"))
+    with pytest.raises(oracle.SignatureError):
+        fp.decide_bipartite_with_c4(zoo["C4"], parse_sentence(f"E1 x E1 y | {matrix}"))
+    with pytest.raises(oracle.SignatureError):
+        fp.decide_bipartite_small_partition(zoo["P3"], 3, parse_sentence(f"E3 x E1 y | {matrix}"))
+    with pytest.raises(oracle.SignatureError):
+        fp.decide_forest_bounded_prefix(zoo["P3"], 1, parse_sentence(f"E2 x E1 y | {matrix}"))
+
+
+def test_small_partition_checks_every_component_before_searching(zoo, monkeypatch):
+    """The shared component game runs only after the structural checks
+    have passed on every component: with no search budget, a component
+    with two threshold-j positions still answers False, and a search
+    raises."""
+    monkeypatch.setenv(oracle.BUDGET_ENV_VAR, "0")
+    s = parse_sentence("E1 a E1 b E3 x E3 y | E(a,b) & E(x,y)")
+    assert not fp.decide_bipartite_small_partition(zoo["P3"], 3, s)
+    with pytest.raises(oracle.BudgetExceededError):
+        fp.decide_bipartite_small_partition(zoo["P3"], 3, parse_sentence("E1 a E1 b | E(a,b)"))
+
+
+# Which zoo templates each family decider's entry is about: a family
+# decider takes a size or the sides, not the template, so only there is
+# its answer the template's.
+_FAMILY = {
+    "clique high thresholds": lambda g: g.is_complete(),
+    "cycle tractable": lambda g: g.is_cycle(),
+    "complete bipartite": lambda g: g.complete_bipartite_sides() is not None,
+    "P5 {1,3}": lambda g: g.n == 5 and g.is_path_graph(),
+}
+
+
+def test_reason_parity(zoo):
+    """An entry's ``why_not`` is None exactly when its public decider,
+    called with the parameters `dispatch` derives, raises no
+    PreconditionError, and a raised message is the reason."""
+    checked = 0
+    for case in fp.TRACTABLE:
+        for name, b in zoo.items():
+            g = model.graph_view(b)
+            if case.graph and (g is None or not _FAMILY.get(case.tag, lambda g: True)(g)):
+                continue
+            n = b.domain_size
+            for length in (1, 2, 3):
+                for th in itertools.product(range(1, n + 1), repeat=length):
+                    s = Sentence(tuple(Quantifier(t, f"x{i}") for i, t in enumerate(th)), ())
+                    reason = case.why_not(n, g if case.graph else None, list(th))
+                    try:
+                        case.decide(b, g, s, list(th))
+                        raised = None
+                    except PreconditionError as exc:
+                        raised = str(exc)
+                    assert raised == reason, (case.tag, name, th)
+                    checked += 1
+    assert checked > 5000
+    # an empty prefix has no heavy threshold, and asks for no max() of nothing
+    assert fp.SMALL_BIPARTITION.why_not(4, model.graph_view(zoo["P4"]), []) == "needs j >= 2"
+
+
+def test_cycle_decider_answers_necessary_claims_before_tractability(zoo):
+    """The one intended exception to reason parity: on a threshold set
+    that is not tractable, the cycle decider still answers False when a
+    necessary claim fails, and raises the reason only otherwise."""
+    g = model.graph_view(zoo["C6"])
+    reason = fp.CYCLE.why_not(6, g, [1, 3])
+    assert reason == "threshold set [1, 3] on the 6-cycle is not tractable"
+    assert not fp.decide_cycle_tractable(6, parse_sentence("E1 x E3 y | E(x,y)"))
+    with pytest.raises(PreconditionError, match=re.escape(reason)):
+        fp.decide_cycle_tractable(6, parse_sentence("E1 x E3 y |"))
+
+
+def test_family_deciders_build_no_template(monkeypatch):
+    """The family deciders check only their thresholds: they read no
+    template, so a large size costs nothing to accept."""
+
+    def forbidden(*args):
+        raise AssertionError("family decider built a template")
+
+    monkeypatch.setattr(fp, "build_template", forbidden)
+    monkeypatch.setattr(fp, "graph_view", forbidden)
+    assert fp.decide_clique_high_thresholds(10**6, parse_sentence(f"E{10**6} x |"))
+    assert fp.decide_cycle_tractable(10**6, parse_sentence("E1 x E1 y | E(x,y)"))
+    assert fp.decide_complete_bipartite(10**6, 10**6, parse_sentence("E1 x E1 y | E(x,y)"))
+    assert fp.decide_path5_one_three(parse_sentence("E3 x E1 y | E(x,y)"))
 
 
 # ---------------------------------------------------------------------------
