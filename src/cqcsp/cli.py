@@ -79,7 +79,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     template = textio.parse_structure(_read(args.template))
     s = textio.parse_sentence(_read(args.sentence))
     budget = args.node_budget
-    match = fastpath.dispatch(template, s) if args.engine == "auto" else None
+    match = fastpath.dispatch(template, s, budget=budget) if args.engine == "auto" else None
     engine, thunk = match or ("oracle", lambda: oracle.evaluate(template, s, budget=budget))
     verdict = thunk()
     # The strategy comes first, so a budget stop in extraction prints no verdict.

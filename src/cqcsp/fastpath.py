@@ -11,6 +11,11 @@ Membership-in-L results are implemented as ordinary polynomial procedures
 (BFS bipartiteness, component scans); logspace constraints are not
 reproduced.
 
+No decider keeps a search of its own.  The small-bipartition decider
+counts template vertices, and the forest decider (Thm 4) checks its
+precondition and then runs the oracle, so it agrees with the oracle by
+construction and only the counting semantics checks it independently.
+
 Every tractable case and every classifier verdict is a condition on the
 template alone plus the thresholds.  Each case states its condition once,
 as the reason it fails: `dispatch` and `classify` read it through the
@@ -267,64 +272,34 @@ def decide_complete_bipartite(k: int, l: int, s: Sentence) -> bool:
     return True
 
 
-def _component_games(h: Structure, g: GraphView, ig: GraphView, th: Sequence[int]) -> bool:
-    """Does each instance-graph component's own sentence hold, when its
-    positions above threshold 1 come before its others?  Such a position
-    v is won when ``th[v]`` of its values, pinned in ascending order,
-    leave a winnable rest; the rest is a homomorphism search over the
-    component's edges (a retraction instance)."""
-    if ig.loops:
-        return False
-    n = h.domain_size
-    target = h.tuples(g.relation)
-    for comp in ig.components():
-        local = {v: i for i, v in enumerate(comp)}
-        constraints = [(target, (local[a], local[b])) for a in comp for b in ig.adj[a]]
-        moves = [(i, th[v]) for i, v in enumerate(comp) if th[v] > 1]
-
-        def won(d: int, domains: list[int]) -> bool:
-            if d == len(moves):
-                return oracle.search_homomorphism(constraints, domains)
-            i, need = moves[d]
-            wins = 0
-            for value in range(n):
-                pinned = domains.copy()
-                pinned[i] = 1 << value
-                if won(d + 1, pinned):
-                    wins += 1
-                    if wins == need:
-                        return True
-            return False
-
-        if not won(0, [(1 << n) - 1] * len(comp)):
-            return False
-    return True
-
-
 def decide_bipartite_small_partition(h: Structure, j: int, s: Sentence) -> bool:
     """Bipartite templates whose components have both sides smaller than j,
     thresholds within {1, j}.
 
     A threshold-j variable with a path to another threshold-j variable or
     to an earlier existential must straddle both sides of a component, so
-    any such variable forces false; these checks run on every component
-    before any search.  The rest is the component game: a surviving
-    threshold-j variable needs j extendable values.
+    any such variable forces false.  The rest is a count, not a search: a
+    connected bipartite instance component with an edge folds onto any
+    template edge, so it holds iff the template has an edge or, with a
+    threshold-j variable, at least j vertices with a neighbour.
     """
     g = require_graph(h)
     th = oracle.prefix_thresholds(s, h.domain_size)
     _require(_small_bipartition(g, j, th))
     oracle.check_signature(h, s)
     ig = instance_graph(s)
-    if ig.loops:
+    if ig.bipartition() is None:
         return False
+    non_isolated = sum(1 for a in g.adj if a)
     for comp in ig.components():
         heavy = [v for v in comp if th[v] == j]
         if len(heavy) >= 2:
             return False
         if heavy and any(th[v] == 1 and v < heavy[0] for v in comp):
             return False
-    return _component_games(h, g, ig, th)
+        if len(comp) > 1 and non_isolated < (j if heavy else 1):
+            return False
+    return True
 
 
 def decide_bipartite_with_c4(h: Structure, s: Sentence) -> bool:
@@ -335,20 +310,15 @@ def decide_bipartite_with_c4(h: Structure, s: Sentence) -> bool:
     return instance_graph(s).bipartition() is not None
 
 
-def decide_forest_bounded_prefix(h: Structure, m: int, s: Sentence) -> bool:
+def decide_forest_bounded_prefix(
+    h: Structure, m: int, s: Sentence, *, budget: int | None = None
+) -> bool:
     """Forests with a bounded block of threshold-2 quantifiers followed by
-    existentials.
-
-    Since every threshold is at least 1, ``E^j x (A(x) & B)`` equals
-    ``(E^j x A(x)) & B`` when x does not occur in B, so the sentence holds
-    iff each instance-graph component's own sentence does: the component
-    game, with |B|^k sub-games for k block variables, not one per pair.
-    """
-    g = require_graph(h)
-    th = oracle.prefix_thresholds(s, h.domain_size)
-    _require(_forest_prefix(g, m, th))
-    oracle.check_signature(h, s)
-    return _component_games(h, g, instance_graph(s), th)
+    existentials, decided by the oracle once the precondition holds: the
+    oracle already plays each instance-graph component's game on its own.
+    No polynomial bound is claimed when the block is unbounded."""
+    _require(_forest_prefix(require_graph(h), m, oracle.prefix_thresholds(s, h.domain_size)))
+    return oracle.evaluate(h, s, budget=budget)
 
 
 def decide_path5_one_three(s: Sentence) -> bool:
@@ -388,7 +358,8 @@ Tractable.__doc__ = """One tractable case: its dispatch ``tag``, the ``citation`
 ``classify`` gives it, ``why_not(|B|, template graph, thresholds in prefix
 order)``, None when its decider applies and otherwise the reason its decider
 raises, and the decider ``decide(template, template graph, sentence,
-thresholds)``.  A family decider (clique, cycle, complete bipartite, P5)
+thresholds, node budget)``; only the forest decider searches, so only it
+reads the budget.  A family decider (clique, cycle, complete bipartite, P5)
 takes no template and checks only its thresholds.  An entry with
 ``graph=False`` uses no graph, is passed None for it, and also covers
 templates that are not loop-free graphs; `dispatch` tests it before
@@ -399,50 +370,54 @@ ALL_UNIVERSAL = Tractable(
     "all-universal",
     "universal-only",
     lambda n, g, th: None if set(th) <= {n} else "decider needs every threshold equal to |B|",
-    lambda b, g, s, th: decide_all_universal(b, s),
+    lambda b, g, s, th, budget=None: decide_all_universal(b, s),
     graph=False,
 )
 CLIQUE_HIGH = Tractable(
     "clique high thresholds",
     "Thm 1 i",
     lambda n, g, th: _above_half(n, th) if g.is_complete() else "template is not a clique",
-    lambda b, g, s, th: decide_clique_high_thresholds(b.domain_size, s),
+    lambda b, g, s, th, budget=None: decide_clique_high_thresholds(b.domain_size, s),
 )
 CYCLE = Tractable(
     "cycle tractable",
     "Thm 2 i",
     lambda n, g, th: _cycle_tractable(n, th) if g.is_cycle() else "template is not a cycle",
-    lambda b, g, s, th: decide_cycle_tractable(b.domain_size, s),
+    lambda b, g, s, th, budget=None: decide_cycle_tractable(b.domain_size, s),
 )
 COMPLETE_BIPARTITE = Tractable(
     "complete bipartite",
     "Prop complete-bipartite",
     lambda n, g, th: None if g.complete_bipartite_sides() else "template is not K_{k,l}",
-    lambda b, g, s, th: decide_complete_bipartite(*g.complete_bipartite_sides(), s),
+    lambda b, g, s, th, budget=None: decide_complete_bipartite(
+        *g.complete_bipartite_sides(), s
+    ),
 )
 C4_CONTAINMENT = Tractable(
     "C4 containment",
     "Prop C4-containment",
     lambda n, g, th: _with_c4(g, th),
-    lambda b, g, s, th: decide_bipartite_with_c4(b, s),
+    lambda b, g, s, th, budget=None: decide_bipartite_with_c4(b, s),
 )
 SMALL_BIPARTITION = Tractable(
     "small bipartition",
     "Prop small-bipartition",
     lambda n, g, th: _small_bipartition(g, max(th, default=1), th),
-    lambda b, g, s, th: decide_bipartite_small_partition(b, max(th), s),
+    lambda b, g, s, th, budget=None: decide_bipartite_small_partition(b, max(th), s),
 )
 P5_ONE_THREE = Tractable(
     "P5 {1,3}",
     "Prop P5 {1,3}",
     lambda n, g, th: _one_and(3, th) if n == 5 and g.is_path_graph() else "template is not P5",
-    lambda b, g, s, th: decide_path5_one_three(s),
+    lambda b, g, s, th, budget=None: decide_path5_one_three(s),
 )
 FOREST = Tractable(
     "forest bounded prefix",
     "Thm 4",
     lambda n, g, th: _forest_prefix(g, len(th), th),
-    lambda b, g, s, th: decide_forest_bounded_prefix(b, len(th), s),
+    lambda b, g, s, th, budget=None: decide_forest_bounded_prefix(
+        b, len(th), s, budget=budget
+    ),
 )
 
 # In matching order: `dispatch` takes the first entry that applies.
@@ -465,12 +440,15 @@ def complete_bipartite_enabled() -> bool:
     return True
 
 
-def dispatch(b: Structure, s: Sentence) -> tuple[str, Callable[[], bool]] | None:
+def dispatch(
+    b: Structure, s: Sentence, *, budget: int | None = None
+) -> tuple[str, Callable[[], bool]] | None:
     """Match a decider's precondition against (template, sentence).
 
     Returns (tag, thunk) for the first entry whose ``why_not`` is None, or
     None when only the oracle applies.  The tag names the matched
-    criterion so `auto` can report which result fired.
+    criterion so `auto` can report which result fired; ``budget`` bounds
+    the thunk's search as it bounds the oracle's.
     """
     n = b.domain_size
     th = oracle.prefix_thresholds(s, n)
@@ -483,7 +461,7 @@ def dispatch(b: Structure, s: Sentence) -> tuple[str, Callable[[], bool]] | None
             if any(name != g.relation or len(vs) != 2 for name, vs in s.atoms):
                 return None
         if case.why_not(n, g, th) is None:
-            return case.tag, lambda: case.decide(b, g, s, th)
+            return case.tag, lambda: case.decide(b, g, s, th, budget)
     return None
 
 

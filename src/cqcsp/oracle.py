@@ -60,7 +60,8 @@ interpreter's recursion limit.
 ``extract_strategy`` returns the canonical witness-strategy tree (offered
 sets are the smallest winning elements), ``verify_strategy`` replays every
 adversary play of a given tree, and ``solve_retraction`` decides
-constant-preserving homomorphism by arc consistency plus backtracking.
+constant-preserving homomorphism by ``evaluate``.  The search above is the
+package's only search: no decider in ``fastpath`` keeps one of its own.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ import os
 from itertools import combinations
 from operator import itemgetter
 
-from .model import Record, Sentence, Structure, once_per_instance
+from .model import Record, Sentence, Structure, canonical_query, make_structure, once_per_instance
 
 DEFAULT_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "CQ_NODE_BUDGET"
@@ -1015,7 +1016,9 @@ def solve_retraction(
     h: Structure, instance: Structure, *, budget: int | None = None
 ) -> bool:
     """Is there a homomorphism instance -> h mapping each named constant of
-    the instance to the like-named constant of h?"""
+    the instance to the like-named constant of h?  Decided by ``evaluate``
+    on the instance's canonical query, every element an existential
+    variable, with each constant pinned by a unary atom."""
     for name, arity in instance.signature.relations:
         if name not in h.signature or h.signature.arity(name) != arity:
             raise SignatureError(f"relation {name!r} missing or mismatched in target")
@@ -1023,82 +1026,21 @@ def solve_retraction(
         if cname not in h.constants:
             raise SignatureError(f"constant {cname!r} not named in target")
 
-    domains = [(1 << h.domain_size) - 1] * instance.domain_size
-    for cname, var in instance.constants.items():
-        domains[var] &= 1 << h.constants[cname]
-    constraints = [
-        (h.tuples(name), t) for name in instance.signature.names() for t in instance.tuples(name)
-    ]
-    return search_homomorphism(constraints, domains, budget=budget)
-
-
-def search_homomorphism(
-    constraints: list[tuple[frozenset, tuple[int, ...]]],
-    domains: list[int],
-    *,
-    budget: int | None = None,
-) -> bool:
-    """Can each variable 0..len(domains)-1 take a value from its domain, a
-    bitmask of template elements, so that every constraint ``(allowed
-    tuples, variables)`` holds?  Arc-consistency propagation first, then
-    backtracking on smallest domains, values in ascending order; each
-    level of the search is a stack entry [domains after propagation,
-    branch variable, values left to try].  ``domains`` is narrowed in
-    place."""
-    n_vars = len(domains)
-    by_var: list[list[int]] = [[] for _ in range(n_vars)]
-    for ci, (_, t) in enumerate(constraints):
-        for v in set(t):
-            by_var[v].append(ci)
-    max_nodes = effective_budget(budget)
-    nodes = 0
-
-    def propagate(doms: list[int], queue: set[int]) -> bool:
-        while queue:
-            ci = queue.pop()
-            target, t = constraints[ci]
-            # per variable, the values of constraint ci occurring in some
-            # tuple drawn from the current domains
-            keep = dict.fromkeys(t, 0)
-            for tup in target:
-                if all(doms[v] >> e & 1 for v, e in zip(t, tup)):
-                    for v, e in zip(t, tup):
-                        keep[v] |= 1 << e
-            for v, vals in keep.items():
-                if doms[v] & ~vals:
-                    doms[v] &= vals
-                    if not doms[v]:
-                        return False
-                    queue.update(c for c in by_var[v] if c != ci)
-        return True
-
-    if not all(domains) or not propagate(domains, set(range(len(constraints)))):
-        return False
-    doms = domains
-    stack: list[list] = []
-    while True:
-        undecided = [v for v in range(n_vars) if doms[v] & (doms[v] - 1)]
-        if undecided:
-            var = min(undecided, key=lambda v: doms[v].bit_count())
-            stack.append([doms, var, doms[var]])
-        elif all(
-            tuple(doms[v].bit_length() - 1 for v in t) in target for target, t in constraints
-        ):
-            return True
-        while stack:  # try the next value left at the deepest level
-            level = stack[-1]
-            parent, var, left = level
-            if not left:
-                stack.pop()
-                continue
-            value = left & -left
-            level[2] = left ^ value
-            nodes += 1
-            if nodes > max_nodes:
-                raise BudgetExceededError(nodes)
-            doms = parent.copy()
-            doms[var] = value
-            if propagate(doms, set(by_var[var])):
-                break
-        else:
-            return False
+    # each constant is pinned by a fresh unary relation, named so that no
+    # relation of h starts with its stem
+    stem = "pin"
+    while any(name.startswith(stem) for name in h.signature.names()):
+        stem += "_"
+    pins = {f"{stem}{i}": cname for i, cname in enumerate(instance.constants)}
+    unary = tuple((name, 1) for name in pins)
+    query = canonical_query(make_structure(
+        instance.signature.relations + unary,
+        instance.domain_size,
+        {**instance.relations, **{p: {(instance.constants[c],)} for p, c in pins.items()}},
+    ))
+    target = make_structure(
+        h.signature.relations + unary,
+        h.domain_size,
+        {**h.relations, **{p: {(h.constants[c],)} for p, c in pins.items()}},
+    )
+    return evaluate(target, query, budget=budget)

@@ -114,9 +114,10 @@ def test_deep_sentence_strategy_out_answers(files, capsys):
 
 
 def test_forest_decider_splits_threshold_two_blocks_by_component(files, capsys):
-    """`auto` plays the forest decider's game per instance-graph component,
-    so 1,200 threshold-2 variables sharing no atom are 1,200 small games,
-    not one game nested 1,200 deep."""
+    """`auto`'s forest decider runs the oracle, which plays each
+    instance-graph component's game on its own, so 1,200 threshold-2
+    variables sharing no atom are 1,200 small games, not one game nested
+    1,200 deep."""
     tmp, write = files
     p4 = write("p4.structure", textio.render_structure(build_template(model.path(4))))
     block = write("block.sentence", " ".join(f"E2 x{i}" for i in range(1200)) + " |\n")
@@ -124,10 +125,22 @@ def test_forest_decider_splits_threshold_two_blocks_by_component(files, capsys):
     assert capsys.readouterr().out.splitlines() == ["yes", "engine: forest bounded prefix"]
 
 
+def test_auto_honours_node_budget(files, capsys):
+    """`--node-budget` bounds `auto` as it bounds the oracle: the forest
+    decider searches, so at budget 0 it stops with exit 3 and no verdict."""
+    tmp, write = files
+    p4 = write("p4.structure", textio.render_structure(build_template(model.path(4))))
+    s = write("f.sentence", "E2 x E1 y | E(x,y)\n")
+    for engine in ("oracle", "auto"):
+        assert run(["solve", p4, s, "--engine", engine, "--node-budget", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "node budget exceeded" in captured.err
+
+
 def test_deep_auto_answers(files, capsys):
     """`auto` decides a 3,000-variable chain with the small-bipartition
-    decider: its retraction search keeps each level on a stack, not on
-    the interpreter's."""
+    decider, which counts template vertices and searches nothing."""
     tmp, write = files
     p4 = write("p4.structure", textio.render_structure(build_template(model.path(4))))
     deep = write("deep.sentence", "E3 h " + _chain_sentence(3000))

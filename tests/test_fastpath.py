@@ -174,16 +174,52 @@ def test_template_deciders_reject_foreign_relations(matrix, zoo):
         fp.decide_forest_bounded_prefix(zoo["P3"], 1, parse_sentence(f"E2 x E1 y | {matrix}"))
 
 
-def test_small_partition_checks_every_component_before_searching(zoo, monkeypatch):
-    """The shared component game runs only after the structural checks
-    have passed on every component: with no search budget, a component
-    with two threshold-j positions still answers False, and a search
-    raises."""
+def test_small_partition_answers_without_search(zoo, monkeypatch):
+    """The small-bipartition decider counts instead of searching: with no
+    search budget it still answers, False for a component with two
+    threshold-j positions and True for a plain edge."""
     monkeypatch.setenv(oracle.BUDGET_ENV_VAR, "0")
     s = parse_sentence("E1 a E1 b E3 x E3 y | E(a,b) & E(x,y)")
     assert not fp.decide_bipartite_small_partition(zoo["P3"], 3, s)
-    with pytest.raises(oracle.BudgetExceededError):
-        fp.decide_bipartite_small_partition(zoo["P3"], 3, parse_sentence("E1 a E1 b | E(a,b)"))
+    assert fp.decide_bipartite_small_partition(zoo["P3"], 3, parse_sentence("E1 a E1 b | E(a,b)"))
+
+
+@pytest.mark.parametrize(
+    "n, edges, j",
+    [(5, [(0, 1), (2, 3)], 4), (5, [(0, 1), (2, 3)], 5), (3, [], 2)],
+    ids=["two-edges-j4", "two-edges-j5", "edgeless-j2"],
+)
+def test_small_partition_count_at_its_boundary(n, edges, j):
+    """Two edges give four vertices with a neighbour: enough for j = 4,
+    one short for j = 5.  An edgeless template folds no edge at all.  The
+    count agrees with the counting semantics on every sentence of up to
+    four variables, those of four capped at three atoms."""
+    h = model.graph_structure(n, edges)
+    for n_vars in (1, 2, 3, 4):
+        for s in graph_sentences(n_vars, (1, j), max_atoms=10 if n_vars < 4 else 3):
+            assert fp.decide_bipartite_small_partition(h, j, s) == brute_count_eval(h, s), str(s)
+
+
+def _chain(threshold: int, k: int) -> Sentence:
+    names = [f"x{i}" for i in range(k)]
+    return parse_sentence(
+        " ".join(f"E{threshold} {v}" for v in names)
+        + " | "
+        + " & ".join(f"E({a},{b})" for a, b in zip(names, names[1:]))
+    )
+
+
+def test_forest_decider_costs_what_the_oracle_does(zoo, monkeypatch):
+    """The forest decider runs the oracle: a 12-long chain of threshold-2
+    variables takes a handful of nodes, where a game of pinned sub-games
+    would take |B|^12, and a 1,500-long existential chain one node per
+    variable.  Pinned through the node budget, not the clock."""
+    monkeypatch.setenv(oracle.BUDGET_ENV_VAR, "50")
+    s = _chain(2, 12)
+    assert not fp.decide_forest_bounded_prefix(zoo["P4"], 12, s)
+    assert not oracle.evaluate(zoo["P4"], s)
+    monkeypatch.setenv(oracle.BUDGET_ENV_VAR, "1500")
+    assert fp.decide_forest_bounded_prefix(zoo["P4"], 0, _chain(1, 1500))
 
 
 # Which zoo templates each family decider's entry is about: a family

@@ -638,8 +638,33 @@ def test_retraction_signature_checks(zoo):
         solve_retraction(zoo["C4"], inst)
 
 
+def test_retraction_two_constants_on_one_element():
+    """Two constants naming one instance element but different elements
+    of h pin it twice, which no homomorphism meets."""
+    h = model.make_structure([("E", 2)], 2, {"E": {(0, 1), (1, 0)}}, {"a": 0, "b": 1})
+    inst = model.make_structure([("E", 2)], 1, {"E": set()}, {"a": 0, "b": 0})
+    assert not solve_retraction(h, inst)
+    assert solve_retraction(h, model.make_structure([("E", 2)], 1, {"E": set()}, {"a": 0}))
+
+
+def test_retraction_pins_avoid_the_target_relations():
+    """The pins' relation names never clash with h's own, whatever they
+    are called."""
+    for names in (["pin0"], ["pin", "pin_0"], ["pin0", "pin_0", "pin__0"]):
+        rels = [("E", 2)] + [(name, 1) for name in names]
+        marks = {name: {(1,)} for name in names}
+        h = model.make_structure(rels, 2, {"E": {(0, 1), (1, 0)}, **marks}, {"a": 0})
+        # the marked element 1 cannot be the constant's element 0
+        inst = model.make_structure(rels, 1, {"E": set(), **{n: {(0,)} for n in names}}, {"a": 0})
+        assert not solve_retraction(h, inst)
+        inst = model.make_structure(
+            rels, 2, {"E": {(0, 1), (1, 0)}, **{n: {(1,)} for n in names}}, {"a": 0}
+        )
+        assert solve_retraction(h, inst)
+
+
 def test_retraction_matches_brute_force(zoo):
-    """Backtracking+propagation agrees with exhaustive search on random
+    """The retraction solver agrees with exhaustive search on random
     pinned instances."""
     import random
 
