@@ -1,20 +1,18 @@
 """The gadget compiler: hardness reductions as executable transformations.
 
-Each rule turns a source sentence into a (template, sentence) pair; the
-verifier evaluates both sides with the oracle and reports agreement line
-by line.
+Each rule is compiled one way: ``compile_rule(rule(name, **params),
+source_template, sentence)`` turns a source sentence into a (template,
+sentence) pair; the verifier evaluates both sides with the oracle and
+reports agreement line by line.
 """
 
 from cqcsp import (
     build_template,
     clique,
-
+    compile_rule,
     evaluate,
-    expand_reflexive_c4_macros,
     nae_boolean,
     parse_sentence,
-    reduce_even_cycle,
-    reduce_nae,
     reflexive_cycle,
     render_sentence,
     rule,
@@ -26,7 +24,7 @@ from cqcsp.reductions import default_sources
 # threshold-j quantifier pinned to the designated block by a U(x) conjunct.
 nae = build_template(nae_boolean())
 src = parse_sentence("A x E1 y E1 z | R(x,y,z)")
-target, out = reduce_nae(2, 4, src)
+target, out = compile_rule(rule("nae", j=2, n=4), nae, src)
 print("not-all-equal source:", src)
 print("compiled:", render_sentence(out))
 print("source verdict:", evaluate(nae, src), "target verdict:", evaluate(target, out))
@@ -35,7 +33,7 @@ print("source verdict:", evaluate(nae, src), "target verdict:", evaluate(target,
 # guards: E2 x becomes 'for every guard there is an adjacent x'.
 c4star = build_template(reflexive_cycle(4))
 src = parse_sentence("E3 x | E(x,x)")
-out = expand_reflexive_c4_macros(src)
+_, out = compile_rule(rule("c4star-macros"), c4star, src)
 print("\nmacro expansion of E3 x | E(x,x):")
 print(" ", render_sentence(out))
 print("  equivalent on the reflexive 4-cycle:",
@@ -46,7 +44,7 @@ print("  equivalent on the reflexive 4-cycle:",
 # memoised oracle still settles it.
 k3 = build_template(clique(3))
 src = parse_sentence("E1 u E1 v E1 t | E(u,v) & E(v,t) & E(t,u)")
-target, out = reduce_even_cycle(6, 2, src, source_is_qcsp=False)
+target, out = compile_rule(rule("even-cycle-csp", n=6, j=2), k3, src)
 print("\neven-cycle compilation of the triangle:")
 print(f"  {len(src.prefix)} variables -> {len(out.prefix)} variables,"
       f" {len(out.atoms)} atoms")

@@ -69,15 +69,8 @@ from .reductions import (
     ReductionReport,
     ReductionRule,
     block_distinctness_gadget,
-    expand_reflexive_c4_macros,
-    girth_isolation,
+    compile_rule,
     isolation_spine,
-    pad_clique,
-    reduce_clique_one_j,
-    reduce_clique_single_threshold,
-    reduce_even_cycle,
-    reduce_nae,
-    reduce_reflexive_c4,
     rule,
     universal_path_gadget,
     verify_reduction,

@@ -2,6 +2,9 @@
 sentence/template transformation, plus an oracle-backed equivalence
 verifier.
 
+Each reduction is declared once, as a ``RuleSpec`` in ``RULES``, and is
+compiled one way: ``compile_rule(rule(name, **params), source_template, s)``.
+
 Fresh variables follow the ``<orig>~<role>~<index>`` naming scheme and are
 kept disjoint from source variables, so compiled sentences never collide.
 Compilation is deterministic: atom and quantifier orders depend only on the
@@ -154,19 +157,13 @@ def _clique_atoms(members: Sequence[str]) -> list[Atom]:
 # Single-quantifier simulation of quantified not-all-equal satisfiability
 
 
-def reduce_nae(j: int, n: int, s: Sentence) -> tuple[Structure, Sentence]:
+def _nae_sentence(j: int, n: int, s: Sentence) -> Sentence:
     """Compile an exists/for-all sentence over the not-all-equal template
     into a single-threshold sentence over the n-element simulation template.
 
     Every quantifier becomes threshold j; former universals gain a U(x)
     conjunct, which pins their witness set to the designated block.
     """
-    out = _nae_sentence(j, n, s)
-    return build_template(single_quantifier_template(n, j)), out
-
-
-def _nae_sentence(j: int, n: int, s: Sentence) -> Sentence:
-    """The target sentence of ``reduce_nae``."""
     if not (3 <= n and 1 < j < n):
         raise InvalidStructureError("needs 3 <= n and 1 < j < n")
     rs = _resolve_for(s, 2, {1, 2}, "nae reduction")
@@ -210,7 +207,7 @@ def block_distinctness_gadget(
     return GadgetBlueprint(tuple(zs + [w]), quantifiers, tuple(atoms), tuple(xs) + tuple(ys))
 
 
-def reduce_clique_single_threshold(j: int, s: Sentence) -> tuple[Structure, Sentence]:
+def _clique_blocks_sentence(j: int, s: Sentence) -> Sentence:
     """Compile a quantified colouring sentence over the choose(2j+1, j)
     clique into a pure threshold-j sentence over the (2j+1)-clique.
 
@@ -218,12 +215,6 @@ def reduce_clique_single_threshold(j: int, s: Sentence) -> tuple[Structure, Sent
     gadgets with per-edge fresh variables quantified innermost; universal
     vertices are preceded by j forcing cliques of size j+1.
     """
-    out = _clique_blocks_sentence(j, s)
-    return build_template(clique(2 * j + 1)), out
-
-
-def _clique_blocks_sentence(j: int, s: Sentence) -> Sentence:
-    """The target sentence of ``reduce_clique_single_threshold``."""
     if j < 2:
         raise InvalidStructureError("needs j >= 2")
     big = math.comb(2 * j + 1, j)
@@ -250,16 +241,10 @@ def _clique_blocks_sentence(j: int, s: Sentence) -> Sentence:
     return Sentence(tuple(prefix), tuple(atoms))
 
 
-def pad_clique(j: int, n: int, s: Sentence) -> tuple[Structure, Sentence]:
+def _pad_clique_sentence(j: int, n: int, s: Sentence) -> Sentence:
     """Lift a threshold-j sentence from the (2j+1)-clique to the n-clique by
     an outermost (n-2j-1)-clique of fresh variables adjacent to
     everything."""
-    out = _pad_clique_sentence(j, n, s)
-    return build_template(clique(n)), out
-
-
-def _pad_clique_sentence(j: int, n: int, s: Sentence) -> Sentence:
-    """The target sentence of ``pad_clique``."""
     if not n > 2 * j + 1 >= 5:
         raise InvalidStructureError("needs n > 2j+1 >= 5")
     rs = _resolve_for(s, 2 * j + 1, {j}, "clique padding")
@@ -274,16 +259,10 @@ def _pad_clique_sentence(j: int, n: int, s: Sentence) -> Sentence:
     return Sentence(prefix, tuple(atoms))
 
 
-def reduce_clique_one_j(n: int, j: int, s: Sentence) -> tuple[Structure, Sentence]:
+def _clique_one_j_sentence(n: int, j: int, s: Sentence) -> Sentence:
     """Simulate quantified n-colouring with thresholds {1, j}: universal
     vertices gain n-j fresh threshold-j companions clique-joined with
     them."""
-    out = _clique_one_j_sentence(n, j, s)
-    return build_template(clique(n)), out
-
-
-def _clique_one_j_sentence(n: int, j: int, s: Sentence) -> Sentence:
-    """The target sentence of ``reduce_clique_one_j``."""
     if not 1 < j <= n:
         raise InvalidStructureError("needs 1 < j <= n")
     rs = _resolve_for(s, n, {1, n}, "clique {1,j} reduction")
@@ -343,9 +322,9 @@ def even_cycle_offsets(n: int, j: int) -> tuple[int, list[int]]:
     return r, alpha
 
 
-def reduce_even_cycle(
+def _even_cycle_sentence(
     n: int, j: int, s: Sentence, source_is_qcsp: bool
-) -> tuple[Structure, Sentence]:
+) -> Sentence:
     """Compile a sentence over the (n/2)-clique into one over the n-cycle
     (even n) with thresholds {1, j}.
 
@@ -355,14 +334,6 @@ def reduce_even_cycle(
     quantified variant universal variables are first replaced by path
     blocks.
     """
-    out = _even_cycle_sentence(n, j, s, source_is_qcsp)
-    return build_template(cycle(n)), out
-
-
-def _even_cycle_sentence(
-    n: int, j: int, s: Sentence, source_is_qcsp: bool
-) -> Sentence:
-    """The target sentence of ``reduce_even_cycle``."""
     if n < 6 or n % 2 or not 2 <= j <= n // 2:
         raise InvalidStructureError("needs even n >= 6 and 2 <= j <= n/2")
     half = n // 2
@@ -485,7 +456,7 @@ def isolation_blocks(h: Structure) -> tuple[tuple[str, ...], ...]:
     return _isolation(h)[2]
 
 
-def girth_isolation(h: Structure, s: Sentence) -> tuple[Structure, Sentence]:
+def _girth_isolation_sentence(h: Structure, s: Sentence) -> Sentence:
     """Compile a colouring sentence over the girth/2 clique into the
     bounded-prefix fragment over a bipartite template of girth >= 6.
 
@@ -509,23 +480,17 @@ def girth_isolation(h: Structure, s: Sentence) -> tuple[Structure, Sentence]:
         for e, (x, y) in enumerate(edges):
             fresh = _chain_of_copies(names, cyc, copy_of[x], copy_of[y], f"b{bi}~e{e}", atoms)
             prefix.extend(Quantifier(1, u) for u in fresh)
-    return h, Sentence(tuple(prefix), tuple(atoms))
+    return Sentence(tuple(prefix), tuple(atoms))
 
 
 # ---------------------------------------------------------------------------
 # The reflexive 4-cycle
 
 
-def reduce_reflexive_c4(s: Sentence) -> tuple[Structure, Sentence]:
+def _reflexive_c4_sentence(s: Sentence) -> Sentence:
     """Compile a quantified 4-colouring sentence into thresholds {1,2,3,4}
     over the reflexive 4-cycle: a mixed-threshold fixed copy of the
     template plus one three-layer square gadget per source edge."""
-    out = _reflexive_c4_sentence(s)
-    return build_template(reflexive_cycle(4)), out
-
-
-def _reflexive_c4_sentence(s: Sentence) -> Sentence:
-    """The target sentence of ``reduce_reflexive_c4``."""
     rs = _resolve_for(s, 4, {1, 4}, "reflexive-C4 reduction")
     names = _Names([q.variable for q in rs.prefix])
     z = [names.make(f"z~c~{p}") for p in range(1, 5)]
@@ -567,7 +532,7 @@ def _reflexive_c4_sentence(s: Sentence) -> Sentence:
     return Sentence(tuple(prefix), tuple(atoms))
 
 
-def expand_reflexive_c4_macros(s: Sentence) -> Sentence:
+def _expand_reflexive_c4_macros(s: Sentence) -> Sentence:
     """Rewrite thresholds 2 and 3 into for-all/exists shorthand, valid on
     the reflexive 4-cycle: each threshold-2 quantifier gains one universal
     guard adjacent to it, each threshold-3 quantifier two."""
@@ -959,7 +924,7 @@ RULES: dict[str, RuleSpec] = {
         ("h",),
         _girth_source_template,
         lambda r: r.get("h"),
-        lambda r, s: girth_isolation(r.get("h"), s)[1],
+        lambda r, s: _girth_isolation_sentence(r.get("h"), s),
         _fixed_sources(*_SMALL_SOURCES),
         "sources live on the girth/2 clique",
     ),
@@ -975,7 +940,7 @@ RULES: dict[str, RuleSpec] = {
         (),
         lambda r: build_template(reflexive_cycle(4)),
         lambda r: build_template(reflexive_cycle(4)),
-        lambda r, s: expand_reflexive_c4_macros(s),
+        lambda r, s: _expand_reflexive_c4_macros(s),
         _c4star_sources,
         "macro sources live on the reflexive 4-cycle",
     ),

@@ -284,3 +284,79 @@ def test_cli_determinism(files, capsys):
 def test_usage_error_exit_2():
     assert run(["solve"]) == 2
     assert run(["reduce", "no-such-rule", "--sources", "x", "--out-dir", "y"]) == 2
+
+
+def test_verify_girth_isolation_parses_template_parameter(capsys):
+    assert run(["verify", "girth-isolation", "h=cycle:6", "--trials", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == "summary: 3 agree, 0 disagree, 0 budget-skipped"
+
+
+@pytest.mark.parametrize("params, message", [
+    (["j=x", "n=6"], "parameter 'j' needs an integer"),
+    (["j2"], "expected key=value parameter, got 'j2'"),
+])
+def test_bad_rule_parameter_exit_2(params, message, capsys):
+    assert run(["verify", "clique-pad", *params]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_missing_template_file_exit_2(files, capsys):
+    tmp, write = files
+    s = write("s.sentence", "E1 x |\n")
+    missing = str(tmp / "missing.structure")
+    assert run(["solve", missing, s]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {missing}: ")
+
+
+def test_strategy_out_on_no_instance_writes_nothing(files, capsys):
+    tmp, write = files
+    c4 = write("c4.structure", textio.render_structure(build_template(model.cycle(4))))
+    tri = write("tri.sentence", "E2 x E2 y E2 z | E(x,y) & E(y,z) & E(z,x)\n")
+    strat = tmp / "strategy.txt"
+    assert run(["solve", c4, tri, "--strategy-out", str(strat)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[0] == "no"
+    assert captured.err == "no strategy: no-instance\n"
+    assert not strat.exists()
+
+
+def test_reduce_inject_fault_changes_the_target(files):
+    tmp, write = files
+    src = write("src.sentence", "E2 a E2 b | E(a,b)\n")
+    base = ["reduce", "clique-pad", "j=2", "n=6", "--sources", src, "--out-dir"]
+    assert run([*base, str(tmp / "clean")]) == 0
+    assert run([*base, str(tmp / "fault"), "--inject-fault"]) == 0
+    clean = (tmp / "clean" / "src.target.sentence").read_text()
+    fault = (tmp / "fault" / "src.target.sentence").read_text()
+    assert clean != fault
+    assert textio.parse_sentence(clean).prefix == textio.parse_sentence(fault).prefix
+
+
+def test_reduce_rule_without_compiler_exit_2(files, capsys):
+    tmp, write = files
+    src = write("src.sentence", "E1 u |\n")
+    argv = ["reduce", "odd-cycle-path", "n=5", "j=2", "--sources", src, "--out-dir", str(tmp / "out")]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: rule 'odd-cycle-path' has no direct compiler\n"
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ("F(x,y)", "relation 'F' not in template signature"),
+    ("E(x,y,x)", "relation 'E' arity mismatch"),
+])
+def test_auto_refuses_foreign_atoms_as_the_oracle_does(matrix, message, files, capsys):
+    """`auto` matches no decider when an atom is not the template's binary
+    edge relation, so the oracle answers and refuses the atom."""
+    tmp, write = files
+    c4 = write("c4.structure", textio.render_structure(build_template(model.cycle(4))))
+    s = write("s.sentence", f"E2 x E2 y | {matrix}\n")
+    for engine in ("oracle", "auto"):
+        assert run(["solve", c4, s, "--engine", engine]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"

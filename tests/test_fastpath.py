@@ -350,6 +350,13 @@ def test_classify_near_universal_rows_are_open():
         assert _v(family, frag) == fp.ComplexityVerdict(CC.OPEN, ""), str(family)
 
 
+def test_classify_complete_bipartite_graph_row():
+    """K_{2,2} given as an edge list reaches the complete-bipartite row of
+    the bipartite threshold-set classifier."""
+    k22 = model.parse_family_spec("graph:0-2,0-3,1-2,1-3")
+    assert str(_v(k22, threshold_set(2, 3))) == "L (Prop complete-bipartite)"
+
+
 def test_classify_rejects_oversized_thresholds():
     with pytest.raises(model.InvalidStructureError):
         fp.classify(model.clique(3), threshold_set(4))
@@ -376,6 +383,9 @@ def test_dispatch_routes(zoo):
     assert _engine(zoo["P4"], parse_sentence("E2 x E1 y | E(x,y)")) == "forest bounded prefix"
     assert _engine(zoo["C4star"], parse_sentence("E2 x | E(x,x)")) is None
     assert _engine(zoo["C6"], parse_sentence("E1 x E2 y | E(x,y)")) is None
+    # an atom on another relation, or on E with another arity, is the oracle's
+    assert _engine(zoo["C4"], parse_sentence("E2 x E2 y | F(x,y)")) is None
+    assert _engine(zoo["C4"], parse_sentence("E2 x E2 y | E(x,y,x)")) is None
 
 
 def test_dispatch_c4_containment():

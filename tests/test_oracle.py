@@ -93,6 +93,10 @@ def test_verify_strategy_shape_errors(zoo):
     )
     with pytest.raises(StrategyShapeError):
         verify_strategy(zoo["C4"], s, deep)
+    with pytest.raises(StrategyShapeError, match="^offered element out of range at depth 0$"):
+        verify_strategy(zoo["C4"], s, StrategyNode((0, 4), (LEAF, LEAF)))
+    with pytest.raises(StrategyShapeError, match="^child count mismatch at depth 0$"):
+        verify_strategy(zoo["C4"], s, StrategyNode((0, 1), (LEAF,)))
 
 
 def test_empty_sentence_with_empty_tree(zoo):

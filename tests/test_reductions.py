@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -12,6 +13,8 @@ from cqcsp.model import (
 )
 from cqcsp.textio import parse_sentence, render_sentence
 from cqcsp.oracle import evaluate
+
+from test_golden import RULES as GOLDEN_RULES, _params
 
 
 def _closure_with_pins(template, gadget, pins):
@@ -31,6 +34,11 @@ def _closure_with_pins(template, gadget, pins):
     s = Sentence(tuple(prefix), tuple(atoms))
     t = make_structure(sig, template.domain_size, rels)
     return evaluate(t, s)
+
+
+def _compile(r, source):
+    """Compile ``source`` under rule ``r`` from the rule's own source template."""
+    return rd.compile_rule(r, r.source_template(), source)
 
 
 def test_block_gadget_shape():
@@ -60,12 +68,12 @@ def test_block_gadget_semantics_on_k5():
 
 def test_reduce_nae_shape():
     src = parse_sentence("A x E1 y E1 z | R(x,y,z)")
-    target, out = rd.reduce_nae(2, 4, src)
+    target, out = _compile(rd.rule("nae", j=2, n=4), src)
     assert target.tuples("U") == frozenset({(0,), (1,)})
     assert [q.threshold for q in out.prefix] == [2, 2, 2]
     assert ("U", ("x",)) in out.atoms
     with pytest.raises(InvalidStructureError):
-        rd.reduce_nae(1, 4, src)
+        _compile(rd.rule("nae", j=1, n=4), src)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -75,6 +83,7 @@ def test_reduce_nae_equivalence(n, zoo):
     import itertools
 
     nae = zoo["NAE"]
+    rule = rd.rule("nae", j=2, n=n)
     names = ["x", "y", "z"]
     for m in (1, 2, 3):
         vs = names[:m]
@@ -88,18 +97,18 @@ def test_reduce_nae_equivalence(n, zoo):
             )
             for mat in matrices:
                 src = Sentence(prefix, tuple(("R", t) for t in mat))
-                target, out = rd.reduce_nae(2, n, src)
+                target, out = _compile(rule, src)
                 assert evaluate(nae, src) == evaluate(target, out), (n, str(src))
 
 
 def test_pad_clique_examples(zoo):
     src = parse_sentence("E2 a E2 b | E(a,b)")
-    target, out = rd.pad_clique(2, 6, src)
+    target, out = _compile(rd.rule("clique-pad", j=2, n=6), src)
     assert target.domain_size == 6
     assert len(out.prefix) == 3
     assert out.prefix[0].variable.startswith("pad~")
     with pytest.raises(InvalidStructureError):
-        rd.pad_clique(2, 5, src)
+        _compile(rd.rule("clique-pad", j=2, n=5), src)
 
 
 def test_pad_clique_equivalence():
@@ -107,19 +116,20 @@ def test_pad_clique_equivalence():
 
     rng = random.Random(3)
     k5 = build_template(model.clique(5))
+    rule = rd.rule("clique-pad", j=2, n=6)
     for _ in range(40):
         src = rd._random_graph_sentence(rng, rng.randint(1, 3), 3, [2])
-        target, out = rd.pad_clique(2, 6, src)
+        target, out = _compile(rule, src)
         assert evaluate(k5, src) == evaluate(target, out), str(src)
 
 
 def test_reduce_clique_one_j_examples():
     src = parse_sentence("A v | E(v,v)")
-    target, out = rd.reduce_clique_one_j(3, 3, src)
+    target, out = _compile(rd.rule("clique-1j", n=3, j=3), src)
     # j = n collapses a universal to a bare threshold-n quantifier
     assert [q.threshold for q in out.prefix] == [3]
     with pytest.raises(InvalidStructureError):
-        rd.reduce_clique_one_j(3, 1, src)
+        _compile(rd.rule("clique-1j", n=3, j=1), src)
 
 
 @pytest.mark.parametrize("n,j", [(3, 2), (4, 2), (4, 3)])
@@ -128,15 +138,16 @@ def test_reduce_clique_one_j_equivalence(n, j):
 
     rng = random.Random(5)
     kn = build_template(model.clique(n))
+    rule = rd.rule("clique-1j", n=n, j=j)
     for _ in range(40):
         src = rd._random_graph_sentence(rng, rng.randint(1, 3), 3, [1, n])
-        target, out = rd.reduce_clique_one_j(n, j, src)
+        target, out = _compile(rule, src)
         assert evaluate(kn, src) == evaluate(target, out), (n, j, str(src))
 
 
 def test_reduce_clique_blocks_counts():
     src = parse_sentence("A u E1 v | E(u,v)")
-    target, out = rd.reduce_clique_single_threshold(2, src)
+    target, out = _compile(rd.rule("clique-gj", j=2), src)
     assert target.domain_size == 5
     # forcing cliques (2 blocks of 3) + two vertex blocks + one edge gadget
     assert len(out.prefix) == 6 + 2 + 2 + 3
@@ -147,6 +158,7 @@ def test_reduce_clique_blocks_counts():
 
 def test_reduce_clique_blocks_equivalence():
     k10 = build_template(model.clique(10))
+    rule = rd.rule("clique-gj", j=2)
     cases = [
         "E1 u E1 v | E(u,v)",
         "A u E1 v | E(u,v)",
@@ -158,7 +170,7 @@ def test_reduce_clique_blocks_equivalence():
     ]
     for text in cases:
         src = parse_sentence(text)
-        target, out = rd.reduce_clique_single_threshold(2, src)
+        target, out = _compile(rule, src)
         assert evaluate(k10, src) == evaluate(target, out), text
 
 
@@ -197,12 +209,39 @@ def test_even_cycle_offsets():
     assert all(alpha[k + 1] - alpha[k] == 2 for k in range(len(alpha) - 1))
 
 
+_K4_SOURCE = "E1 a E1 b E1 c E1 d | E(a,b) & E(a,c) & E(a,d) & E(b,c) & E(b,d) & E(c,d)"
+
+
+@pytest.mark.parametrize("name, texts", [
+    ("even-cycle", ["E1 u |", "E1 u E1 v | E(u,v)", "A u E1 v | E(u,v)",
+                    "E1 u | E(u,u)", "A u A v | E(u,v)"]),
+    ("even-cycle-csp", ["E1 u |", "E1 u E1 v | E(u,v)",
+                        "E1 u E1 v E1 t | E(u,v) & E(v,t) & E(t,u)",
+                        "E1 u | E(u,u)", _K4_SOURCE]),
+])
+def test_even_cycle_anchoring_path(name, texts, zoo):
+    """At n=6, j=3 the offsets give r=1, so the compiled sentence carries
+    the anchoring path w~p~0 - w~p~1 - v~c~0; yes and no sources agree."""
+    assert rd.even_cycle_offsets(6, 3) == (1, [0, 2, 4])
+    rule = rd.rule(name, n=6, j=3)
+    verdicts = []
+    for text in texts:
+        src = parse_sentence(text)
+        target, out = _compile(rule, src)
+        assert ("E", ("w~p~0", "w~p~1")) in out.atoms
+        assert ("E", ("w~p~1", "v~c~0")) in out.atoms
+        verdicts.append(evaluate(zoo["K3"], src))
+        assert verdicts[-1] == evaluate(target, out), text
+    assert verdicts == [True, True, True, False, False]
+
+
 def test_even_cycle_csp_equivalence(zoo):
     k3 = zoo["K3"]
+    rule = rd.rule("even-cycle-csp", n=6, j=2)
     for text in ["E1 u |", "E1 u | E(u,u)", "E1 u E1 v | E(u,v)",
                  "E1 u E1 v E1 t | E(u,v) & E(v,t) & E(t,u)"]:
         src = parse_sentence(text)
-        target, out = rd.reduce_even_cycle(6, 2, src, False)
+        target, out = _compile(rule, src)
         assert target == zoo["C6"]
         assert evaluate(k3, src) == evaluate(target, out, budget=50_000_000), text
 
@@ -212,46 +251,45 @@ def test_even_cycle_csp_triangle_within_budget(zoo):
     the triangle source's target is decided in under 20,000 nodes (a flat
     search of the prefix takes about 35,000)."""
     src = parse_sentence("E1 u E1 v E1 t | E(u,v) & E(v,t) & E(t,u)")
-    target, out = rd.reduce_even_cycle(6, 2, src, False)
+    target, out = _compile(rd.rule("even-cycle-csp", n=6, j=2), src)
     assert evaluate(target, out, budget=20_000)
 
 
 def test_even_cycle_csp_k4_within_budget(zoo):
     """The K4 source (293 target variables) is a no-instance on both
     sides, and the target is decided in under 250,000 nodes."""
-    src = parse_sentence(
-        "E1 a E1 b E1 c E1 d | E(a,b) & E(a,c) & E(a,d) & E(b,c) & E(b,d) & E(c,d)"
-    )
-    target, out = rd.reduce_even_cycle(6, 2, src, False)
+    src = parse_sentence(_K4_SOURCE)
+    target, out = _compile(rd.rule("even-cycle-csp", n=6, j=2), src)
     assert not evaluate(zoo["K3"], src)
     assert not evaluate(target, out, budget=250_000)
 
 
 def test_even_cycle_qcsp_equivalence(zoo):
     k3 = zoo["K3"]
+    rule = rd.rule("even-cycle", n=6, j=2)
     for text in ["A u E1 v | E(u,v)", "A u A v | E(u,v)"]:
         src = parse_sentence(text)
-        target, out = rd.reduce_even_cycle(6, 2, src, True)
+        target, out = _compile(rule, src)
         assert evaluate(k3, src) == evaluate(target, out, budget=50_000_000), text
 
 
 def test_even_cycle_source_validation():
     with pytest.raises(InvalidStructureError):
-        rd.reduce_even_cycle(5, 2, parse_sentence("E1 u |"), False)
+        _compile(rd.rule("even-cycle-csp", n=5, j=2), parse_sentence("E1 u |"))
     with pytest.raises(InvalidStructureError):
-        rd.reduce_even_cycle(6, 2, parse_sentence("E2 u |"), False)
+        _compile(rd.rule("even-cycle-csp", n=6, j=2), parse_sentence("E2 u |"))
 
 
 def test_girth_isolation_structure(zoo):
     c6 = zoo["C6"]
     src = parse_sentence("E1 u E1 v | E(u,v)")
-    h, out = rd.girth_isolation(c6, src)
+    h, out = _compile(rd.rule("girth-isolation", h=c6), src)
     assert h == c6
     twos = [q for q in out.prefix if q.threshold == 2]
     # diameter 3: spine of 4 plus one candidate-chain head
     assert len(twos) == 5
     # the threshold-2 block matches the even-cycle construction's budget
-    _, direct = rd.reduce_even_cycle(6, 2, src, False)
+    _, direct = _compile(rd.rule("even-cycle-csp", n=6, j=2), src)
     assert len([q for q in direct.prefix if q.threshold == 2]) == 5
     # bounded-prefix shape: all threshold-2 quantifiers lead
     th = [q.threshold for q in out.prefix]
@@ -261,19 +299,17 @@ def test_girth_isolation_structure(zoo):
 
 def test_girth_isolation_equivalence(zoo):
     k3 = zoo["K3"]
+    rule = rd.rule("girth-isolation", h=zoo["C6"])
     for text in ["E1 u |", "E1 u | E(u,u)", "E1 u E1 v | E(u,v)"]:
         src = parse_sentence(text)
-        h, out = rd.girth_isolation(zoo["C6"], src)
+        h, out = _compile(rule, src)
         assert evaluate(k3, src) == evaluate(h, out, budget=50_000_000), text
 
 
 def test_girth_isolation_preconditions(zoo):
-    with pytest.raises(InvalidStructureError):
-        rd.girth_isolation(zoo["C4"], parse_sentence("E1 u |"))
-    with pytest.raises(InvalidStructureError):
-        rd.girth_isolation(zoo["P5"], parse_sentence("E1 u |"))
-    with pytest.raises(InvalidStructureError):
-        rd.girth_isolation(zoo["C5"], parse_sentence("E1 u |"))
+    for name in ("C4", "P5", "C5"):
+        with pytest.raises(InvalidStructureError):
+            _compile(rd.rule("girth-isolation", h=zoo[name]), parse_sentence("E1 u |"))
 
 
 def test_hairy_spine_blocks(zoo):
@@ -287,17 +323,18 @@ def test_hairy_spine_blocks(zoo):
 
 def test_reflexive_c4_reduction(zoo):
     k4 = zoo["K4"]
+    rule = rd.rule("reflexive-c4")
     for text in ["E1 u E1 v | E(u,v)", "A u A v | E(u,v)", "A u E1 v | E(u,v)",
                  "E1 u | E(u,u)"]:
         src = parse_sentence(text)
-        target, out = rd.reduce_reflexive_c4(src)
+        target, out = _compile(rule, src)
         assert target == zoo["C4star"]
         assert evaluate(k4, src) == evaluate(target, out), text
 
 
 def test_reflexive_c4_gadget_size():
     src = parse_sentence("E1 u E1 v | E(u,v)")
-    _, out = rd.reduce_reflexive_c4(src)
+    _, out = _compile(rd.rule("reflexive-c4"), src)
     # fixed copy (4) + source vars (2) + three layers minus shared y (11)
     assert len(out.prefix) == 4 + 2 + 11
     prefix = [q.threshold for q in out.prefix]
@@ -306,21 +343,38 @@ def test_reflexive_c4_gadget_size():
 
 def test_macro_expansion_examples(zoo):
     c4s = zoo["C4star"]
+    rule = rd.rule("c4star-macros")
     src = parse_sentence("E2 x | E(x,x)")
-    out = rd.expand_reflexive_c4_macros(src)
+    _, out = _compile(rule, src)
     assert render_sentence(out) == "E4 x~p~1 E1 x | E(x,x) & E(x~p~1,x)"
     assert evaluate(c4s, src) and evaluate(c4s, out)
     src = parse_sentence("E3 x | E(x,x)")
-    out = rd.expand_reflexive_c4_macros(src)
+    _, out = _compile(rule, src)
     assert evaluate(c4s, src) == evaluate(c4s, out) is True
 
 
 def test_macro_expansion_exhaustive(zoo):
     c4s = zoo["C4star"]
-    for src in rd.default_sources(rd.rule("c4star-macros"), trials=0, seed=0):
-        out = rd.expand_reflexive_c4_macros(src)
+    rule = rd.rule("c4star-macros")
+    for src in rd.default_sources(rule, trials=0, seed=0):
+        _, out = _compile(rule, src)
         assert set(q.threshold for q in out.prefix) <= {1, 4}
         assert evaluate(c4s, src) == evaluate(c4s, out), str(src)
+
+
+@pytest.mark.parametrize("name, params", [(name, params) for name, params, _ in GOLDEN_RULES])
+@pytest.mark.parametrize("wrong", ["K2", "C5"])
+def test_compile_rule_rejects_another_source_template(name, params, wrong, zoo):
+    rule = rd.rule(name, **_params(params))
+    message = rd.RULES[name].mismatch
+    with pytest.raises(InvalidStructureError, match=f"^{re.escape(message)}$"):
+        rd.compile_rule(rule, zoo[wrong], parse_sentence("E1 u |"))
+
+
+def test_compile_rule_needs_a_compiler(zoo):
+    rule = rd.rule("odd-cycle-path", n=5, j=2)
+    with pytest.raises(InvalidStructureError, match="^rule 'odd-cycle-path' has no direct compiler$"):
+        rd.compile_rule(rule, zoo["C5"], parse_sentence("E1 u |"))
 
 
 def test_compiled_sentences_roundtrip_and_are_wellformed(zoo):
@@ -330,14 +384,14 @@ def test_compiled_sentences_roundtrip_and_are_wellformed(zoo):
     nae_src = parse_sentence("A x E1 y | R(x,y,y)")
     gj_src = Sentence((Quantifier(10, "u"), Quantifier(1, "v")), (("E", ("u", "v")),))
     compiled = [
-        rd.reduce_nae(2, 4, nae_src),
-        rd.reduce_clique_single_threshold(2, gj_src),
-        rd.pad_clique(2, 6, parse_sentence("E2 a E2 b | E(a,b)")),
-        rd.reduce_clique_one_j(4, 2, src),
-        rd.reduce_reflexive_c4(src),
-        rd.reduce_even_cycle(6, 2, src, True),
-        rd.girth_isolation(zoo["C6"], parse_sentence("E1 u E1 v | E(u,v)")),
-        (zoo["C4star"], rd.expand_reflexive_c4_macros(parse_sentence("E3 x | E(x,x)"))),
+        _compile(rd.rule("nae", j=2, n=4), nae_src),
+        _compile(rd.rule("clique-gj", j=2), gj_src),
+        _compile(rd.rule("clique-pad", j=2, n=6), parse_sentence("E2 a E2 b | E(a,b)")),
+        _compile(rd.rule("clique-1j", n=4, j=2), src),
+        _compile(rd.rule("reflexive-c4"), src),
+        _compile(rd.rule("even-cycle", n=6, j=2), src),
+        _compile(rd.rule("girth-isolation", h=zoo["C6"]), parse_sentence("E1 u E1 v | E(u,v)")),
+        _compile(rd.rule("c4star-macros"), parse_sentence("E3 x | E(x,x)")),
     ]
     for target, out in compiled:
         assert ps(render_sentence(out)) == out
@@ -347,8 +401,9 @@ def test_compiled_sentences_roundtrip_and_are_wellformed(zoo):
 
 def test_compilation_deterministic():
     src = parse_sentence("A u E1 v | E(u,v)")
-    a = rd.reduce_even_cycle(6, 2, src, True)
-    b = rd.reduce_even_cycle(6, 2, src, True)
+    # two rule objects, so the target template is built twice
+    a = _compile(rd.rule("even-cycle", n=6, j=2), src)
+    b = _compile(rd.rule("even-cycle", n=6, j=2), src)
     from cqcsp.textio import render_sentence, render_structure
 
     assert render_sentence(a[1]) == render_sentence(b[1])
@@ -361,7 +416,9 @@ def test_fresh_variable_hygiene():
         (Quantifier(1, "pad~c~1"), Quantifier(2, "u")),
         (("E", ("pad~c~1", "u")),),
     )
-    target, out = rd.pad_clique(2, 6, parse_sentence("E2 pad~c~1 E2 u | E(pad~c~1,u)"))
+    target, out = _compile(
+        rd.rule("clique-pad", j=2, n=6), parse_sentence("E2 pad~c~1 E2 u | E(pad~c~1,u)")
+    )
     names = [q.variable for q in out.prefix]
     assert len(names) == len(set(names))
 

@@ -30,15 +30,26 @@ def test_parse_structure_comments_and_format_line():
     assert b.constants == {"a": 0}
 
 
+STRUCTURE_ERRORS = [
+    ("", "empty structure file", 1, 1, 1),
+    ("domain 2\nrel E 2\n0 1", "relation 'E' not terminated by 'end'", 2, 1, 1),
+    ("domain 2\nrel E 2\n0 1\nend\nrel E 1\n0\nend", "duplicate relation 'E'", 5, 5, 1),
+    ("domain 2\nwibble", "unexpected directive 'wibble'", 2, 1, 6),
+    ("domain 0\n", "domain size must be positive", 1, 1, 1),
+    ("domain 2\nrel E 0\nend\n", "arity must be >= 1", 2, 1, 1),
+    ("domain 2\nrel E 2\n0 1 1\nend\n", "tuple arity 3 does not match 2", 3, 1, 1),
+    ("domain 2\nconst c 2\n", "constant element 2 out of range", 2, 1, 1),
+    ("domain 2\nconst c 0\nconst c 1\n", "duplicate constant 'c'", 3, 1, 1),
+]
+
+
 def test_parse_structure_errors():
-    with pytest.raises(ParseError):
-        parse_structure("")
-    with pytest.raises(ParseError):
-        parse_structure("domain 2\nrel E 2\n0 1")
-    with pytest.raises(ParseError):
-        parse_structure("domain 2\nrel E 2\n0 1\nend\nrel E 1\n0\nend")
-    with pytest.raises(ParseError):
-        parse_structure("domain 2\nwibble")
+    for text, reason, line, column, length in STRUCTURE_ERRORS:
+        with pytest.raises(ParseError) as err:
+            parse_structure(text)
+        e = err.value
+        got = (e.reason, e.span.line, e.span.column, e.span.length)
+        assert got == (reason, line, column, length), text
 
 
 def test_parse_sentence_examples():
