@@ -54,14 +54,7 @@ from .fastpath import (
     ComplexityVerdict,
     PreconditionError,
     classify,
-    decide_all_universal,
-    decide_bipartite_small_partition,
-    decide_bipartite_with_c4,
-    decide_clique_high_thresholds,
-    decide_complete_bipartite,
-    decide_cycle_tractable,
-    decide_forest_bounded_prefix,
-    decide_path5_one_three,
+    decide,
     dispatch,
 )
 from .reductions import (

@@ -36,8 +36,11 @@ def _read(path: str) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w") as f:
-        f.write(text)
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        raise InvalidStructureError(f"cannot write {path}: {exc}") from exc
 
 
 def _stem(path: str) -> str:
@@ -115,7 +118,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_reduce(args: argparse.Namespace) -> int:
     rule = reductions.rule(args.rule, **_parse_params(args.params))
     source_template = rule.source_template()
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise InvalidStructureError(f"cannot write {args.out_dir}: {exc}") from exc
     for source_path in args.sources:
         source = textio.parse_sentence(_read(source_path))
         compiled = reductions.compile_rule(rule, source_template, source)

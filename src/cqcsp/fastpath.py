@@ -12,17 +12,16 @@ Membership-in-L results are implemented as ordinary polynomial procedures
 reproduced.
 
 No decider keeps a search of its own.  The small-bipartition decider
-counts template vertices, and the forest decider (Thm 4) checks its
-precondition and then runs the oracle, so it agrees with the oracle by
-construction and only the counting semantics checks it independently.
+counts template vertices, and the forest decider (Thm 4) runs the oracle,
+so it agrees with the oracle by construction and only the counting
+semantics checks it independently.
 
 Every tractable case and every classifier verdict is a condition on the
-template alone plus the thresholds.  Each case states its condition once,
-as the reason it fails: `dispatch` and `classify` read it through the
-case's ``Tractable.why_not``, and its decider raises the same reason as a
-PreconditionError.  The family deciders (clique, cycle, complete
-bipartite, P5) take no template and check only the threshold side.  The
-template side -- a family's template, its graph view and the view's
+template alone plus the thresholds.  Each case is one ``Tractable`` entry
+stating its condition once, as the reason it fails: `dispatch`, `classify`
+and `decide` read it through ``Tractable.why_not``.  ``decide(case,
+template, sentence)`` runs one case's decider, or raises that reason as a
+PreconditionError.  The template side -- its graph view and the view's
 facts -- is computed once per instance (see ``model``).  The instance
 graph is a ``GraphView`` too, so the deciders read a sentence's
 components, two-colouring and earlier neighbours with the methods the
@@ -88,15 +87,10 @@ class ComplexityVerdict(Record):
 
 # ---------------------------------------------------------------------------
 # Deciders.  Each tractable condition is stated once, as the reason it fails
-# (None when it holds), which `dispatch` and `classify` read and its decider
+# (None when it holds), which `dispatch` and `classify` read and `decide`
 # raises.
 
 _NOT_BIPARTITE = "template is not bipartite"
-
-
-def _require(reason: str | None) -> None:
-    if reason is not None:
-        raise PreconditionError(reason)
 
 
 def _above_half(n: int, th: Sequence[int]) -> str | None:
@@ -139,25 +133,23 @@ def _small_bipartition(g: GraphView, j: int, th: Sequence[int]) -> str | None:
     return _one_and(j, th)
 
 
-def _forest_prefix(g: GraphView, m: int, th: Sequence[int]) -> str | None:
-    """Theorem 4: a forest, and a prefix of at most m threshold-2
-    quantifiers followed by existentials."""
+def _forest_prefix(g: GraphView, th: Sequence[int]) -> str | None:
+    """Theorem 4: a forest, and a prefix of threshold-2 quantifiers
+    followed by existentials."""
     if not g.is_forest():
         return "template is not a forest"
     block = next((i for i, t in enumerate(th) if t != 2), len(th))
     if any(t != 1 for t in th[block:]):
         return "prefix is not in the bounded 2-then-1 fragment"
-    if block > m:
-        return f"more than {m} threshold-2 quantifiers"
     return None
 
 
-def decide_all_universal(b: Structure, s: Sentence) -> bool:
+def _all_universal(b, g, s, th, budget) -> bool:
     """All-universal sentences: true iff every atom holds under every
     assignment consistent with its variable-repetition pattern."""
-    n = b.domain_size
-    _require(ALL_UNIVERSAL.why_not(n, None, oracle.prefix_thresholds(s, n)))
+    # `dispatch` checks the atoms against the template only for graph entries
     oracle.check_signature(b, s)
+    n = b.domain_size
     for name, vs in s.atoms:
         distinct = sorted(set(vs))
         tuples = b.tuples(name)
@@ -168,30 +160,29 @@ def decide_all_universal(b: Structure, s: Sentence) -> bool:
     return True
 
 
-def decide_clique_high_thresholds(n: int, s: Sentence) -> bool:
+def _star_criterion(b, g, s, th, budget) -> bool:
     """Cliques with every threshold above n/2: the star criterion.
 
     False iff some variable has at least n - threshold + 1 earlier
     neighbours in the instance graph (or the matrix has a loop)."""
-    if n < 1:
-        raise PreconditionError("clique size must be >= 1")
-    th = oracle.prefix_thresholds(s, n)
-    _require(_above_half(n, th))
     ig = instance_graph(s)
-    if ig.loops:
-        return False
-    for i, t in enumerate(th):
-        if len(ig.predecessors(i)) >= n - t + 1:
-            return False
-    return True
+    n = b.domain_size
+    return not ig.loops and all(len(ig.predecessors(i)) <= n - t for i, t in enumerate(th))
 
 
-def _cycle_claims(n: int, ig: GraphView, th: list[int]) -> bool:
-    """Necessary conditions for yes-instances on the n-cycle:
+def _cycle_branches(b, g, s, th, budget) -> bool:
+    """Tractable cycle cases: n = 4, or no plain existential, or even n
+    with no threshold in 2..n/2.  An instance is false when it breaks a
+    claim necessary for yes-instances on the n-cycle:
     (1a) a threshold >= 3 variable has no predecessors;
     (1b) for even n, a threshold > n/2 variable is first in its component;
     (1c) for n != 4, all but the first predecessor of a threshold-2
-         variable are plain existentials."""
+         variable are plain existentials.
+    The branch decides the rest."""
+    n = b.domain_size
+    ig = instance_graph(s)
+    if ig.loops:
+        return False
     for i, t in enumerate(th):
         if t >= 3 and ig.predecessors(i):
             return False
@@ -206,34 +197,14 @@ def _cycle_claims(n: int, ig: GraphView, th: list[int]) -> bool:
                 for p in ig.predecessors(i)[1:]:
                     if th[p] != 1:
                         return False
-    return True
-
-
-def decide_cycle_tractable(n: int, s: Sentence) -> bool:
-    """Tractable cycle cases: n = 4, or no plain existential, or even n
-    with no threshold in 2..n/2.
-
-    The claims encoded by ``_cycle_claims`` are necessary for any
-    threshold set, so instances violating them are answered false even
-    outside the three tractable branches.
-    """
-    if n < 3:
-        raise PreconditionError("cycles need n >= 3")
-    th = oracle.prefix_thresholds(s, n)
-    ig = instance_graph(s)
-    if ig.loops:
-        return False
-    if not _cycle_claims(n, ig, th):
-        return False
-    _require(_cycle_tractable(n, th))
-    if n != 4 and 1 not in th:
-        # claims (1a) and (1c) leave at most one predecessor per vertex,
-        # which a walk-following strategy always satisfies
-        return True
+        if 1 not in th:
+            # claims (1a) and (1c) leave at most one predecessor per vertex,
+            # which a walk-following strategy always satisfies
+            return True
     return ig.bipartition() is not None
 
 
-def decide_complete_bipartite(k: int, l: int, s: Sentence) -> bool:
+def _parity_propagation(b, g, s, th, budget) -> bool:
     """Complete bipartite templates, any thresholds up to k + l.
 
     Thresholds are rewritten to exists / for-all / pinned-to-the-large-side
@@ -242,17 +213,9 @@ def decide_complete_bipartite(k: int, l: int, s: Sentence) -> bool:
     no for-all in a pinned component, and every for-all first in its
     component.
     """
-    if k < 1 or l < 1:
-        raise PreconditionError("complete bipartite sides must be >= 1")
+    k, l = g.complete_bipartite_sides()
     lo, hi = min(k, l), max(k, l)
-    roles = []
-    for t in oracle.prefix_thresholds(s, k + l):
-        if t <= lo:
-            roles.append("E")
-        elif t > hi:
-            roles.append("A")
-        else:
-            roles.append("P")
+    roles = ["E" if t <= lo else "A" if t > hi else "P" for t in th]
     ig = instance_graph(s)
     colors = ig.bipartition()
     if colors is None:
@@ -272,9 +235,9 @@ def decide_complete_bipartite(k: int, l: int, s: Sentence) -> bool:
     return True
 
 
-def decide_bipartite_small_partition(h: Structure, j: int, s: Sentence) -> bool:
-    """Bipartite templates whose components have both sides smaller than j,
-    thresholds within {1, j}.
+def _fold_count(b, g, s, th, budget) -> bool:
+    """Bipartite templates whose components have both sides smaller than
+    j, the largest threshold, and thresholds within {1, j}.
 
     A threshold-j variable with a path to another threshold-j variable or
     to an earlier existential must straddle both sides of a component, so
@@ -283,10 +246,7 @@ def decide_bipartite_small_partition(h: Structure, j: int, s: Sentence) -> bool:
     template edge, so it holds iff the template has an edge or, with a
     threshold-j variable, at least j vertices with a neighbour.
     """
-    g = require_graph(h)
-    th = oracle.prefix_thresholds(s, h.domain_size)
-    _require(_small_bipartition(g, j, th))
-    oracle.check_signature(h, s)
+    j = max(th)
     ig = instance_graph(s)
     if ig.bipartition() is None:
         return False
@@ -302,26 +262,21 @@ def decide_bipartite_small_partition(h: Structure, j: int, s: Sentence) -> bool:
     return True
 
 
-def decide_bipartite_with_c4(h: Structure, s: Sentence) -> bool:
+def _instance_bipartite(b, g, s, th, budget) -> bool:
     """Bipartite templates containing a 4-cycle, thresholds within {1, 2}:
     true iff the instance graph is loop-free and bipartite."""
-    _require(_with_c4(require_graph(h), oracle.prefix_thresholds(s, h.domain_size)))
-    oracle.check_signature(h, s)
     return instance_graph(s).bipartition() is not None
 
 
-def decide_forest_bounded_prefix(
-    h: Structure, m: int, s: Sentence, *, budget: int | None = None
-) -> bool:
-    """Forests with a bounded block of threshold-2 quantifiers followed by
+def _forest_oracle(b, g, s, th, budget) -> bool:
+    """Forests with a block of threshold-2 quantifiers followed by
     existentials, decided by the oracle once the precondition holds: the
     oracle already plays each instance-graph component's game on its own.
     No polynomial bound is claimed when the block is unbounded."""
-    _require(_forest_prefix(require_graph(h), m, oracle.prefix_thresholds(s, h.domain_size)))
-    return oracle.evaluate(h, s, budget=budget)
+    return oracle.evaluate(b, s, budget=budget)
 
 
-def decide_path5_one_three(s: Sentence) -> bool:
+def _centre_finding(b, g, s, th, budget) -> bool:
     """The 5-vertex path with thresholds {1, 3}: the centre-finding
     characterisation.
 
@@ -329,8 +284,6 @@ def decide_path5_one_three(s: Sentence) -> bool:
     threshold-3 variables sits at even distance at least 4, and no
     existential variable precedes an adjacent threshold-3 variable.
     """
-    th = oracle.prefix_thresholds(s, 5)
-    _require(_one_and(3, th))
     ig = instance_graph(s)
     if ig.bipartition() is None:
         return False
@@ -349,18 +302,17 @@ def decide_path5_one_three(s: Sentence) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The tractable cases, read by `dispatch` (the CLI's `auto` engine) and by
-# `classify`
+# The tractable cases, read by `dispatch` (the CLI's `auto` engine), by
+# `decide` and by `classify`
 
 
 Tractable = namedtuple("Tractable", "tag citation why_not decide graph", defaults=(True,))
 Tractable.__doc__ = """One tractable case: its dispatch ``tag``, the ``citation``
 ``classify`` gives it, ``why_not(|B|, template graph, thresholds in prefix
-order)``, None when its decider applies and otherwise the reason its decider
-raises, and the decider ``decide(template, template graph, sentence,
-thresholds, node budget)``; only the forest decider searches, so only it
-reads the budget.  A family decider (clique, cycle, complete bipartite, P5)
-takes no template and checks only its thresholds.  An entry with
+order)``, None when the case applies and otherwise the reason, and its
+decider ``decide(template, template graph, sentence, thresholds, node
+budget)``, which runs only where ``why_not`` is None; only the forest
+decider searches, so only it reads the budget.  An entry with
 ``graph=False`` uses no graph, is passed None for it, and also covers
 templates that are not loop-free graphs; `dispatch` tests it before
 reading the template's graph view."""
@@ -370,54 +322,50 @@ ALL_UNIVERSAL = Tractable(
     "all-universal",
     "universal-only",
     lambda n, g, th: None if set(th) <= {n} else "decider needs every threshold equal to |B|",
-    lambda b, g, s, th, budget=None: decide_all_universal(b, s),
+    _all_universal,
     graph=False,
 )
 CLIQUE_HIGH = Tractable(
     "clique high thresholds",
     "Thm 1 i",
     lambda n, g, th: _above_half(n, th) if g.is_complete() else "template is not a clique",
-    lambda b, g, s, th, budget=None: decide_clique_high_thresholds(b.domain_size, s),
+    _star_criterion,
 )
 CYCLE = Tractable(
     "cycle tractable",
     "Thm 2 i",
     lambda n, g, th: _cycle_tractable(n, th) if g.is_cycle() else "template is not a cycle",
-    lambda b, g, s, th, budget=None: decide_cycle_tractable(b.domain_size, s),
+    _cycle_branches,
 )
 COMPLETE_BIPARTITE = Tractable(
     "complete bipartite",
     "Prop complete-bipartite",
     lambda n, g, th: None if g.complete_bipartite_sides() else "template is not K_{k,l}",
-    lambda b, g, s, th, budget=None: decide_complete_bipartite(
-        *g.complete_bipartite_sides(), s
-    ),
+    _parity_propagation,
 )
 C4_CONTAINMENT = Tractable(
     "C4 containment",
     "Prop C4-containment",
     lambda n, g, th: _with_c4(g, th),
-    lambda b, g, s, th, budget=None: decide_bipartite_with_c4(b, s),
+    _instance_bipartite,
 )
 SMALL_BIPARTITION = Tractable(
     "small bipartition",
     "Prop small-bipartition",
     lambda n, g, th: _small_bipartition(g, max(th, default=1), th),
-    lambda b, g, s, th, budget=None: decide_bipartite_small_partition(b, max(th), s),
+    _fold_count,
 )
 P5_ONE_THREE = Tractable(
     "P5 {1,3}",
     "Prop P5 {1,3}",
     lambda n, g, th: _one_and(3, th) if n == 5 and g.is_path_graph() else "template is not P5",
-    lambda b, g, s, th, budget=None: decide_path5_one_three(s),
+    _centre_finding,
 )
 FOREST = Tractable(
     "forest bounded prefix",
     "Thm 4",
-    lambda n, g, th: _forest_prefix(g, len(th), th),
-    lambda b, g, s, th, budget=None: decide_forest_bounded_prefix(
-        b, len(th), s, budget=budget
-    ),
+    lambda n, g, th: _forest_prefix(g, th),
+    _forest_oracle,
 )
 
 # In matching order: `dispatch` takes the first entry that applies.
@@ -465,6 +413,21 @@ def dispatch(
     return None
 
 
+def decide(case: Tractable, b: Structure, s: Sentence, *, budget: int | None = None) -> bool:
+    """Run ``case``'s decider on (template, sentence), or raise its
+    ``why_not`` reason as a PreconditionError where the case does not
+    apply.  A relation the template lacks is a SignatureError, as in the
+    oracle; ``budget`` bounds the forest decider's search."""
+    n = b.domain_size
+    th = oracle.prefix_thresholds(s, n)
+    g = require_graph(b) if case.graph else None
+    reason = case.why_not(n, g, th)
+    if reason is not None:
+        raise PreconditionError(reason)
+    oracle.check_signature(b, s)
+    return case.decide(b, g, s, th, budget)
+
+
 # ---------------------------------------------------------------------------
 # Classifier
 
@@ -507,8 +470,6 @@ def _classify_bipartite_threshold_set(
         return ComplexityVerdict(ComplexityClass.OPEN, "")
     if X == frozenset({1}):
         return ComplexityVerdict(ComplexityClass.IN_L, "bipartite CSP (cited)")
-    if COMPLETE_BIPARTITE.why_not(size, g, th) is None:
-        return _verdict(COMPLETE_BIPARTITE)
     if 1 in X and len(X) == 2:
         j = max(X)
         if j == size:
@@ -537,10 +498,9 @@ def classify(family: TemplateFamily, fragment: FragmentSpec) -> ComplexityVerdic
             return _classify_clique(size, g, X)
         if family.kind == "cycle":
             return _classify_cycle(family.n, g, X)
-        bipartite_kind = family.kind in ("complete_bipartite", "star", "path")
-        if bipartite_kind and COMPLETE_BIPARTITE.why_not(size, g, sorted(X)) is None:
-            return _verdict(COMPLETE_BIPARTITE)
         if g is not None and not g.loops:
+            if COMPLETE_BIPARTITE.why_not(size, g, sorted(X)) is None:
+                return _verdict(COMPLETE_BIPARTITE)
             return _classify_bipartite_threshold_set(family, g, size, X)
         if ALL_UNIVERSAL.why_not(size, g, sorted(X)) is None:
             return _verdict(ALL_UNIVERSAL)

@@ -9,8 +9,7 @@ import random
 import pytest
 
 from cqcsp.model import Quantifier, Sentence, Structure, build_template
-from cqcsp import model, oracle
-from cqcsp.fastpath import decide_complete_bipartite
+from cqcsp import fastpath, model, oracle
 
 
 def undirected_slots(n_vars: int) -> list[tuple[int, int]]:
@@ -125,7 +124,7 @@ def complete_bipartite_gate_failures(
             for _ in range(random_cases)
         )
         for s in itertools.chain(exhaustive, drawn):
-            if decide_complete_bipartite(k, l, s) != oracle.evaluate(b, s):
+            if fastpath.decide(fastpath.COMPLETE_BIPARTITE, b, s) != oracle.evaluate(b, s):
                 failures.append(((k, l), s))
     return failures
 

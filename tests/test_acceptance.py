@@ -142,12 +142,12 @@ def test_criterion_2_sumset_closed_forms():
     )
 
 
-def _agree(decider, b, s, failures, tag):
+def _agree(case, b, s, failures, tag):
     try:
         want = evaluate(b, s)
     except oracle.ThresholdError:
         return
-    got = decider(s)
+    got = fp.decide(case, b, s)
     if got != want:
         failures.append((tag, str(s), got, want))
 
@@ -158,29 +158,27 @@ def test_criterion_3_decider_oracle_agreement(zoo):
     rng = random.Random(1)
     max_m = 3 if FAST else 4
 
-    def sweep(tag, b, decider, thresholds, ms):
+    def sweep(tag, b, case, thresholds, ms):
         for m in ms:
             for s in graph_sentences(m, thresholds, max_atoms=5):
-                _agree(decider, b, s, failures, tag)
+                _agree(case, b, s, failures, tag)
 
     # all-universal, on graph and ternary templates
     for name in ("K2", "K3", "C4", "C6", "K23", "C4star", "P5"):
         b = zoo[name]
-        sweep(f"all-universal/{name}", b, lambda s, b=b: fp.decide_all_universal(b, s),
-              [b.domain_size], range(1, max_m + 1))
+        sweep(f"all-universal/{name}", b, fp.ALL_UNIVERSAL, [b.domain_size], range(1, max_m + 1))
     nae = zoo["NAE"]
     for count in range(3):
         for combo in itertools.combinations(list(itertools.product("xy", repeat=3)), count):
             atoms = tuple(("R", t) for t in combo)
             s = Sentence((Quantifier(2, "x"), Quantifier(2, "y")), atoms)
-            _agree(lambda s: fp.decide_all_universal(nae, s), nae, s, failures, "all-universal/NAE")
+            _agree(fp.ALL_UNIVERSAL, nae, s, failures, "all-universal/NAE")
 
     # cliques with high thresholds
     for n in range(1, 7):
         b = build_template(model.clique(n))
         highs = list(range(n // 2 + 1, n + 1))
-        sweep(f"clique/{n}", b, lambda s, n=n: fp.decide_clique_high_thresholds(n, s),
-              highs, range(1, max_m + 1))
+        sweep(f"clique/{n}", b, fp.CLIQUE_HIGH, highs, range(1, max_m + 1))
 
     # cycles, all three tractable branches (plus the always-valid claims)
     cycle_plans = [
@@ -192,14 +190,13 @@ def test_criterion_3_decider_oracle_agreement(zoo):
     ]
     for n, ths in cycle_plans:
         b = build_template(model.cycle(n))
-        sweep(f"cycle/{n}/{ths}", b, lambda s, n=n: fp.decide_cycle_tractable(n, s),
-              ths, range(1, max_m + 1))
+        sweep(f"cycle/{n}/{ths}", b, fp.CYCLE, ths, range(1, max_m + 1))
 
     # complete bipartite
     cb_plans = [((1, 2), 4), ((2, 2), 4), ((2, 3), 4), ((1, 3), 4), ((3, 3), 3), ((1, 5), 3)]
     for (k, l), mmax in cb_plans:
         b = build_template(model.complete_bipartite(k, l))
-        sweep(f"bipartite/{k},{l}", b, lambda s, k=k, l=l: fp.decide_complete_bipartite(k, l, s),
+        sweep(f"bipartite/{k},{l}", b, fp.COMPLETE_BIPARTITE,
               range(1, k + l + 1), range(1, min(mmax, max_m) + 1))
 
     # small bipartition
@@ -210,16 +207,17 @@ def test_criterion_3_decider_oracle_agreement(zoo):
         (zoo["K13"], 4),
     ]
     for h, j in sp_plans:
-        sweep(f"small-partition/{h}/{j}", h,
-              lambda s, h=h, j=j: fp.decide_bipartite_small_partition(h, j, s),
-              [1, j], range(1, max_m + 1))
+        for m in range(1, max_m + 1):
+            for s in graph_sentences(m, [1, j], max_atoms=5):
+                # j is the largest threshold the sentence uses
+                if any(q.threshold == j for q in s.prefix):
+                    _agree(fp.SMALL_BIPARTITION, h, s, failures, f"small-partition/{h}/{j}")
 
     # C4 containment
     c4_plans = [zoo["C4"], zoo["K23"],
                 model.graph_structure(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4)])]
     for h in c4_plans:
-        sweep(f"cont-c4/{h}", h, lambda s, h=h: fp.decide_bipartite_with_c4(h, s),
-              [1, 2], range(1, max_m + 1))
+        sweep(f"cont-c4/{h}", h, fp.C4_CONTAINMENT, [1, 2], range(1, max_m + 1))
 
     # forests in the bounded 2-then-1 fragment (m <= 2)
     forest_plans = [zoo["P3"], zoo["P4"], zoo["P5"], zoo["K13"],
@@ -235,34 +233,34 @@ def test_criterion_3_decider_oracle_agreement(zoo):
                 )
                 for atoms in matrices(m, 5):
                     s = Sentence(prefix, atoms)
-                    _agree(lambda s, h=h: fp.decide_forest_bounded_prefix(h, 2, s),
-                           h, s, failures, f"forest/{h}")
+                    _agree(fp.FOREST, h, s, failures, f"forest/{h}")
 
     # the 5-path with thresholds {1, 3}
-    sweep("p5-13", zoo["P5"], fp.decide_path5_one_three, [1, 3], range(1, max_m + 1))
+    sweep("p5-13", zoo["P5"], fp.P5_ONE_THREE, [1, 3], range(1, max_m + 1))
 
     # seeded random sweep across every decider's applicable inputs
     randoms = 400 if FAST else 10_000
     decider_pool = [
-        ("clique", zoo["K3"], [2, 3], lambda s: fp.decide_clique_high_thresholds(3, s)),
-        ("clique", build_template(model.clique(5)), [3, 4, 5],
-         lambda s: fp.decide_clique_high_thresholds(5, s)),
-        ("cycle", zoo["C4"], [1, 2, 3, 4], lambda s: fp.decide_cycle_tractable(4, s)),
-        ("cycle", zoo["C6"], [2, 3, 4, 5, 6], lambda s: fp.decide_cycle_tractable(6, s)),
-        ("cycle", zoo["C6"], [1, 4, 5, 6], lambda s: fp.decide_cycle_tractable(6, s)),
-        ("cb", zoo["K23"], [1, 2, 3, 4, 5], lambda s: fp.decide_complete_bipartite(2, 3, s)),
+        ("clique", zoo["K3"], [2, 3], fp.CLIQUE_HIGH),
+        ("clique", build_template(model.clique(5)), [3, 4, 5], fp.CLIQUE_HIGH),
+        ("cycle", zoo["C4"], [1, 2, 3, 4], fp.CYCLE),
+        ("cycle", zoo["C6"], [2, 3, 4, 5, 6], fp.CYCLE),
+        ("cycle", zoo["C6"], [1, 4, 5, 6], fp.CYCLE),
+        ("cb", zoo["K23"], [1, 2, 3, 4, 5], fp.COMPLETE_BIPARTITE),
         ("cb", build_template(model.complete_bipartite(3, 3)), list(range(1, 7)),
-         lambda s: fp.decide_complete_bipartite(3, 3, s)),
-        ("sp", zoo["P3"], [1, 3], lambda s: fp.decide_bipartite_small_partition(zoo["P3"], 3, s)),
-        ("c4", zoo["K23"], [1, 2], lambda s: fp.decide_bipartite_with_c4(zoo["K23"], s)),
-        ("p5", zoo["P5"], [1, 3], fp.decide_path5_one_three),
-        ("univ", zoo["C6"], [6], lambda s: fp.decide_all_universal(zoo["C6"], s)),
+         fp.COMPLETE_BIPARTITE),
+        ("sp", zoo["P3"], [1, 3], fp.SMALL_BIPARTITION),
+        ("c4", zoo["K23"], [1, 2], fp.C4_CONTAINMENT),
+        ("p5", zoo["P5"], [1, 3], fp.P5_ONE_THREE),
+        ("univ", zoo["C6"], [6], fp.ALL_UNIVERSAL),
     ]
     for i in range(randoms):
-        tag, b, ths, dec = decider_pool[i % len(decider_pool)]
+        tag, b, ths, case = decider_pool[i % len(decider_pool)]
         m = rng.randint(1, 4)
         s = random_graph_sentence(rng, m, ths, 5)
-        _agree(dec, b, s, failures, f"random/{tag}")
+        # small bipartition's j is the largest threshold a sentence uses
+        if case is not fp.SMALL_BIPARTITION or any(q.threshold == ths[-1] for q in s.prefix):
+            _agree(case, b, s, failures, f"random/{tag}")
     # random forest cases need the 2-then-1 prefix shape
     for _ in range(randoms // 10):
         h = rng.choice(forest_plans)
@@ -273,8 +271,7 @@ def test_criterion_3_decider_oracle_agreement(zoo):
         for _ in range(rng.randint(0, 5)):
             atoms.append(("E", (rng.choice(names4[:m]), rng.choice(names4[:m]))))
         s = Sentence(prefix, tuple(atoms))
-        _agree(lambda s, h=h: fp.decide_forest_bounded_prefix(h, 2, s),
-               h, s, failures, "random/forest")
+        _agree(fp.FOREST, h, s, failures, "random/forest")
 
     took = time.time() - start
     _report(

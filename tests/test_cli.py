@@ -360,3 +360,23 @@ def test_auto_refuses_foreign_atoms_as_the_oracle_does(matrix, message, files, c
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+
+@pytest.mark.parametrize("command", ["gen", "solve", "reduce"])
+def test_unwritable_output_is_usage_error(command, files, capsys):
+    """A path under a regular file cannot be written: each command that
+    writes exits 2 naming the path, and `solve` prints no verdict."""
+    tmp, write = files
+    path = write("blocker", "") + "/out"
+    c4 = write("c4.structure", textio.render_structure(build_template(model.cycle(4))))
+    s = write("s.sentence", "E2 x E2 y | E(x,y)\n")
+    argv = {
+        "gen": ["gen", "clique:3", path],
+        "solve": ["solve", c4, s, "--strategy-out", path],
+        "reduce": ["reduce", "c4star-macros", "--sources", s, "--out-dir", path],
+    }[command]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {path}: ")

@@ -20,10 +20,10 @@ from conftest import brute_count_eval, complete_bipartite_gate_failures, graph_s
 
 
 def test_all_universal_examples(zoo):
-    assert not fp.decide_all_universal(zoo["K2"], parse_sentence("A x A y | E(x,y)"))
-    assert fp.decide_all_universal(zoo["C4star"], parse_sentence("A x | E(x,x)"))
+    assert not fp.decide(fp.ALL_UNIVERSAL, zoo["K2"], parse_sentence("A x A y | E(x,y)"))
+    assert fp.decide(fp.ALL_UNIVERSAL, zoo["C4star"], parse_sentence("A x | E(x,x)"))
     with pytest.raises(PreconditionError, match=r"^decider needs every threshold equal to \|B\|$"):
-        fp.decide_all_universal(zoo["K3"], parse_sentence("E1 x | E(x,x)"))
+        fp.decide(fp.ALL_UNIVERSAL, zoo["K3"], parse_sentence("E1 x | E(x,x)"))
 
 
 def test_all_universal_agrees_with_oracle(zoo):
@@ -31,27 +31,26 @@ def test_all_universal_agrees_with_oracle(zoo):
         b = zoo[name]
         n = b.domain_size
         for s in graph_sentences(2, [n], max_atoms=3):
-            assert fp.decide_all_universal(b, s) == oracle.evaluate(b, s), (name, str(s))
+            assert fp.decide(fp.ALL_UNIVERSAL, b, s) == oracle.evaluate(b, s), (name, str(s))
 
 
-def test_clique_high_thresholds_examples():
-    assert fp.decide_clique_high_thresholds(3, parse_sentence("E2 x E2 y | E(x,y)"))
+def test_clique_high_thresholds_examples(zoo):
+    assert fp.decide(fp.CLIQUE_HIGH, zoo["K3"], parse_sentence("E2 x E2 y | E(x,y)"))
     # a centre with n - threshold + 1 = 3 earlier neighbours on the 5-clique
     s = parse_sentence("E3 a E3 b E3 c E3 x | E(a,x) & E(b,x) & E(c,x)")
-    assert not fp.decide_clique_high_thresholds(5, s)
-    assert fp.decide_clique_high_thresholds(4, parse_sentence("E3 x E4 y |"))
+    assert not fp.decide(fp.CLIQUE_HIGH, build_template(model.clique(5)), s)
+    assert fp.decide(fp.CLIQUE_HIGH, zoo["K4"], parse_sentence("E3 x E4 y |"))
     with pytest.raises(PreconditionError, match="^decider needs every threshold above n/2$"):
-        fp.decide_clique_high_thresholds(4, parse_sentence("E2 x | E(x,x)"))
+        fp.decide(fp.CLIQUE_HIGH, zoo["K4"], parse_sentence("E2 x | E(x,x)"))
 
 
 def test_clique_star_criterion_is_order_sensitive(zoo):
     """Search for a sentence where permuting the prefix flips the verdict."""
     found = None
-    n = 5
-    b = build_template(model.clique(n))
+    b = build_template(model.clique(5))
     for s in graph_sentences(3, [3, 4, 5], max_atoms=3):
         rev = Sentence(tuple(reversed(s.prefix)), s.atoms)
-        if fp.decide_clique_high_thresholds(n, s) != fp.decide_clique_high_thresholds(n, rev):
+        if fp.decide(fp.CLIQUE_HIGH, b, s) != fp.decide(fp.CLIQUE_HIGH, b, rev):
             assert oracle.evaluate(b, s) != oracle.evaluate(b, rev)
             found = str(s)
             break
@@ -60,42 +59,42 @@ def test_clique_star_criterion_is_order_sensitive(zoo):
 
 def test_cycle_tractable_examples(zoo):
     tri = parse_sentence("E2 x E2 y E2 z | E(x,y) & E(y,z) & E(z,x)")
-    assert not fp.decide_cycle_tractable(4, tri)
+    assert not fp.decide(fp.CYCLE, zoo["C4"], tri)
     # threshold >= 3 with a predecessor is impossible whatever the fragment
-    assert not fp.decide_cycle_tractable(6, parse_sentence("E1 x E3 y | E(x,y)"))
-    assert fp.decide_cycle_tractable(6, parse_sentence("E3 x E2 y | E(x,y)"))
+    assert not fp.decide(fp.CYCLE, zoo["C6"], parse_sentence("E1 x E4 y | E(x,y)"))
+    assert fp.decide(fp.CYCLE, zoo["C6"], parse_sentence("E3 x E2 y | E(x,y)"))
     assert oracle.evaluate(zoo["C6"], parse_sentence("E3 x E2 y | E(x,y)"))
     with pytest.raises(
         PreconditionError, match=r"^threshold set \[1, 2\] on the 6-cycle is not tractable$"
     ):
-        fp.decide_cycle_tractable(6, parse_sentence("E1 x E2 y | E(x,y)"))
+        fp.decide(fp.CYCLE, zoo["C6"], parse_sentence("E1 x E2 y | E(x,y)"))
 
 
 def test_cycle_tractable_even_high_branch(zoo):
     s = parse_sentence("E4 x E1 y | E(x,y)")
-    assert fp.decide_cycle_tractable(6, s)
+    assert fp.decide(fp.CYCLE, zoo["C6"], s)
     assert oracle.evaluate(zoo["C6"], s)
     s = parse_sentence("E1 y E4 x | E(x,y)")
-    assert not fp.decide_cycle_tractable(6, s)
+    assert not fp.decide(fp.CYCLE, zoo["C6"], s)
     assert not oracle.evaluate(zoo["C6"], s)
 
 
 def test_complete_bipartite_examples(zoo):
-    assert fp.decide_complete_bipartite(2, 3, parse_sentence("E2 x E2 y | E(x,y)"))
-    assert not fp.decide_complete_bipartite(2, 3, parse_sentence("E1 x E5 y | E(x,y)"))
-    assert fp.decide_complete_bipartite(1, 1, parse_sentence("E1 x E1 y | E(x,y)"))
+    assert fp.decide(fp.COMPLETE_BIPARTITE, zoo["K23"], parse_sentence("E2 x E2 y | E(x,y)"))
+    assert not fp.decide(fp.COMPLETE_BIPARTITE, zoo["K23"], parse_sentence("E1 x E5 y | E(x,y)"))
+    assert fp.decide(fp.COMPLETE_BIPARTITE, zoo["K2"], parse_sentence("E1 x E1 y | E(x,y)"))
     with pytest.raises(oracle.ThresholdError):
-        fp.decide_complete_bipartite(1, 1, parse_sentence("E3 x |"))
+        fp.decide(fp.COMPLETE_BIPARTITE, zoo["K2"], parse_sentence("E3 x |"))
 
 
 def test_small_partition_examples(zoo):
     s = parse_sentence("E3 x E3 y | E(x,y)")
-    assert not fp.decide_bipartite_small_partition(zoo["P3"], 3, s)
-    assert fp.decide_bipartite_small_partition(zoo["P3"], 3, parse_sentence("E3 x |"))
+    assert not fp.decide(fp.SMALL_BIPARTITION, zoo["P3"], s)
+    assert fp.decide(fp.SMALL_BIPARTITION, zoo["P3"], parse_sentence("E3 x |"))
     with pytest.raises(PreconditionError, match="^template is not bipartite$"):
-        fp.decide_bipartite_small_partition(zoo["K3"], 3, s)
+        fp.decide(fp.SMALL_BIPARTITION, zoo["K3"], s)
     with pytest.raises(PreconditionError, match="^a component has a colour class of size >= j$"):
-        fp.decide_bipartite_small_partition(zoo["P5"], 3, s)
+        fp.decide(fp.SMALL_BIPARTITION, zoo["P5"], s)
 
 
 def test_small_partition_counts_extendable_values():
@@ -103,37 +102,35 @@ def test_small_partition_counts_extendable_values():
     # constraint has only the two edge endpoints available
     h = model.graph_structure(6, [(0, 1)])
     s = parse_sentence("E3 x E1 y | E(x,y)")
-    assert not fp.decide_bipartite_small_partition(h, 3, s)
+    assert not fp.decide(fp.SMALL_BIPARTITION, h, s)
     assert not oracle.evaluate(h, s)
-    assert fp.decide_bipartite_small_partition(h, 3, parse_sentence("E3 x |"))
+    assert fp.decide(fp.SMALL_BIPARTITION, h, parse_sentence("E3 x |"))
 
 
 def test_bipartite_with_c4_examples(zoo):
     tri = parse_sentence("E2 x E2 y E2 z | E(x,y) & E(y,z) & E(z,x)")
-    assert not fp.decide_bipartite_with_c4(zoo["C4"], tri)
-    assert fp.decide_bipartite_with_c4(zoo["K23"], parse_sentence("E2 x E2 y | E(x,y)"))
+    assert not fp.decide(fp.C4_CONTAINMENT, zoo["C4"], tri)
+    assert fp.decide(fp.C4_CONTAINMENT, zoo["K23"], parse_sentence("E2 x E2 y | E(x,y)"))
     with pytest.raises(PreconditionError, match="^template contains no 4-cycle$"):
-        fp.decide_bipartite_with_c4(zoo["P5"], parse_sentence("E2 x |"))
+        fp.decide(fp.C4_CONTAINMENT, zoo["P5"], parse_sentence("E2 x |"))
 
 
 def test_forest_bounded_prefix_examples(zoo):
-    assert fp.decide_forest_bounded_prefix(zoo["P3"], 1, parse_sentence("E2 x E1 y | E(x,y)"))
-    assert fp.decide_forest_bounded_prefix(zoo["K2"], 1, parse_sentence("E2 x E1 y | E(x,y)"))
-    lonely = model.graph_structure(2, [])
-    assert not fp.decide_forest_bounded_prefix(lonely, 1, parse_sentence("E2 x E1 y | E(x,y)"))
-    with pytest.raises(PreconditionError, match="^more than 0 threshold-2 quantifiers$"):
-        fp.decide_forest_bounded_prefix(zoo["P3"], 0, parse_sentence("E2 x E1 y | E(x,y)"))
+    s = parse_sentence("E2 x E1 y | E(x,y)")
+    assert fp.decide(fp.FOREST, zoo["P3"], s)
+    assert fp.decide(fp.FOREST, zoo["K2"], s)
+    assert not fp.decide(fp.FOREST, model.graph_structure(2, []), s)
     with pytest.raises(
         PreconditionError, match="^prefix is not in the bounded 2-then-1 fragment$"
     ):
-        fp.decide_forest_bounded_prefix(zoo["P3"], 2, parse_sentence("E1 y E2 x | E(x,y)"))
+        fp.decide(fp.FOREST, zoo["P3"], parse_sentence("E1 y E2 x | E(x,y)"))
 
 
 def test_forest_decider_is_adaptive(zoo):
     """The pair offered for the second block variable may depend on the
     first one's outcome; a non-adaptive pair choice would reject this."""
     s = parse_sentence("E2 x E2 y | E(x,y)")
-    assert fp.decide_forest_bounded_prefix(zoo["P4"], 2, s)
+    assert fp.decide(fp.FOREST, zoo["P4"], s)
     assert oracle.evaluate(zoo["P4"], s)
 
 
@@ -148,16 +145,17 @@ def test_forest_decider_agrees_with_semantics_on_threshold_two_blocks(key, block
     prefix = tuple(Quantifier(2 if i < block else 1, v) for i, v in enumerate(names))
     for atoms in matrices(n_vars, 3):
         s = Sentence(prefix, atoms)
-        assert fp.decide_forest_bounded_prefix(b, block, s) == brute_count_eval(b, s), str(s)
+        assert fp.decide(fp.FOREST, b, s) == brute_count_eval(b, s), str(s)
 
 
 def test_path5_examples(zoo):
-    assert not fp.decide_path5_one_three(parse_sentence("E3 x E3 y | E(x,y)"))
-    assert fp.decide_path5_one_three(parse_sentence("E3 x |"))
-    assert fp.decide_path5_one_three(parse_sentence("E3 x E1 y | E(x,y)"))
-    assert not fp.decide_path5_one_three(parse_sentence("E1 y E3 x | E(x,y)"))
+    p5 = zoo["P5"]
+    assert not fp.decide(fp.P5_ONE_THREE, p5, parse_sentence("E3 x E3 y | E(x,y)"))
+    assert fp.decide(fp.P5_ONE_THREE, p5, parse_sentence("E3 x |"))
+    assert fp.decide(fp.P5_ONE_THREE, p5, parse_sentence("E3 x E1 y | E(x,y)"))
+    assert not fp.decide(fp.P5_ONE_THREE, p5, parse_sentence("E1 y E3 x | E(x,y)"))
     with pytest.raises(PreconditionError, match=r"^thresholds must lie in \{1, 3\}$"):
-        fp.decide_path5_one_three(parse_sentence("E2 x |"))
+        fp.decide(fp.P5_ONE_THREE, p5, parse_sentence("E2 x |"))
 
 
 @pytest.mark.parametrize("matrix", ["F(x,y)", "E(x,y) & R(x,y,y)"])
@@ -167,21 +165,22 @@ def test_template_deciders_reject_foreign_relations(matrix, zoo):
     with pytest.raises(oracle.SignatureError):
         oracle.evaluate(zoo["P3"], parse_sentence(f"E2 x E1 y | {matrix}"))
     with pytest.raises(oracle.SignatureError):
-        fp.decide_bipartite_with_c4(zoo["C4"], parse_sentence(f"E1 x E1 y | {matrix}"))
+        fp.decide(fp.C4_CONTAINMENT, zoo["C4"], parse_sentence(f"E1 x E1 y | {matrix}"))
     with pytest.raises(oracle.SignatureError):
-        fp.decide_bipartite_small_partition(zoo["P3"], 3, parse_sentence(f"E3 x E1 y | {matrix}"))
+        fp.decide(fp.SMALL_BIPARTITION, zoo["P3"], parse_sentence(f"E3 x E1 y | {matrix}"))
     with pytest.raises(oracle.SignatureError):
-        fp.decide_forest_bounded_prefix(zoo["P3"], 1, parse_sentence(f"E2 x E1 y | {matrix}"))
+        fp.decide(fp.FOREST, zoo["P3"], parse_sentence(f"E2 x E1 y | {matrix}"))
 
 
-def test_small_partition_answers_without_search(zoo, monkeypatch):
+def test_small_partition_answers_without_search(zoo):
     """The small-bipartition decider counts instead of searching: with no
     search budget it still answers, False for a component with two
-    threshold-j positions and True for a plain edge."""
-    monkeypatch.setenv(oracle.BUDGET_ENV_VAR, "0")
+    threshold-j positions and True for a plain edge with a threshold-j
+    variable."""
     s = parse_sentence("E1 a E1 b E3 x E3 y | E(a,b) & E(x,y)")
-    assert not fp.decide_bipartite_small_partition(zoo["P3"], 3, s)
-    assert fp.decide_bipartite_small_partition(zoo["P3"], 3, parse_sentence("E1 a E1 b | E(a,b)"))
+    assert not fp.decide(fp.SMALL_BIPARTITION, zoo["P3"], s, budget=0)
+    s = parse_sentence("E1 a E1 b E3 x | E(a,b)")
+    assert fp.decide(fp.SMALL_BIPARTITION, zoo["P3"], s, budget=0)
 
 
 @pytest.mark.parametrize(
@@ -193,11 +192,13 @@ def test_small_partition_count_at_its_boundary(n, edges, j):
     """Two edges give four vertices with a neighbour: enough for j = 4,
     one short for j = 5.  An edgeless template folds no edge at all.  The
     count agrees with the counting semantics on every sentence of up to
-    four variables, those of four capped at three atoms."""
+    four variables with a threshold-j variable, those of four capped at
+    three atoms."""
     h = model.graph_structure(n, edges)
     for n_vars in (1, 2, 3, 4):
         for s in graph_sentences(n_vars, (1, j), max_atoms=10 if n_vars < 4 else 3):
-            assert fp.decide_bipartite_small_partition(h, j, s) == brute_count_eval(h, s), str(s)
+            if any(q.threshold == j for q in s.prefix):
+                assert fp.decide(fp.SMALL_BIPARTITION, h, s) == brute_count_eval(h, s), str(s)
 
 
 def _chain(threshold: int, k: int) -> Sentence:
@@ -209,39 +210,25 @@ def _chain(threshold: int, k: int) -> Sentence:
     )
 
 
-def test_forest_decider_costs_what_the_oracle_does(zoo, monkeypatch):
+def test_forest_decider_costs_what_the_oracle_does(zoo):
     """The forest decider runs the oracle: a 12-long chain of threshold-2
     variables takes a handful of nodes, where a game of pinned sub-games
     would take |B|^12, and a 1,500-long existential chain one node per
     variable.  Pinned through the node budget, not the clock."""
-    monkeypatch.setenv(oracle.BUDGET_ENV_VAR, "50")
     s = _chain(2, 12)
-    assert not fp.decide_forest_bounded_prefix(zoo["P4"], 12, s)
-    assert not oracle.evaluate(zoo["P4"], s)
-    monkeypatch.setenv(oracle.BUDGET_ENV_VAR, "1500")
-    assert fp.decide_forest_bounded_prefix(zoo["P4"], 0, _chain(1, 1500))
-
-
-# Which zoo templates each family decider's entry is about: a family
-# decider takes a size or the sides, not the template, so only there is
-# its answer the template's.
-_FAMILY = {
-    "clique high thresholds": lambda g: g.is_complete(),
-    "cycle tractable": lambda g: g.is_cycle(),
-    "complete bipartite": lambda g: g.complete_bipartite_sides() is not None,
-    "P5 {1,3}": lambda g: g.n == 5 and g.is_path_graph(),
-}
+    assert not fp.decide(fp.FOREST, zoo["P4"], s, budget=50)
+    assert not oracle.evaluate(zoo["P4"], s, budget=50)
+    assert fp.decide(fp.FOREST, zoo["P4"], _chain(1, 1500), budget=1500)
 
 
 def test_reason_parity(zoo):
-    """An entry's ``why_not`` is None exactly when its public decider,
-    called with the parameters `dispatch` derives, raises no
-    PreconditionError, and a raised message is the reason."""
+    """`decide` raises exactly an entry's ``why_not`` reason as its
+    PreconditionError, and answers wherever the reason is None."""
     checked = 0
     for case in fp.TRACTABLE:
         for name, b in zoo.items():
             g = model.graph_view(b)
-            if case.graph and (g is None or not _FAMILY.get(case.tag, lambda g: True)(g)):
+            if case.graph and (g is None or g.loops):
                 continue
             n = b.domain_size
             for length in (1, 2, 3):
@@ -249,7 +236,7 @@ def test_reason_parity(zoo):
                     s = Sentence(tuple(Quantifier(t, f"x{i}") for i, t in enumerate(th)), ())
                     reason = case.why_not(n, g if case.graph else None, list(th))
                     try:
-                        case.decide(b, g, s, list(th))
+                        fp.decide(case, b, s)
                         raised = None
                     except PreconditionError as exc:
                         raised = str(exc)
@@ -260,31 +247,15 @@ def test_reason_parity(zoo):
     assert fp.SMALL_BIPARTITION.why_not(4, model.graph_view(zoo["P4"]), []) == "needs j >= 2"
 
 
-def test_cycle_decider_answers_necessary_claims_before_tractability(zoo):
-    """The one intended exception to reason parity: on a threshold set
-    that is not tractable, the cycle decider still answers False when a
-    necessary claim fails, and raises the reason only otherwise."""
-    g = model.graph_view(zoo["C6"])
-    reason = fp.CYCLE.why_not(6, g, [1, 3])
+def test_cycle_decider_raises_outside_its_tractable_sets(zoo):
+    """On a threshold set that is not tractable the cycle decider raises
+    the reason, also where a necessary claim of the cycle would already
+    answer no."""
+    reason = fp.CYCLE.why_not(6, model.graph_view(zoo["C6"]), [1, 3])
     assert reason == "threshold set [1, 3] on the 6-cycle is not tractable"
-    assert not fp.decide_cycle_tractable(6, parse_sentence("E1 x E3 y | E(x,y)"))
-    with pytest.raises(PreconditionError, match=re.escape(reason)):
-        fp.decide_cycle_tractable(6, parse_sentence("E1 x E3 y |"))
-
-
-def test_family_deciders_build_no_template(monkeypatch):
-    """The family deciders check only their thresholds: they read no
-    template, so a large size costs nothing to accept."""
-
-    def forbidden(*args):
-        raise AssertionError("family decider built a template")
-
-    monkeypatch.setattr(fp, "build_template", forbidden)
-    monkeypatch.setattr(fp, "graph_view", forbidden)
-    assert fp.decide_clique_high_thresholds(10**6, parse_sentence(f"E{10**6} x |"))
-    assert fp.decide_cycle_tractable(10**6, parse_sentence("E1 x E1 y | E(x,y)"))
-    assert fp.decide_complete_bipartite(10**6, 10**6, parse_sentence("E1 x E1 y | E(x,y)"))
-    assert fp.decide_path5_one_three(parse_sentence("E3 x E1 y | E(x,y)"))
+    for text in ("E1 x E3 y | E(x,y)", "E1 x E3 y |"):
+        with pytest.raises(PreconditionError, match=f"^{re.escape(reason)}$"):
+            fp.decide(fp.CYCLE, zoo["C6"], parse_sentence(text))
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +322,13 @@ def test_classify_near_universal_rows_are_open():
 
 
 def test_classify_complete_bipartite_graph_row():
-    """K_{2,2} given as an edge list reaches the complete-bipartite row of
-    the bipartite threshold-set classifier."""
-    k22 = model.parse_family_spec("graph:0-2,0-3,1-2,1-3")
-    assert str(_v(k22, threshold_set(2, 3))) == "L (Prop complete-bipartite)"
+    """K_{2,2} and K_{1,3} given as edge lists are cited by their shape,
+    as the complete bipartite family is, at every threshold set."""
+    for spec in ("graph:0-2,0-3,1-2,1-3", "forest:0-1,0-2,0-3"):
+        family = model.parse_family_spec(spec)
+        for X in ((1,), (2, 3), (4,)):
+            verdict = str(_v(family, threshold_set(*X)))
+            assert verdict == "L (Prop complete-bipartite)", (spec, X)
 
 
 def test_classify_rejects_oversized_thresholds():
@@ -401,7 +375,11 @@ def test_dispatch_verdicts_match_oracle(zoo):
         for s in graph_sentences(2, range(1, n + 1), max_atoms=2):
             match = fp.dispatch(b, s)
             if match is not None:
-                assert match[1]() == oracle.evaluate(b, s), (name, match[0], str(s))
+                tag, thunk = match
+                verdict = thunk()
+                assert verdict == oracle.evaluate(b, s), (name, tag, str(s))
+                case = next(c for c in fp.TRACTABLE if c.tag == tag)
+                assert fp.decide(case, b, s) == verdict, (name, tag, str(s))
 
 
 def test_complete_bipartite_gate_small():
