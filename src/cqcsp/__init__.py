@@ -12,7 +12,6 @@ from .model import (
     Structure,
     TemplateFamily,
     ThresholdSet,
-    are_isomorphic,
     build_template,
     canonical_database,
     canonical_query,

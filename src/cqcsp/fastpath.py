@@ -48,8 +48,12 @@ from .model import (
     ThresholdSet,
     build_template,
     graph_view,
+    hj_template,
     instance_graph,
+    nae_boolean,
+    reflexive_cycle,
     require_graph,
+    single_quantifier_template,
 )
 
 
@@ -147,7 +151,7 @@ def _forest_prefix(g: GraphView, th: Sequence[int]) -> str | None:
 def _all_universal(b, g, s, th, budget) -> bool:
     """All-universal sentences: true iff every atom holds under every
     assignment consistent with its variable-repetition pattern."""
-    # `dispatch` checks the atoms against the template only for graph entries
+    # `dispatch` and `decide` check the atoms against the template only for graph entries
     oracle.check_signature(b, s)
     n = b.domain_size
     for name, vs in s.atoms:
@@ -424,7 +428,8 @@ def decide(case: Tractable, b: Structure, s: Sentence, *, budget: int | None = N
     reason = case.why_not(n, g, th)
     if reason is not None:
         raise PreconditionError(reason)
-    oracle.check_signature(b, s)
+    if case.graph:
+        oracle.check_signature(b, s)
     return case.decide(b, g, s, th, budget)
 
 
@@ -457,7 +462,7 @@ def _classify_cycle(n: int, g: GraphView, X: frozenset[int]) -> ComplexityVerdic
 
 
 def _classify_bipartite_threshold_set(
-    family: TemplateFamily, g: GraphView, size: int, X: frozenset[int]
+    b: Structure, g: GraphView, size: int, X: frozenset[int]
 ) -> ComplexityVerdict:
     th = sorted(X)
     if ALL_UNIVERSAL.why_not(size, g, th) is None:
@@ -474,7 +479,7 @@ def _classify_bipartite_threshold_set(
         j = max(X)
         if j == size:
             return ComplexityVerdict(ComplexityClass.IN_L, "bipartite QCSP (cited)")
-        if family.kind == "hj" and j == family.j:
+        if j >= 3 and size == j + 3 and b == build_template(hj_template(j)):
             return ComplexityVerdict(ComplexityClass.PSPACE_COMPLETE, "Prop bipartite H_j")
         for case in (SMALL_BIPARTITION, C4_CONTAINMENT, P5_ONE_THREE):
             if case.why_not(size, g, th) is None:
@@ -483,8 +488,11 @@ def _classify_bipartite_threshold_set(
 
 
 def classify(family: TemplateFamily, fragment: FragmentSpec) -> ComplexityVerdict:
-    """The complexity classification of the (template family, fragment)
-    pair, with a citation tag; Open where no covered result applies."""
+    """The complexity classification of ``family``'s template under
+    ``fragment``, with a citation tag; Open where no covered result applies.
+    It reads the built template alone, through `dispatch`'s shape tests and
+    equality with the special templates, so every name of one template gets
+    one verdict."""
     b = build_template(family)
     size = b.domain_size
     g = graph_view(b)
@@ -494,31 +502,32 @@ def classify(family: TemplateFamily, fragment: FragmentSpec) -> ComplexityVerdic
             raise InvalidStructureError(
                 f"threshold {max(X)} exceeds template size {size}"
             )
-        if family.kind == "clique" or (family.kind == "path" and family.n == 1):
-            return _classify_clique(size, g, X)
-        if family.kind == "cycle":
-            return _classify_cycle(family.n, g, X)
         if g is not None and not g.loops:
+            if g.is_complete():
+                return _classify_clique(size, g, X)
+            if g.is_cycle():
+                return _classify_cycle(size, g, X)
             if COMPLETE_BIPARTITE.why_not(size, g, sorted(X)) is None:
                 return _verdict(COMPLETE_BIPARTITE)
-            return _classify_bipartite_threshold_set(family, g, size, X)
+            return _classify_bipartite_threshold_set(b, g, size, X)
         if ALL_UNIVERSAL.why_not(size, g, sorted(X)) is None:
             return _verdict(ALL_UNIVERSAL)
-        if family.kind == "reflexive_cycle" and family.n == 4:
+        if b == build_template(reflexive_cycle(4)):
             if X == frozenset({1, 2, 3, 4}):
                 return ComplexityVerdict(ComplexityClass.PSPACE_COMPLETE, "Prop reflexive-C4")
             if X == frozenset({1, 4}):
                 return ComplexityVerdict(
                     ComplexityClass.PSPACE_COMPLETE, "Cor reflexive-C4 QCSP"
                 )
-        if family.kind == "nae":
+        if b == build_template(nae_boolean()):
             if X == frozenset({1}):
                 return ComplexityVerdict(ComplexityClass.NP_COMPLETE, "NAE-3SAT (cited)")
             if X == frozenset({1, 2}):
                 return ComplexityVerdict(
                     ComplexityClass.PSPACE_COMPLETE, "quantified NAE-3SAT (cited)"
                 )
-        if family.kind == "single_quantifier" and X == frozenset({family.j}):
+        single = len(X) == 1 and 1 < max(X) < size
+        if single and b == build_template(single_quantifier_template(size, max(X))):
             return ComplexityVerdict(ComplexityClass.PSPACE_COMPLETE, "single middle quantifier")
         return ComplexityVerdict(ComplexityClass.OPEN, "")
 

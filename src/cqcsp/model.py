@@ -915,27 +915,3 @@ def instance_graph(s: Sentence) -> GraphView:
     relation = names.pop() if names else None
     return GraphView(len(adj), tuple(frozenset(a) for a in adj), frozenset(loops), relation)
 
-
-# ---------------------------------------------------------------------------
-# Isomorphism (brute force; only used on small structures in tests)
-
-
-def are_isomorphic(a: Structure, b: Structure) -> bool:
-    if a.domain_size != b.domain_size:
-        return False
-    if sorted(a.signature.relations) != sorted(b.signature.relations):
-        return False
-    if sorted(a.constants) != sorted(b.constants):
-        return False
-    if any(len(a.tuples(r)) != len(b.tuples(r)) for r in a.signature.names()):
-        return False
-    names = a.signature.names()
-    for perm in itertools.permutations(range(a.domain_size)):
-        if any(perm[a.constants[c]] != b.constants[c] for c in a.constants):
-            continue
-        if all(
-            frozenset(tuple(perm[e] for e in t) for t in a.tuples(r)) == b.tuples(r)
-            for r in names
-        ):
-            return True
-    return False

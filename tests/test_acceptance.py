@@ -487,7 +487,7 @@ def test_criterion_6_classifier_table():
         (model.hairy_cycle(6), threshold_set(1, 18), CC.IN_L),
         (model.hairy_cycle(6), threshold_set(1, 2), CC.OPEN),
         (model.general_graph([(0, 1), (1, 2), (2, 0)]), threshold_set(1), CC.NP_COMPLETE),
-        (model.general_graph([(0, 1), (1, 2), (2, 0)]), threshold_set(1, 2), CC.NP_HARD),
+        (model.general_graph([(0, 1), (1, 2), (2, 0)]), threshold_set(1, 2), CC.PSPACE_COMPLETE),
         # bounded-prefix rows
         (model.forest_from_edges([(0, 1), (1, 2)]), BoundedPrefix(3), CC.IN_P),
         (model.general_graph([(0, 1), (1, 2), (2, 3)]), BoundedPrefix(2), CC.IN_P),

@@ -192,6 +192,12 @@ def test_classify_output(files, capsys):
     assert run(["classify", "graph:0-1,1-2", "prefix=2^3", "1*"]) == 0
     assert capsys.readouterr().out.strip() == "P (Thm 4)"
     assert run(["classify", "widget:9", "X=1"]) == 2
+    # a cycle or a clique given as edges reads as the named family does
+    assert run(["classify", "graph:0-1,1-2,2-3,3-4,0-4", "X=2"]) == 0
+    assert capsys.readouterr().out.strip() == "L (Thm 2 i)"
+    k5 = "graph:0-1,0-2,0-3,0-4,1-2,1-3,1-4,2-3,2-4,3-4"
+    assert run(["classify", k5, "X=3,4"]) == 0
+    assert capsys.readouterr().out.strip() == "L (Thm 1 i)"
 
 
 def test_gen_outputs(files, capsys):

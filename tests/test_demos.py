@@ -3,8 +3,9 @@
 Each digest is the sha256 of the demo's stdout, computed on the code as it
 stood before the text parsers stopped building a token object per token,
 except 03's, re-pinned when its 6-cycle example moved inside the cycle
-decider's tractable threshold sets; the output does not depend on
-PYTHONHASHSEED.
+decider's tractable threshold sets, and 05's, re-pinned when the triangle
+given as an edge list came to be classified as the clique K3 is; the
+output does not depend on PYTHONHASHSEED.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ DEMO_DIGESTS = {
     "02_sumsets.py": "38d56a73c68e800e6bcbeba9cb8a8edcc8846cf33eba96a9f9028bbfc800c5fb",
     "03_deciders.py": "45dcbacc177d69c2d9c4b8ee01d4575d4c498efd7cf3ef3bb31a48e23cf92f28",
     "04_reductions.py": "d5358e18f87be76662692b55b9cc4a08be7028c743e5c54f917ccd5a179a8dba",
-    "05_classifier.py": "26146e2c9453fd1497df00da6664d16345d578a6adda05a8d8c7b76b63c40705",
+    "05_classifier.py": "4a05ba4af8ac211db90cd948f19125c23bee6cf2eb33109394c7fa0fdea875f9",
     "06_girth_isolation.py": "83be807f93471526da15e9dd935e2bf08f5f6fe1fc06d4ce5990815398c5fcb1",
 }
 

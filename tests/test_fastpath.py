@@ -170,6 +170,13 @@ def test_template_deciders_reject_foreign_relations(matrix, zoo):
         fp.decide(fp.SMALL_BIPARTITION, zoo["P3"], parse_sentence(f"E3 x E1 y | {matrix}"))
     with pytest.raises(oracle.SignatureError):
         fp.decide(fp.FOREST, zoo["P3"], parse_sentence(f"E2 x E1 y | {matrix}"))
+    universal = parse_sentence(f"A x A y | {matrix}")
+    with pytest.raises(oracle.SignatureError):
+        fp.decide(fp.ALL_UNIVERSAL, zoo["K2"], universal)
+    tag, thunk = fp.dispatch(zoo["K2"], universal)
+    assert tag == fp.ALL_UNIVERSAL.tag
+    with pytest.raises(oracle.SignatureError):
+        thunk()
 
 
 def test_small_partition_answers_without_search(zoo):
@@ -322,13 +329,17 @@ def test_classify_near_universal_rows_are_open():
 
 
 def test_classify_complete_bipartite_graph_row():
-    """K_{2,2} and K_{1,3} given as edge lists are cited by their shape,
-    as the complete bipartite family is, at every threshold set."""
-    for spec in ("graph:0-2,0-3,1-2,1-3", "forest:0-1,0-2,0-3"):
+    """K_{2,3} and K_{1,3} given as edge lists are cited by their shape,
+    as the complete bipartite family is, at every threshold set.  K_{2,2}
+    is the 4-cycle, and is cited as the cycle family is."""
+    for spec in ("graph:0-2,0-3,0-4,1-2,1-3,1-4", "forest:0-1,0-2,0-3"):
         family = model.parse_family_spec(spec)
         for X in ((1,), (2, 3), (4,)):
             verdict = str(_v(family, threshold_set(*X)))
             assert verdict == "L (Prop complete-bipartite)", (spec, X)
+    c4 = model.parse_family_spec("graph:0-2,0-3,1-2,1-3")
+    for X in ((1,), (2, 3), (4,)):
+        assert str(_v(c4, threshold_set(*X))) == "L (Thm 2 i)", X
 
 
 def test_classify_rejects_oversized_thresholds():
