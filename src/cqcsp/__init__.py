@@ -13,7 +13,6 @@ from .model import (
     TemplateFamily,
     ThresholdSet,
     build_template,
-    canonical_database,
     canonical_query,
     clique,
     complete_bipartite,
@@ -45,7 +44,6 @@ from .oracle import (
     ThresholdError,
     evaluate,
     extract_strategy,
-    solve_retraction,
     verify_strategy,
 )
 from .fastpath import (

@@ -117,9 +117,6 @@ class Signature(Record):
                 return arity
         raise KeyError(name)
 
-    def __contains__(self, name: object) -> bool:
-        return any(rel == name for rel, _ in self.relations)
-
 
 GRAPH_SIGNATURE = Signature((("E", 2),))
 
@@ -127,9 +124,8 @@ GRAPH_SIGNATURE = Signature((("E", 2),))
 class Structure(Record):
     """A finite relational structure over ``0..domain_size-1``.
 
-    ``constants`` optionally names domain elements; retraction instances
-    use them to pin variables.  Equality is by canonical sorted-tuple
-    form, so two structures built in different tuple orders compare equal.
+    Equality is by canonical sorted-tuple form, so two structures built in
+    different tuple orders compare equal.
     """
 
     def __init__(
@@ -137,12 +133,10 @@ class Structure(Record):
         signature: Signature,
         domain_size: int,
         relations: dict[str, frozenset[tuple[int, ...]]],
-        constants: dict[str, int] | None = None,
     ) -> None:
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "domain_size", domain_size)
         object.__setattr__(self, "relations", relations)
-        object.__setattr__(self, "constants", {} if constants is None else constants)
         if self.domain_size < 1:
             raise InvalidStructureError("domain size must be positive")
         if set(self.relations) != set(self.signature.names()):
@@ -159,9 +153,6 @@ class Structure(Record):
                         raise InvalidStructureError(
                             f"element {entry} out of range in relation {name!r}"
                         )
-        for cname, value in self.constants.items():
-            if not 0 <= value < self.domain_size:
-                raise InvalidStructureError(f"constant {cname!r} out of range")
 
     def tuples(self, name: str) -> frozenset[tuple[int, ...]]:
         return self.relations[name]
@@ -173,7 +164,6 @@ class Structure(Record):
             self.domain_size,
             tuple(sorted(self.signature.relations)),
             tuple(sorted((name, tuple(sorted(ts))) for name, ts in self.relations.items())),
-            tuple(sorted(self.constants.items())),
         )
 
     def __eq__(self, other: object) -> bool:
@@ -193,11 +183,10 @@ def make_structure(
     relation_arities: Sequence[tuple[str, int]],
     domain_size: int,
     relations: dict[str, Iterable[tuple[int, ...]]],
-    constants: dict[str, int] | None = None,
 ) -> Structure:
     sig = Signature(tuple(relation_arities))
     rels = {name: frozenset(tuple(t) for t in relations.get(name, ())) for name in sig.names()}
-    return Structure(sig, domain_size, rels, dict(constants or {}))
+    return Structure(sig, domain_size, rels)
 
 
 def graph_structure(
@@ -298,27 +287,11 @@ def sentence(prefix: Sequence[tuple[int | None, str]], atoms: Sequence[Atom]) ->
 
 
 # ---------------------------------------------------------------------------
-# Canonical query / canonical database
-
-
-def canonical_database(s: Sentence) -> Structure:
-    """The structure whose domain is the sentence's variables (in prefix
-    order) and whose tuples are exactly the atoms."""
-    index = s.var_index()
-    arities: dict[str, int] = {}
-    rels: dict[str, set[tuple[int, ...]]] = {}
-    for name, vs in s.atoms:
-        arities[name] = len(vs)
-        rels.setdefault(name, set()).add(tuple(index[v] for v in vs))
-    sig = tuple(sorted(arities.items()))
-    n = max(1, len(s.prefix))
-    return make_structure(sig, n, {k: v for k, v in rels.items()})
+# Canonical query
 
 
 def canonical_query(b: Structure) -> Sentence:
     """All variables quantified exists>=1, one atom per tuple of ``b``."""
-    if b.constants:
-        raise InvalidStructureError("canonical query of a structure with constants")
     names = [f"v{i}" for i in range(b.domain_size)]
     atoms = []
     for rel in b.signature.names():
@@ -869,7 +842,7 @@ def graph_view(b: Structure) -> GraphView | None:
     """View ``b`` as a symmetric graph, or None if it is not one; computed
     once per structure."""
     names = b.signature.names()
-    if len(names) != 1 or b.signature.arity(names[0]) != 2 or b.constants:
+    if len(names) != 1 or b.signature.arity(names[0]) != 2:
         return None
     name = names[0]
     tuples = b.tuples(name)

@@ -58,10 +58,9 @@ a component tree is limited by the node budget alone, not by the
 interpreter's recursion limit.
 
 ``extract_strategy`` returns the canonical witness-strategy tree (offered
-sets are the smallest winning elements), ``verify_strategy`` replays every
-adversary play of a given tree, and ``solve_retraction`` decides
-constant-preserving homomorphism by ``evaluate``.  The search above is the
-package's only search: no decider in ``fastpath`` keeps one of its own.
+sets are the smallest winning elements), and ``verify_strategy`` replays
+every adversary play of a given tree.  The search above is the package's
+only search: no decider in ``fastpath`` keeps one of its own.
 """
 
 from __future__ import annotations
@@ -70,7 +69,7 @@ import os
 from itertools import combinations
 from operator import itemgetter
 
-from .model import Record, Sentence, Structure, canonical_query, make_structure, once_per_instance
+from .model import Record, Sentence, Structure, once_per_instance
 
 DEFAULT_NODE_BUDGET = 10_000_000
 BUDGET_ENV_VAR = "CQ_NODE_BUDGET"
@@ -241,11 +240,10 @@ def _value_classes(b: Structure) -> tuple[tuple[int, ...], ...] | None:
     Values a and c share a class when swapping them maps every relation
     onto itself; only the tuples holding a or c can move.  Swappability is
     transitive, as (a c) = (a b)(b c)(a b), so every permutation inside a
-    class is an automorphism.  Constants are ignored: sentences cannot name
-    them.  Two values that share no tuple are swappable exactly when
-    blanking each out of its own tuples leaves the same set, so those are
-    grouped by that set; only values that share a tuple are compared by
-    swapping."""
+    class is an automorphism.  Two values that share no tuple are swappable
+    exactly when blanking each out of its own tuples leaves the same set,
+    so those are grouped by that set; only values that share a tuple are
+    compared by swapping."""
     n = b.domain_size
     touching: list[list[tuple[str, tuple[int, ...]]]] = [[] for _ in range(n)]
     linked = set()
@@ -1006,41 +1004,3 @@ def verify_strategy(b: Structure, s: Sentence, w: StrategyNode) -> bool:
             raise StrategyShapeError(f"child count mismatch at depth {p}")
         stack += [(child, p + 1, v) for v, child in zip(node.offer, node.children)][::-1]
     return True
-
-
-# ---------------------------------------------------------------------------
-# Retraction / constant-preserving homomorphism
-
-
-def solve_retraction(
-    h: Structure, instance: Structure, *, budget: int | None = None
-) -> bool:
-    """Is there a homomorphism instance -> h mapping each named constant of
-    the instance to the like-named constant of h?  Decided by ``evaluate``
-    on the instance's canonical query, every element an existential
-    variable, with each constant pinned by a unary atom."""
-    for name, arity in instance.signature.relations:
-        if name not in h.signature or h.signature.arity(name) != arity:
-            raise SignatureError(f"relation {name!r} missing or mismatched in target")
-    for cname in instance.constants:
-        if cname not in h.constants:
-            raise SignatureError(f"constant {cname!r} not named in target")
-
-    # each constant is pinned by a fresh unary relation, named so that no
-    # relation of h starts with its stem
-    stem = "pin"
-    while any(name.startswith(stem) for name in h.signature.names()):
-        stem += "_"
-    pins = {f"{stem}{i}": cname for i, cname in enumerate(instance.constants)}
-    unary = tuple((name, 1) for name in pins)
-    query = canonical_query(make_structure(
-        instance.signature.relations + unary,
-        instance.domain_size,
-        {**instance.relations, **{p: {(instance.constants[c],)} for p, c in pins.items()}},
-    ))
-    target = make_structure(
-        h.signature.relations + unary,
-        h.domain_size,
-        {**h.relations, **{p: {(h.constants[c],)} for p, c in pins.items()}},
-    )
-    return evaluate(target, query, budget=budget)

@@ -75,9 +75,9 @@ def parse_structure(text: str) -> Structure:
     """Parse the line-oriented structure format.
 
     Grammar: ``domain <n>``, then blocks ``rel <name> <arity>`` holding one
-    whitespace-separated tuple per line and terminated by ``end``; optional
-    ``const <name> <element>`` lines; an optional ``symmetric`` directive
-    closes every binary relation under reversal.
+    whitespace-separated tuple per line and terminated by ``end``; an
+    optional ``symmetric`` directive closes every binary relation under
+    reversal.
     """
     lines = _content_lines(text)
     pos = 0
@@ -98,7 +98,6 @@ def parse_structure(text: str) -> Structure:
 
     arities: list[tuple[str, int]] = []
     relations: dict[str, set[tuple[int, ...]]] = {}
-    constants: dict[str, int] = {}
     symmetric = False
 
     while pos < len(lines):
@@ -145,16 +144,6 @@ def parse_structure(text: str) -> Structure:
             if not closed:
                 fail(f"relation {name!r} not terminated by 'end'", no)
             relations[name] = tuples
-        elif head == "const":
-            if len(parts) != 3 or not _is_number(parts[2]):
-                fail("expected 'const <name> <element>'", no)
-            value = int(parts[2])
-            if value >= n:
-                fail(f"constant element {value} out of range", no)
-            if parts[1] in constants:
-                fail(f"duplicate constant {parts[1]!r}", no)
-            constants[parts[1]] = value
-            pos += 1
         elif head == "symmetric":
             symmetric = True
             pos += 1
@@ -171,7 +160,6 @@ def parse_structure(text: str) -> Structure:
             Signature(tuple(arities)),
             n,
             {name: frozenset(ts) for name, ts in relations.items()},
-            constants,
         )
     except InvalidStructureError as exc:
         raise ParseError(str(exc), SourceSpan(1, 1, 1)) from exc
@@ -184,8 +172,6 @@ def render_structure(b: Structure) -> str:
         for t in sorted(b.tuples(name)):
             lines.append(" ".join(str(e) for e in t))
         lines.append("end")
-    for cname in sorted(b.constants):
-        lines.append(f"const {cname} {b.constants[cname]}")
     return "\n".join(lines) + "\n"
 
 

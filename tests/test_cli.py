@@ -59,6 +59,20 @@ def test_solve_parse_error_exit_2(files, capsys):
     assert run(["solve", c4, bad]) == 2
 
 
+def test_solve_refuses_a_const_line(files, capsys):
+    """A structure names no elements, so a `const` line is an unknown
+    directive under either engine."""
+    tmp, write = files
+    text = textio.render_structure(build_template(model.cycle(4))) + "const a 0\n"
+    c4 = write("c4.structure", text)
+    s = write("s.sentence", "E2 x E2 y | E(x,y)\n")
+    for engine in ("oracle", "auto"):
+        assert run(["solve", c4, s, "--engine", engine]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: unexpected directive 'const'")
+
+
 def test_solve_budget_exit_3(files):
     tmp, write = files
     c6 = write("c6.structure", textio.render_structure(build_template(model.cycle(6))))

@@ -1,4 +1,3 @@
-import itertools
 import random
 import sys
 
@@ -16,7 +15,6 @@ from cqcsp.oracle import (
     ThresholdError,
     evaluate,
     extract_strategy,
-    solve_retraction,
     verify_strategy,
 )
 from cqcsp.textio import parse_sentence, parse_strategy, render_strategy
@@ -273,9 +271,10 @@ def test_value_classes(family, classes):
 
 
 def test_value_classes_split_by_a_unary_relation():
-    """Constants do not split a class, a unary relation does."""
+    """A unary relation splits a class: K3's values form one class until
+    ``U`` marks 0."""
     edges = {(a, c) for a in range(3) for c in range(3) if a != c}
-    plain = model.make_structure([("E", 2)], 3, {"E": edges}, {"c": 0})
+    plain = model.make_structure([("E", 2)], 3, {"E": edges})
     marked = model.make_structure([("E", 2), ("U", 1)], 3, {"E": edges, "U": {(0,)}})
     assert oracle._value_classes(plain) == ((0, 1, 2),)
     assert oracle._value_classes(marked) == ((0,), (1, 2))
@@ -601,102 +600,3 @@ def test_gadget_targets_decided_near_the_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     assert verdicts == [verdict for _, verdict in targets]
-
-
-# ---------------------------------------------------------------------------
-# Retraction
-
-
-def test_retraction_identity():
-    k2 = model.make_structure(
-        [("E", 2)], 2, {"E": {(0, 1), (1, 0)}}, {"a": 0, "b": 1}
-    )
-    assert solve_retraction(k2, k2)
-
-
-def test_retraction_path_pinned_endpoints():
-    p3 = model.make_structure(
-        [("E", 2)], 3, {"E": {(0, 1), (1, 0), (1, 2), (2, 1)}}, {"ca": 0, "cc": 0}
-    )
-    inst = model.make_structure(
-        [("E", 2)], 3, {"E": {(0, 1), (1, 0), (1, 2), (2, 1)}}, {"ca": 0, "cc": 2}
-    )
-    assert solve_retraction(p3, inst)
-
-
-def test_retraction_parity_obstruction(zoo):
-    inst = model.make_structure(
-        [("E", 2)],
-        3,
-        {"E": {(0, 1), (1, 0), (1, 2), (2, 1), (2, 0), (0, 2)}},
-    )
-    assert not solve_retraction(zoo["C4"], inst)
-
-
-def test_retraction_signature_checks(zoo):
-    inst = model.make_structure([("R", 1)], 1, {"R": {(0,)}})
-    with pytest.raises(SignatureError):
-        solve_retraction(zoo["C4"], inst)
-    inst = model.make_structure([("E", 2)], 1, {"E": set()}, {"missing": 0})
-    with pytest.raises(SignatureError):
-        solve_retraction(zoo["C4"], inst)
-
-
-def test_retraction_two_constants_on_one_element():
-    """Two constants naming one instance element but different elements
-    of h pin it twice, which no homomorphism meets."""
-    h = model.make_structure([("E", 2)], 2, {"E": {(0, 1), (1, 0)}}, {"a": 0, "b": 1})
-    inst = model.make_structure([("E", 2)], 1, {"E": set()}, {"a": 0, "b": 0})
-    assert not solve_retraction(h, inst)
-    assert solve_retraction(h, model.make_structure([("E", 2)], 1, {"E": set()}, {"a": 0}))
-
-
-def test_retraction_pins_avoid_the_target_relations():
-    """The pins' relation names never clash with h's own, whatever they
-    are called."""
-    for names in (["pin0"], ["pin", "pin_0"], ["pin0", "pin_0", "pin__0"]):
-        rels = [("E", 2)] + [(name, 1) for name in names]
-        marks = {name: {(1,)} for name in names}
-        h = model.make_structure(rels, 2, {"E": {(0, 1), (1, 0)}, **marks}, {"a": 0})
-        # the marked element 1 cannot be the constant's element 0
-        inst = model.make_structure(rels, 1, {"E": set(), **{n: {(0,)} for n in names}}, {"a": 0})
-        assert not solve_retraction(h, inst)
-        inst = model.make_structure(
-            rels, 2, {"E": {(0, 1), (1, 0)}, **{n: {(1,)} for n in names}}, {"a": 0}
-        )
-        assert solve_retraction(h, inst)
-
-
-def test_retraction_matches_brute_force(zoo):
-    """The retraction solver agrees with exhaustive search on random
-    pinned instances."""
-    import random
-
-    rng = random.Random(7)
-    h = model.make_structure(
-        [("E", 2)],
-        4,
-        {"E": {(0, 1), (1, 0), (1, 2), (2, 1), (2, 3), (3, 2)}},
-        {f"e{i}": i for i in range(4)},
-    )
-    for _ in range(300):
-        n = rng.randint(1, 4)
-        edges = set()
-        for _ in range(rng.randint(0, 5)):
-            a, b = rng.randrange(n), rng.randrange(n)
-            edges.add((a, b))
-            edges.add((b, a))
-        consts = {}
-        for v in range(n):
-            if rng.random() < 0.4:
-                consts[f"e{rng.randrange(4)}"] = v
-        inst = model.make_structure([("E", 2)], n, {"E": edges}, consts)
-        got = solve_retraction(h, inst)
-        want = False
-        for assign in itertools.product(range(4), repeat=n):
-            if any(assign[v] != h.constants[c] for c, v in inst.constants.items()):
-                continue
-            if all((assign[a], assign[b]) in h.tuples("E") for a, b in edges):
-                want = True
-                break
-        assert got == want

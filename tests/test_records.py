@@ -129,7 +129,7 @@ def test_hash_is_the_field_tuple_hash(cls):
 def test_immutable_records_refuse_assignment_and_deletion(cls):
     if cls is Structure:
         r = Structure(GRAPH_SIGNATURE, 1, {"E": frozenset()})
-        names = ("signature", "domain_size", "relations", "constants")
+        names = ("signature", "domain_size", "relations")
     else:
         names, values, _ = RECORDS[cls]
         r = cls(*values)
@@ -162,15 +162,12 @@ def test_defaults():
     assert (case.target_vars, case.target_atoms, case.seconds) == (0, 0, 0.0)
     first, second = ReductionReport(RULE), ReductionReport(rule=RULE)
     assert first.cases == [] and first.cases is not second.cases
-    plain = Structure(GRAPH_SIGNATURE, 1, {"E": frozenset()})
-    assert plain.constants == {}
-    assert plain.constants is not Structure(GRAPH_SIGNATURE, 1, {"E": frozenset()}).constants
 
 
 def test_structure_equality_and_hash_are_by_canonical_form():
     a = Structure(GRAPH_SIGNATURE, 2, {"E": frozenset({(0, 1), (1, 0)})})
     b = Structure(signature=GRAPH_SIGNATURE, domain_size=2,
-                  relations={"E": frozenset({(1, 0), (0, 1)})}, constants={})
+                  relations={"E": frozenset({(1, 0), (0, 1)})})
     assert a == b and hash(a) == hash(b) == hash(a.canonical_form())
     assert a != a.canonical_form()
     assert repr(a) == "Structure(n=2, E:2)"
@@ -195,8 +192,6 @@ def test_strategy_leaf_defaults_are_shared_empty_tuples():
          "tuple (0,) has wrong arity for relation 'E'"),
         (lambda: Structure(GRAPH_SIGNATURE, 2, {"E": frozenset({(0, 5)})}),
          InvalidStructureError, "element 5 out of range in relation 'E'"),
-        (lambda: Structure(GRAPH_SIGNATURE, 2, {"E": frozenset()}, {"c": 2}),
-         InvalidStructureError, "constant 'c' out of range"),
         (lambda: Quantifier(0, "x"), InvalidStructureError, "quantifier threshold must be >= 1"),
         (lambda: Quantifier(None, "1x"), InvalidStructureError, "bad variable name '1x'"),
         (lambda: Sentence((Q, Q), ()), InvalidStructureError, "duplicate prefix variable 'x'"),

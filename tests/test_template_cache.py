@@ -70,7 +70,7 @@ def _fact_row(g: model.GraphView) -> tuple:
 
 def _fresh(b: Structure) -> Structure:
     """An equal structure that shares no cached analysis with ``b``."""
-    return model.make_structure(b.signature.relations, b.domain_size, b.relations, b.constants)
+    return model.make_structure(b.signature.relations, b.domain_size, b.relations)
 
 
 def _sentences(b: Structure, max_vars: int = 3):

@@ -25,9 +25,9 @@ def test_parse_structure_out_of_range():
 
 
 def test_parse_structure_comments_and_format_line():
-    text = "# a comment\nformat 1\ndomain 2\nrel E 2\n0 1   # inline\n1 0\nend\nconst a 0\n"
+    text = "# a comment\nformat 1\ndomain 2\nrel E 2\n0 1   # inline\n1 0\nend\n"
     b = parse_structure(text)
-    assert b.constants == {"a": 0}
+    assert b.tuples("E") == frozenset({(0, 1), (1, 0)})
 
 
 STRUCTURE_ERRORS = [
@@ -38,8 +38,7 @@ STRUCTURE_ERRORS = [
     ("domain 0\n", "domain size must be positive", 1, 1, 1),
     ("domain 2\nrel E 0\nend\n", "arity must be >= 1", 2, 1, 1),
     ("domain 2\nrel E 2\n0 1 1\nend\n", "tuple arity 3 does not match 2", 3, 1, 1),
-    ("domain 2\nconst c 2\n", "constant element 2 out of range", 2, 1, 1),
-    ("domain 2\nconst c 0\nconst c 1\n", "duplicate constant 'c'", 3, 1, 1),
+    ("domain 2\nconst c 0\n", "unexpected directive 'const'", 2, 1, 5),
 ]
 
 
@@ -166,10 +165,7 @@ def _structures(draw):
                 )
             )
             rels[name] = tuples
-    consts = {}
-    if draw(st.booleans()):
-        consts["c"] = draw(st.integers(0, n - 1))
-    return model.make_structure(arities, n, rels, consts)
+    return model.make_structure(arities, n, rels)
 
 
 @settings(max_examples=150, deadline=None)
@@ -254,7 +250,6 @@ STRUCTURE_DIGIT_ERRORS = [
     ("domain \u0663\nrel E 2\n0 1\nend\n", "expected 'domain <n>'", 1, 1, 6),
     ("domain 3\nrel E \u0662\n0 1\nend\n", "expected 'rel <name> <arity>'", 2, 1, 1),
     ("domain 3\nrel E 2\n0 \u0661\nend\n", "bad tuple entry '\u0661'", 3, 3, 1),
-    ("domain 3\nconst c \u0661\n", "expected 'const <name> <element>'", 2, 1, 1),
 ]
 
 
