@@ -2,8 +2,10 @@
 
 Exit codes: 0 yes/success, 1 no (or verification disagreement), 2
 usage/parse error, 3 node budget exceeded, 4 internal error (a crash,
-never a verdict).  The environment variable CQ_NODE_BUDGET, a
-non-negative integer, overrides the default oracle node budget.
+never a verdict).  ``verify`` exits 1 if any case disagrees, else 0 if
+any agrees, else 3 if any was budget-skipped, else 2.  ``solve`` and
+``verify`` fix the node budget before any search: ``--node-budget``, else
+CQ_NODE_BUDGET, else the default.  No other module reads the environment.
 """
 
 from __future__ import annotations
@@ -78,10 +80,31 @@ def _count(text: str) -> int:
     return value
 
 
+def _node_budget(args: argparse.Namespace) -> int:
+    """``--node-budget``, else CQ_NODE_BUDGET, else the oracle's default."""
+    if args.node_budget is not None:
+        return args.node_budget
+    text = os.environ.get("CQ_NODE_BUDGET")
+    if text is None:
+        return oracle.DEFAULT_NODE_BUDGET
+    try:
+        return _count(text)
+    except argparse.ArgumentTypeError:
+        raise ValueError(f"CQ_NODE_BUDGET must be a non-negative integer, got {text!r}") from None
+
+
+def _check_writable(path: str) -> None:
+    """Refuse a path that is a directory or lies in none, touching no file."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+        raise InvalidStructureError(f"cannot write {path}: not a file in an existing directory")
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
+    budget = _node_budget(args)
+    if args.strategy_out:
+        _check_writable(args.strategy_out)
     template = textio.parse_structure(_read(args.template))
     s = textio.parse_sentence(_read(args.sentence))
-    budget = args.node_budget
     match = fastpath.dispatch(template, s, budget=budget) if args.engine == "auto" else None
     engine, thunk = match or ("oracle", lambda: oracle.evaluate(template, s, budget=budget))
     verdict = thunk()
@@ -135,6 +158,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    budget = _node_budget(args)
     rule = reductions.rule(args.rule, **_parse_params(args.params))
     source_template = rule.source_template()
     sources = reductions.default_sources(rule, trials=args.trials, seed=args.seed)
@@ -142,7 +166,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         rule,
         source_template,
         sources,
-        budget=args.node_budget,
+        budget=budget,
         corrupt=args.inject_fault,
     )
     for line in report.lines():
@@ -154,9 +178,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     if report.disagreements():
         return EXIT_NO
-    if report.cases and all(c.status == "budget-skipped" for c in report.cases):
+    if agree:
+        return EXIT_YES
+    if report.skipped():
         return EXIT_BUDGET
-    return EXIT_YES
+    print("error: no case agreed, disagreed or ran out of budget", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def build_parser() -> argparse.ArgumentParser:

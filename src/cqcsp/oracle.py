@@ -65,14 +65,12 @@ only search: no decider in ``fastpath`` keeps one of its own.
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 from operator import itemgetter
 
 from .model import Record, Sentence, Structure, once_per_instance
 
 DEFAULT_NODE_BUDGET = 10_000_000
-BUDGET_ENV_VAR = "CQ_NODE_BUDGET"
 
 
 class BudgetExceededError(RuntimeError):
@@ -114,23 +112,6 @@ def check_signature(b: Structure, s: Sentence) -> None:
             if name not in arity:
                 raise SignatureError(f"relation {name!r} not in template signature")
             raise SignatureError(f"relation {name!r} arity mismatch")
-
-
-def effective_budget(budget: int | None) -> int:
-    """``budget``, else the non-negative integer in CQ_NODE_BUDGET, else
-    the default; raise ValueError when the variable holds anything else."""
-    if budget is not None:
-        return budget
-    text = os.environ.get(BUDGET_ENV_VAR)
-    if text is None:
-        return DEFAULT_NODE_BUDGET
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise ValueError(f"{BUDGET_ENV_VAR} must be a non-negative integer, got {text!r}")
-    return value
 
 
 class StrategyNode(Record):
@@ -287,26 +268,6 @@ def _value_classes(b: Structure) -> tuple[tuple[int, ...], ...] | None:
     return tuple(map(tuple, classes.values())) if len(classes) < n else None
 
 
-@once_per_instance
-def _orbit_tables(b: Structure):
-    """Per value, the mask of its class and the class itself, and an empty
-    table for ``_WideContexts`` to fill with the candidate groups of each
-    mask of context values (at most 2^|B| entries, kept with the template
-    since they depend on nothing else); None when the template has no
-    interchangeable values."""
-    classes = _value_classes(b)
-    if classes is None:
-        return None
-    orbit = [0] * b.domain_size
-    members: list[tuple[int, ...]] = [()] * b.domain_size
-    for cls in classes:
-        mask = sum(1 << v for v in cls)
-        for v in cls:
-            orbit[v] = mask
-            members[v] = cls
-    return orbit, members, {}
-
-
 class _WideContexts(dict):
     """Memo keys and candidate groups for the nodes whose context holds two
     or more positions, on a template with interchangeable values.
@@ -316,15 +277,13 @@ class _WideContexts(dict):
     order of first occurrence: the i-th value of a class to appear becomes
     its i-th member.  ``groups[v]`` is the mask of the candidates that v
     is searched for: v alone when it is one of the context's values, else
-    the members of v's class outside them.  The arguments are the tables
-    of ``_orbit_tables``."""
+    the members of v's class outside them.  The tables are the class
+    tables of the template's ``_Automorphisms``."""
 
-    def __init__(
-        self, orbit: list[int], members: list[tuple[int, ...]], groups: dict[int, list[int]]
-    ) -> None:
-        self.orbit = orbit
-        self.members = members
-        self.groups = groups
+    def __init__(self, sym: _Automorphisms) -> None:
+        self.orbit = sym.class_mask
+        self.members = sym.class_members
+        self.groups = sym.wide_groups
 
     def __missing__(self, values: tuple[int, ...]):
         orbit = self.orbit
@@ -371,12 +330,26 @@ class _Automorphisms(dict):
     (``_PAIR_SEARCH_STEPS``); a pair that reaches the cap stays apart, and
     the orbits are then those of a subgroup, which group candidates just
     as soundly.  The searches keep explicit stacks, so no recursion
-    deepens with |B|."""
+    deepens with |B|.
+
+    The class tables: per value, the mask of its class and the class
+    itself, and the ``_WideContexts`` groups per mask of context values (at
+    most 2^|B|, shared by every compile); None when no class has two values."""
 
     def __init__(self, b: Structure, classes) -> None:
         n = self.n = b.domain_size
         self.relations = [b.tuples(name) for name in b.signature.names()]
         self.classes = classes or ()
+        self.class_mask = self.class_members = self.wide_groups = None
+        if classes is not None:
+            self.class_mask = [0] * n
+            self.class_members = [()] * n
+            for cls in classes:
+                mask = sum(1 << v for v in cls)
+                for v in cls:
+                    self.class_mask[v] = mask
+                    self.class_members[v] = cls
+            self.wide_groups = {}
         if len(self.classes) == 1:
             # every permutation is an automorphism: no cell to search
             self.base = None
@@ -554,8 +527,8 @@ class _Automorphisms(dict):
 
 @once_per_instance
 def _automorphisms(b: Structure) -> _Automorphisms | None:
-    """The template's orbit tables, or None when every Aut(B)-orbit found
-    is a single value."""
+    """The template's orbit and class tables, or None when every
+    Aut(B)-orbit found is a single value (so no class has two values)."""
     sym = _Automorphisms(b, _value_classes(b))
     return None if all(sym.rep[v] == v for v in range(b.domain_size)) else sym
 
@@ -564,9 +537,8 @@ def _automorphisms(b: Structure) -> _Automorphisms | None:
 def _template_view(b: Structure):
     """What compiling a sentence reads of the template, gathered on the
     first compile against it: each relation's arity, the value masks of
-    ``_value_tables``, the orbit tables of ``_automorphisms`` and the
-    class tables of ``_orbit_tables``."""
-    return dict(b.signature.relations), _value_tables(b), _automorphisms(b), _orbit_tables(b)
+    ``_value_tables`` and the orbit and class tables of ``_automorphisms``."""
+    return dict(b.signature.relations), _value_tables(b), _automorphisms(b)
 
 
 def _no_context(assign: list[int]) -> tuple:
@@ -676,7 +648,7 @@ class _Search:
     """
 
     def __init__(self, b: Structure, s: Sentence, budget: int | None, *, reorder: bool) -> None:
-        arity_of, (out_bits, in_bits, loop_bits, unary_bits), sym, orbits = _template_view(b)
+        arity_of, (out_bits, in_bits, loop_bits, unary_bits), sym = _template_view(b)
         n = b.domain_size
         thresholds = []
         index = {}
@@ -691,7 +663,7 @@ class _Search:
 
         m = self.m = len(thresholds)
         self.thresholds = thresholds
-        self.budget = effective_budget(budget)
+        self.budget = DEFAULT_NODE_BUDGET if budget is None else budget
         self.nodes = 0
         self.assign = [0] * m
 
@@ -787,8 +759,8 @@ class _Search:
                     ctx &= ctx - 1
                 key = itemgetter(*positions)
                 if len(positions) > 1:
-                    if wide is None and orbits is not None:
-                        wide = _WideContexts(*orbits)
+                    if wide is None and sym is not None and sym.class_mask is not None:
+                        wide = _WideContexts(sym)
                     table = wide
             probe[q] = (key, table, {})
             opening[q] = (static_mask[q], dyn[q], thresholds[q], kids)
@@ -948,7 +920,10 @@ class _Search:
 
 
 def evaluate(b: Structure, s: Sentence, *, budget: int | None = None) -> bool:
-    """Does the template satisfy the sentence under counting semantics."""
+    """Does the template satisfy the sentence under counting semantics.
+
+    The search stops with BudgetExceededError after ``budget`` nodes (None:
+    ``DEFAULT_NODE_BUDGET``); nothing else sets it."""
     return _Search(b, s, budget, reorder=True).holds_from(0)
 
 

@@ -697,9 +697,10 @@ def verify_reduction(
 ) -> ReductionReport:
     """Evaluate each source and its compiled target with the oracle.
 
-    Any disagreement is a hard failure (status DISAGREE).  Cases whose
-    oracle run exceeds the node budget are reported as budget-skipped,
-    never as passed.  Precondition violations are reported per source.
+    Any disagreement is a hard failure (status DISAGREE).  Each oracle
+    run gets ``budget`` nodes (None means the oracle's default, 10^7), and
+    a case whose run exceeds it is reported as budget-skipped, never as
+    passed.  Precondition violations are reported per source.
     A rule with fixed cases is checked on those instead of ``sources``,
     each case's expected verdict standing in for the source verdict.
     """
@@ -851,13 +852,6 @@ def _c4star_sources(rule_: ReductionRule, trials: int, rng: random.Random) -> li
     return out
 
 
-def _girth_source_template(rule_: ReductionRule) -> Structure:
-    girth = require_graph(rule_.get("h")).girth()
-    if girth is None:
-        raise InvalidStructureError("h is acyclic")
-    return build_template(clique(girth // 2))
-
-
 RULES: dict[str, RuleSpec] = {
     "nae": RuleSpec(
         ("j", "n"),
@@ -922,7 +916,7 @@ RULES: dict[str, RuleSpec] = {
     ),
     "girth-isolation": RuleSpec(
         ("h",),
-        _girth_source_template,
+        lambda r: build_template(clique(_isolation(r.get("h"))[0])),
         lambda r: r.get("h"),
         lambda r, s: _girth_isolation_sentence(r.get("h"), s),
         _fixed_sources(*_SMALL_SOURCES),

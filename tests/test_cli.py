@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from cqcsp import cli, model, textio
@@ -97,16 +100,58 @@ def test_negative_node_budget_is_usage_error(files, capsys):
     assert "--node-budget: expected a non-negative integer, got '-5'" in captured.err
 
 
-@pytest.mark.parametrize("value", ["abc", "-3"])
+@pytest.mark.parametrize("value", ["abc", "-3", "1.5", ""])
 def test_bad_budget_variable_is_usage_error(files, capsys, monkeypatch, value):
+    """A bad CQ_NODE_BUDGET is refused before any search, also where a
+    decider would answer without one: `cycle tractable` on C4 here."""
     tmp, write = files
     k3 = write("k3.structure", textio.render_structure(build_template(model.clique(3))))
+    c4 = write("c4.structure", textio.render_structure(build_template(model.cycle(4))))
     s = write("s.sentence", "E1 x | E(x,x)\n")
+    c4s = write("c4s.sentence", "E2 x E2 y | E(x,y)\n")
     monkeypatch.setenv("CQ_NODE_BUDGET", value)
-    assert run(["solve", k3, s]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: CQ_NODE_BUDGET must be a non-negative integer, got {value!r}\n"
+    for argv in (
+        ["solve", k3, s],
+        ["solve", c4, c4s, "--engine", "auto"],
+        ["verify", "clique-gj", "j=2", "--trials", "1"],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: CQ_NODE_BUDGET must be a non-negative integer, got {value!r}\n"
+
+
+def test_node_budget_flag_wins_over_the_variable(files, monkeypatch):
+    """--node-budget is read first: the variable, bad or not, is then
+    never read, on `solve` and on `verify` alike.  Without the flag the
+    variable sets the budget."""
+    tmp, write = files
+    c6 = write("c6.structure", textio.render_structure(build_template(model.cycle(6))))
+    s = write("s.sentence", "E2 a E2 b E2 c | E(a,b) & E(b,c)\n")
+    verify = ["verify", "even-cycle-csp", "n=6", "j=2", "--trials", "2"]
+    for value in ("abc", "0"):
+        monkeypatch.setenv("CQ_NODE_BUDGET", value)
+        assert run(["solve", c6, s, "--node-budget", "1000"]) == 0
+        assert run([*verify, "--node-budget", "10000000"]) == 0
+    monkeypatch.setenv("CQ_NODE_BUDGET", "10000000")
+    assert run(["solve", c6, s, "--node-budget", "2"]) == 3
+    assert run([*verify, "--node-budget", "10"]) == 3
+    monkeypatch.setenv("CQ_NODE_BUDGET", "2")
+    assert run(["solve", c6, s]) == 3
+    monkeypatch.setenv("CQ_NODE_BUDGET", "0")
+    p4 = write("p4.structure", textio.render_structure(build_template(model.path(4))))
+    forest = write("f.sentence", "E2 x E1 y | E(x,y)\n")  # the forest decider searches
+    assert run(["solve", p4, forest, "--engine", "auto"]) == 3
+    monkeypatch.setenv("CQ_NODE_BUDGET", "10")
+    assert run(verify) == 3
+
+
+def test_only_the_cli_reads_the_environment():
+    """The library takes its node budget from its arguments alone: no
+    module of the package but the CLI reads the environment."""
+    src = Path(cli.__file__).parent
+    readers = [p.name for p in sorted(src.glob("*.py")) if re.search(r"environ|getenv", p.read_text())]
+    assert readers == ["cli.py"]
 
 
 def _chain_sentence(k: int) -> str:
@@ -306,6 +351,25 @@ def test_usage_error_exit_2():
     assert run(["reduce", "no-such-rule", "--sources", "x", "--out-dir", "y"]) == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["even-cycle", "n=5", "j=2"], "no case agreed, disagreed or ran out of budget"),
+    (["nae", "n=3", "j=2", "--trials", "0"], "no case agreed, disagreed or ran out of budget"),
+    (["girth-isolation", "h=graph:0-1,1-2,2-0"], "needs a bipartite template of girth >= 6"),
+    (["girth-isolation", "h=reflexive-cycle:6"], "needs a bipartite template of girth >= 6"),
+])
+def test_verify_with_no_case_checked_is_usage_error(argv, message, capsys):
+    """`verify` exits 0 only when a case agreed: a run whose every source
+    fails a precondition, or which has no source, checks nothing.  A
+    girth-isolation template of short girth is refused as the rule is
+    built."""
+    assert run(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[-1:] in ([], ["summary: 0 agree, 0 disagree, 0 budget-skipped"])
+    assert all(" ? ? precondition(" in line for line in lines[:-1])
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_girth_isolation_parses_template_parameter(capsys):
     assert run(["verify", "girth-isolation", "h=cycle:6", "--trials", "3"]) == 0
     out = capsys.readouterr().out
@@ -331,6 +395,27 @@ def test_missing_template_file_exit_2(files, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot read {missing}: ")
+
+
+def test_strategy_out_is_checked_before_the_search(files, capsys):
+    """A --strategy-out path that is a directory or lies in a missing one
+    is refused before any search, so a zero budget still exits 2 with no
+    verdict; the check itself creates and truncates nothing."""
+    tmp, write = files
+    c6 = write("c6.structure", textio.render_structure(build_template(model.cycle(6))))
+    s = write("s.sentence", "E2 a E2 b E2 c | E(a,b) & E(b,c)\n")
+    for path in (str(tmp / "missing" / "strategy.txt"), str(tmp)):
+        assert run(["solve", c6, s, "--strategy-out", path, "--node-budget", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+    kept = write("kept.txt", "old\n")
+    fresh = tmp / "fresh.txt"
+    for path in (kept, str(fresh)):
+        assert run(["solve", c6, s, "--strategy-out", path, "--node-budget", "0"]) == 3
+        assert capsys.readouterr().out == ""
+    assert Path(kept).read_text() == "old\n"
+    assert not fresh.exists()
 
 
 def test_strategy_out_on_no_instance_writes_nothing(files, capsys):
