@@ -1,9 +1,10 @@
+import argparse
 import random
 import sys
 
 import pytest
 
-from cqcsp import model, oracle
+from cqcsp import cli, model, oracle
 from cqcsp import reductions as rd
 from cqcsp.model import canonical_query, sentence
 from cqcsp.oracle import (
@@ -189,6 +190,20 @@ def test_budget_env_override(zoo, monkeypatch):
     with pytest.raises(BudgetExceededError):
         evaluate(zoo["C6"], s, budget=3)
     assert evaluate(zoo["C6"], s, budget=6) is False
+
+
+@pytest.mark.parametrize("value", ["abc", "-3"])
+def test_budget_env_must_be_a_non_negative_integer(zoo, monkeypatch, value):
+    """A bad CQ_NODE_BUDGET is an error naming it where the budget is fixed,
+    in the CLI; the oracle, given its budget as an argument, decides as
+    without the variable, also where it spends no node."""
+    monkeypatch.setenv("CQ_NODE_BUDGET", value)
+    with pytest.raises(ValueError, match=f"CQ_NODE_BUDGET must be a non-negative integer, got {value!r}"):
+        cli._node_budget(argparse.Namespace(node_budget=None))
+    assert evaluate(zoo["K3"], parse_sentence("E1 x | E(x,x)")) is False
+    assert cli._node_budget(argparse.Namespace(node_budget=7)) == 7
+    monkeypatch.setenv("CQ_NODE_BUDGET", "0")
+    assert cli._node_budget(argparse.Namespace(node_budget=None)) == 0
 
 
 @pytest.mark.parametrize("value", ["0", "abc"])
