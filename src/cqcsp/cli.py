@@ -222,7 +222,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="oracle-check a reduction rule on a source suite")
     p.add_argument("rule", choices=tuple(reductions.RULES))
     p.add_argument("params", nargs="*", default=[], metavar="key=value")
-    p.add_argument("--trials", type=_count, default=20)
+    p.add_argument(
+        "--trials",
+        type=_count,
+        default=20,
+        metavar="N",
+        help="check at most N source sentences (default 20); c4star-macros checks its"
+        " exhaustive suite and odd-cycle-path its fixed cases whatever N is",
+    )
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--node-budget", type=_count, default=None)
     p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)

@@ -30,10 +30,7 @@ classifier reads off a template.
 
 from __future__ import annotations
 
-import enum
 import itertools
-from collections import namedtuple
-from collections.abc import Callable, Sequence
 
 from . import oracle
 from .model import (
@@ -61,17 +58,27 @@ class PreconditionError(ValueError):
     """The input does not satisfy the decider's applicability condition."""
 
 
-class ComplexityClass(enum.Enum):
-    IN_L = "L"
-    IN_P = "P"
-    NP_COMPLETE = "NP-complete"
-    NP_HARD = "NP-hard"
-    PSPACE_COMPLETE = "Pspace-complete"
-    OPEN = "Open"
+class ComplexityClass(Record):
+    """A complexity class a verdict names.  The six members are class
+    attributes (``ComplexityClass.IN_L``, ...); ``label`` is the text a
+    verdict prints."""
 
-    @property
-    def label(self) -> str:
-        return self.value
+    _fields = ("name", "label")
+
+    def __init__(self, name: str, label: str) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "label", label)
+
+    def __repr__(self) -> str:
+        return f"<ComplexityClass.{self.name}: {self.label!r}>"
+
+
+ComplexityClass.IN_L = ComplexityClass("IN_L", "L")
+ComplexityClass.IN_P = ComplexityClass("IN_P", "P")
+ComplexityClass.NP_COMPLETE = ComplexityClass("NP_COMPLETE", "NP-complete")
+ComplexityClass.NP_HARD = ComplexityClass("NP_HARD", "NP-hard")
+ComplexityClass.PSPACE_COMPLETE = ComplexityClass("PSPACE_COMPLETE", "Pspace-complete")
+ComplexityClass.OPEN = ComplexityClass("OPEN", "Open")
 
 
 class ComplexityVerdict(Record):
@@ -310,16 +317,32 @@ def _centre_finding(b, g, s, th, budget) -> bool:
 # `decide` and by `classify`
 
 
-Tractable = namedtuple("Tractable", "tag citation why_not decide graph", defaults=(True,))
-Tractable.__doc__ = """One tractable case: its dispatch ``tag``, the ``citation``
-``classify`` gives it, ``why_not(|B|, template graph, thresholds in prefix
-order)``, None when the case applies and otherwise the reason, and its
-decider ``decide(template, template graph, sentence, thresholds, node
-budget)``, which runs only where ``why_not`` is None; only the forest
-decider searches, so only it reads the budget.  An entry with
-``graph=False`` uses no graph, is passed None for it, and also covers
-templates that are not loop-free graphs; `dispatch` tests it before
-reading the template's graph view."""
+class Tractable(Record):
+    """One tractable case: its dispatch ``tag``, the ``citation``
+    ``classify`` gives it, ``why_not(|B|, template graph, thresholds in
+    prefix order)``, None when the case applies and otherwise the reason,
+    and its decider ``decide(template, template graph, sentence,
+    thresholds, node budget)``, which runs only where ``why_not`` is None;
+    only the forest decider searches, so only it reads the budget.  An
+    entry with ``graph=False`` uses no graph, is passed None for it, and
+    also covers templates that are not loop-free graphs; `dispatch` tests
+    it before reading the template's graph view."""
+
+    _fields = ("tag", "citation", "why_not", "decide", "graph")
+
+    def __init__(
+        self,
+        tag: str,
+        citation: str,
+        why_not: Callable[[int, GraphView | None, Sequence[int]], str | None],
+        decide: Callable[..., bool],
+        graph: bool = True,
+    ) -> None:
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "citation", citation)
+        object.__setattr__(self, "why_not", why_not)
+        object.__setattr__(self, "decide", decide)
+        object.__setattr__(self, "graph", graph)
 
 
 ALL_UNIVERSAL = Tractable(

@@ -8,8 +8,6 @@ construction.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 from .model import Record
 
 

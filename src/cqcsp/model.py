@@ -17,17 +17,16 @@ form and graph view, and the view's facts (components, two-colouring, the
 shape tests, girth and diameter).  The facts are returned as tuples or
 scalars, so no caller can alter them.
 
-The package's records are plain classes over ``Record``, not dataclasses:
-importing ``dataclasses`` (with the ``inspect`` it loads) and building
-each class with it cost more than the rest of the package's start-up.
+``Record`` is the package's only record base: no dataclass, ``namedtuple``
+or ``Enum``.  Importing ``dataclasses`` (with the ``inspect`` it loads),
+``collections`` or ``enum``, and building each class with them, cost more
+than the rest of the package's start-up; for the same reason the package
+reads its text with ``str`` methods, not ``re``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import re
-from collections.abc import Callable, Iterable, Sequence
 from operator import attrgetter
 
 
@@ -42,7 +41,6 @@ def once_per_instance(fn: Callable[[object], object]) -> Callable[[object], obje
     ``Record`` leaves writable.  An exception is not stored."""
     key = "_once_" + fn.__qualname__
 
-    @functools.wraps(fn)
     def cached(obj):
         try:
             return obj.__dict__[key]
@@ -50,6 +48,11 @@ def once_per_instance(fn: Callable[[object], object]) -> Callable[[object], obje
             value = obj.__dict__[key] = fn(obj)
             return value
 
+    cached.__module__ = fn.__module__
+    cached.__name__ = fn.__name__
+    cached.__qualname__ = fn.__qualname__
+    cached.__doc__ = fn.__doc__
+    cached.__wrapped__ = fn
     return cached
 
 
@@ -208,8 +211,29 @@ def graph_structure(
 # Sentences
 
 
-# Variable and relation names; the sentence text format reads the same rule.
-IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_~]*")
+def is_identifier(text: str) -> bool:
+    """Is ``text`` a variable or relation name: an ASCII letter or ``_``,
+    then ASCII letters, digits, ``_`` and ``~``?  The sentence text format
+    reads the same rule."""
+    if text.isidentifier() and text.isascii():
+        return True  # the common case: no ``~``
+    return text.isascii() and text[:1] != "~" and text.replace("~", "_").isidentifier()
+
+
+def is_number(text: str) -> bool:
+    """Is ``text`` a run of ASCII digits?  ``str.isdigit`` alone also
+    accepts other scripts' digits and superscripts."""
+    return text.isascii() and text.isdigit()
+
+
+def _spec_int(text: str) -> int:
+    """``int(text)`` for ASCII digits with an optional leading ``-`` and the
+    surrounding whitespace ``int`` reads; whatever else ``int`` reads
+    (``1_0``, ``+3``, other scripts' digits) raises ValueError."""
+    body = text.strip()
+    if not is_number(body[1:] if body[:1] == "-" else body):
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
 
 
 class Quantifier(Record):
@@ -223,7 +247,7 @@ class Quantifier(Record):
         object.__setattr__(self, "variable", variable)
         if self.threshold is not None and self.threshold < 1:
             raise InvalidStructureError("quantifier threshold must be >= 1")
-        if not IDENTIFIER.fullmatch(self.variable):
+        if not is_identifier(self.variable):
             raise InvalidStructureError(f"bad variable name {self.variable!r}")
 
     def __str__(self) -> str:
@@ -538,15 +562,18 @@ _FAMILY_KINDS = {
     kind: (head, fields, build) for head, (kind, fields, _, build) in _FAMILY_SPECS.items()
 }
 
-_FAMILY_RE = re.compile(r"([a-z0-9*-]+)(?::(.*))?\Z")
+_FAMILY_HEAD = "abcdefghijklmnopqrstuvwxyz0123456789*-"
 
 
 def parse_family_spec(text: str) -> TemplateFamily:
     """Parse CLI family specs such as ``clique:5`` or ``forest:0-1,1-2``."""
-    m = _FAMILY_RE.match(text.strip())
-    if not m:
+    head, colon, arg = text.strip().partition(":")
+    # the head is one or more of _FAMILY_HEAD's characters, and the
+    # argument is one line
+    if not head or head.strip(_FAMILY_HEAD) or "\n" in arg:
         raise InvalidStructureError(f"bad family spec {text!r}")
-    head, arg = m.group(1), m.group(2)
+    if not colon:
+        arg = None
 
     def ints(expect: int) -> list[int]:
         if arg is None:
@@ -555,7 +582,7 @@ def parse_family_spec(text: str) -> TemplateFamily:
         if len(parts) != expect:
             raise InvalidStructureError(f"family {head!r} expects {expect} parameter(s)")
         try:
-            return [int(p) for p in parts]
+            return [_spec_int(p) for p in parts]
         except ValueError:
             raise InvalidStructureError(f"bad integer in family spec {text!r}") from None
 
@@ -568,7 +595,7 @@ def parse_family_spec(text: str) -> TemplateFamily:
             if len(bits) != 2:
                 raise InvalidStructureError(f"bad edge {part!r} in family spec")
             try:
-                out.append((int(bits[0]), int(bits[1])))
+                out.append((_spec_int(bits[0]), _spec_int(bits[1])))
             except ValueError:
                 raise InvalidStructureError(f"bad edge {part!r} in family spec") from None
         return out
@@ -628,13 +655,18 @@ def parse_fragment_spec(text: str) -> FragmentSpec:
     body = text.strip()
     if body.startswith("X="):
         try:
-            values = frozenset(int(p) for p in body[2:].split(","))
+            values = frozenset(_spec_int(p) for p in body[2:].split(","))
         except ValueError:
             raise InvalidStructureError(f"bad threshold set {text!r}") from None
         return ThresholdSet(values)
-    m = re.match(r"prefix=2\^(\d+)(?:\s*1\*)?\Z", body)
-    if m:
-        return BoundedPrefix(int(m.group(1)))
+    if body.startswith("prefix=2^"):
+        # ``2^<m>``, then optionally whitespace and ``1*``: the form that
+        # ``str(BoundedPrefix(m))`` writes, where ``2^31*`` reads m = 3
+        bound = body[9:]
+        if bound.endswith("1*"):
+            bound = bound[:-2].rstrip()
+        if is_number(bound):
+            return BoundedPrefix(int(bound))
     raise InvalidStructureError(f"bad fragment spec {text!r}")
 
 

@@ -15,10 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-import random
 import time
-from collections import namedtuple
-from collections.abc import Callable, Iterable, Sequence
 
 from . import oracle
 from .model import (
@@ -683,7 +680,11 @@ def _random_graph_sentence(
 
 
 def default_sources(rule_: ReductionRule, trials: int, seed: int) -> list[Sentence]:
-    """A seeded source suite for command-line verification of a rule."""
+    """A seeded source suite for command-line verification of a rule.
+    ``random`` is imported here, not with the package, which needs it
+    nowhere else."""
+    import random
+
     return RULES[rule_.name].sources(rule_, trials, random.Random(seed))
 
 
@@ -764,19 +765,38 @@ def _check(
 # The rule registry
 
 
-RuleSpec = namedtuple(
-    "RuleSpec",
-    "params source_template target_template compile sources mismatch cases",
-    defaults=("", None),
-)
-RuleSpec.__doc__ = """One reduction rule, declared once: the ``params`` it needs, the
-templates its sources and its targets are evaluated on
-(``source_template(rule)``, ``target_template(rule)``), its compiler
-``compile(rule, source sentence) -> target sentence``, its seeded source
-suite ``sources(rule, trials, rng)`` and the error for any other source
-template (``mismatch``).  A rule without a compiler (``target_template``
-and ``compile`` None) is checked on its fixed ``cases(rule)`` (label,
-expected verdict, template, sentence) instead."""
+class RuleSpec(Record):
+    """One reduction rule, declared once: the ``params`` it needs, the
+    templates its sources and its targets are evaluated on
+    (``source_template(rule)``, ``target_template(rule)``), its compiler
+    ``compile(rule, source sentence) -> target sentence``, its seeded
+    source suite ``sources(rule, trials, rng)`` and the error for any other
+    source template (``mismatch``).  A rule without a compiler
+    (``target_template`` and ``compile`` None) is checked on its fixed
+    ``cases(rule)`` (label, expected verdict, template, sentence)
+    instead."""
+
+    _fields = (
+        "params", "source_template", "target_template", "compile", "sources", "mismatch", "cases"
+    )
+
+    def __init__(
+        self,
+        params: tuple[str, ...],
+        source_template: Callable[[ReductionRule], Structure],
+        target_template: Callable[[ReductionRule], Structure] | None,
+        compile: Callable[[ReductionRule, Sentence], Sentence] | None,
+        sources: Callable[[ReductionRule, int, random.Random], list[Sentence]],
+        mismatch: str = "",
+        cases: Callable[[ReductionRule], list] | None = None,
+    ) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "source_template", source_template)
+        object.__setattr__(self, "target_template", target_template)
+        object.__setattr__(self, "compile", compile)
+        object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "mismatch", mismatch)
+        object.__setattr__(self, "cases", cases)
 
 
 def _nae_sources(rule_: ReductionRule, trials: int, rng: random.Random) -> list[Sentence]:
@@ -812,12 +832,12 @@ def _random_sources(thresholds: Callable[[ReductionRule], list[int]]):
 
 
 def _fixed_sources(*texts: str):
-    """A fixed suite cut to ``trials`` sentences (at least one); ``{A}`` in
-    a text is the size of the rule's source template."""
+    """A fixed suite cut to its first ``trials`` sentences; ``{A}`` in a
+    text is the size of the rule's source template."""
 
     def sources(rule_: ReductionRule, trials: int, rng: random.Random) -> list[Sentence]:
         size = rule_.source_template().domain_size
-        return [parse_sentence(text.format(A=size)) for text in texts][: max(1, trials)]
+        return [parse_sentence(text.format(A=size)) for text in texts][: max(0, trials)]
 
     return sources
 
@@ -826,11 +846,12 @@ _SMALL_SOURCES = ("E1 u |", "E1 u | E(u,u)", "E1 u E1 v | E(u,v)")
 
 
 def _reflexive_c4_sources(rule_: ReductionRule, trials: int, rng: random.Random) -> list[Sentence]:
+    """Four fixed sentences, then random ones: ``trials`` in all."""
     fixed = ("E1 u E1 v | E(u,v)", "E4 u E1 v | E(u,v)", "E4 u E4 v | E(u,v)", "E1 u | E(u,u)")
     out = [parse_sentence(text) for text in fixed]
     while len(out) < trials:
         out.append(_random_graph_sentence(rng, rng.randint(1, 3), 2, [1, 4]))
-    return out[: max(1, trials)]
+    return out[: max(0, trials)]
 
 
 def _c4star_sources(rule_: ReductionRule, trials: int, rng: random.Random) -> list[Sentence]:

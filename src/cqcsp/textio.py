@@ -7,22 +7,21 @@ indentation), so parse(render(x)) == x.
 
 The parsers build only their result on valid input.  The sentence parser
 reads plain tokens; the line and column of a token are found again, by a
-second tokenisation, only when it raises a ParseError.
+second tokenisation, only when it raises a ParseError.  The text is read
+with ``str`` methods; the package imports no ``re``.
 """
 
 from __future__ import annotations
 
-import re
-from collections.abc import Sequence
-
 from .model import (
-    IDENTIFIER,
     InvalidStructureError,
     Quantifier,
     Record,
     Sentence,
     Signature,
     Structure,
+    is_identifier,
+    is_number,
 )
 from .oracle import LEAF, StrategyNode
 
@@ -61,12 +60,6 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _is_number(token: str) -> bool:
-    """Is ``token`` a run of ASCII digits?  ``str.isdigit`` alone also
-    accepts other scripts' digits and superscripts."""
-    return token.isascii() and token.isdigit()
-
-
 # ---------------------------------------------------------------------------
 # Structures
 
@@ -89,7 +82,7 @@ def parse_structure(text: str) -> Structure:
         fail("empty structure file", 1)
     no, body = lines[pos]
     parts = body.split()
-    if parts[0] != "domain" or len(parts) != 2 or not _is_number(parts[1]):
+    if parts[0] != "domain" or len(parts) != 2 or not is_number(parts[1]):
         fail("expected 'domain <n>'", no, body.index(parts[0]) + 1, len(parts[0]))
     n = int(parts[1])
     if n < 1:
@@ -105,7 +98,7 @@ def parse_structure(text: str) -> Structure:
         parts = body.split()
         head = parts[0]
         if head == "rel":
-            if len(parts) != 3 or not _is_number(parts[2]):
+            if len(parts) != 3 or not is_number(parts[2]):
                 fail("expected 'rel <name> <arity>'", no)
             name, arity = parts[1], int(parts[2])
             if any(name == existing for existing, _ in arities):
@@ -127,7 +120,7 @@ def parse_structure(text: str) -> Structure:
                 col = 1
                 for tok in t_parts:
                     col = t_body.index(tok, col - 1) + 1
-                    if not _is_number(tok):
+                    if not is_number(tok):
                         fail(f"bad tuple entry {tok!r}", t_no, col, len(tok))
                     value = int(tok)
                     if value >= n:
@@ -179,11 +172,55 @@ def render_structure(b: Structure) -> str:
 # Sentences
 
 
-_QUANT_RE = re.compile(r"E([0-9]+)\Z")
+# The five punctuation marks, each as its token
+_PUNCTUATION = {mark: ("", mark) for mark in "(),&|"}
 
-# One token per match: an identifier in the first group, or anything else
-# (a number, a punctuation mark, a stray character) in the second.
-_token_re = re.compile(rf"({IDENTIFIER.pattern})|(\d+|[(),&|]|\S)")
+
+def _tokens(body: str) -> list[tuple[str, str]]:
+    """The tokens of one line as ``(identifier, other)`` pairs, one of the
+    two empty: an identifier, or else a run of decimal digits (any
+    script's), a punctuation mark or one stray character.  Whitespace
+    separates tokens and belongs to none."""
+    out = []
+    padded = (
+        body.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").replace("&", " & ")
+        .replace("|", " | ")
+    )
+    for chunk in padded.split():
+        mark = _PUNCTUATION.get(chunk)
+        if mark is not None:
+            out.append(mark)
+        elif is_identifier(chunk):
+            out.append((chunk, ""))
+        elif len(chunk) == 1:
+            out.append(("", chunk))
+        else:
+            _split_chunk(chunk, out)
+    return out
+
+
+def _split_chunk(chunk: str, out: list[tuple[str, str]]) -> None:
+    """Append the tokens of ``chunk``, a run of characters with no
+    whitespace or punctuation that is not one identifier."""
+    i, n = 0, len(chunk)
+    while i < n:
+        c = chunk[i]
+        j = i + 1
+        if c.isascii() and (c.isalpha() or c == "_"):
+            while j < n and chunk[j].isascii() and (chunk[j].isalnum() or chunk[j] in "_~"):
+                j += 1
+            out.append((chunk[i:j], ""))
+        else:
+            if c.isdecimal():
+                while j < n and chunk[j].isdecimal():
+                    j += 1
+            out.append(("", chunk[i:j]))
+        i = j
+
+
+def _is_quantifier(word: str) -> bool:
+    """Is ``word`` ``E<j>``, j in ASCII digits?"""
+    return word[:1] == "E" and word[1:].isdigit() and word.isascii()
 
 
 def _sentence_error(text: str, message: str, index: int) -> ParseError:
@@ -191,11 +228,14 @@ def _sentence_error(text: str, message: str, index: int) -> ParseError:
     tokenising the text again; an index past the last token is the end of
     the text, which points at its last token, or at its first column when
     it has none."""
-    tokens = [
-        (m.group(), no, m.start() + 1)
-        for no, body in _content_lines(text)
-        for m in _token_re.finditer(body)
-    ]
+    tokens = []
+    for no, body in _content_lines(text):
+        column = 0
+        for word, other in _tokens(body):
+            token = word or other
+            column = body.index(token, column)
+            tokens.append((token, no, column + 1))
+            column += len(token)
     if index < len(tokens):
         token, line, column = tokens[index]
     else:
@@ -214,7 +254,7 @@ def parse_sentence(text: str) -> Sentence:
     The parser walks plain ``(identifier, other)`` token pairs by index;
     the line and column of a token are found again only when it raises.
     """
-    tokens = [tok for _, body in _content_lines(text) for tok in _token_re.findall(body)]
+    tokens = [tok for _, body in _content_lines(text) for tok in _tokens(body)]
     count = len(tokens)
     prefix: list[Quantifier] = []
     seen: set[str] = set()
@@ -230,15 +270,14 @@ def parse_sentence(text: str) -> Sentence:
             if word == "A":
                 threshold: int | None = None
             else:
-                m = _QUANT_RE.match(word)
-                if m is None:
+                if not _is_quantifier(word):
                     raise _sentence_error(text, f"expected quantifier, found {word or other!r}", i)
-                threshold = int(m.group(1))
+                threshold = int(word[1:])
                 if threshold < 1:
                     raise _sentence_error(text, "threshold must be >= 1", i)
             i += 1
             v, other = tokens[i]
-            if not v or v == "A" or _QUANT_RE.match(v):
+            if not v or v == "A" or _is_quantifier(v):
                 raise _sentence_error(text, f"bad variable name {v or other!r}", i)
             if v in seen:
                 raise _sentence_error(text, f"duplicate prefix variable {v!r}", i)
@@ -314,7 +353,18 @@ def render_strategy(w: StrategyNode) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-_OFFER_RE = re.compile(r"offer \{([0-9]+(?:,[0-9]+)*)?\}\Z")
+def _offer(line: str) -> tuple[int, ...] | None:
+    """The set of an ``offer {a,b,..}`` line, elements in ASCII digits, or
+    None when the line is not one."""
+    if not (line.startswith("offer {") and line.endswith("}")):
+        return None
+    body = line[7:-1]
+    if not body:
+        return ()
+    parts = body.split(",")
+    if not all(is_number(p) for p in parts):
+        return None
+    return tuple(map(int, parts))
 
 
 def _row_error(message: str, row: tuple[int, int, tuple[int, ...], int]) -> ParseError:
@@ -336,10 +386,9 @@ def parse_strategy(text: str, thresholds: Sequence[int] | None = None) -> Strate
         indent = len(body) - len(stripped)
         if indent % 2 != 0:
             raise ParseError("odd indentation", SourceSpan(no, 1, indent))
-        m = _OFFER_RE.match(stripped)
-        if not m:
+        offer = _offer(stripped)
+        if offer is None:
             raise ParseError("expected 'offer {..}'", SourceSpan(no, indent + 1, len(stripped)))
-        offer = tuple(map(int, m.group(1).split(","))) if m.group(1) else ()
         if not offer:
             raise ParseError("empty offer set", SourceSpan(no, indent + 1, len(stripped)))
         if len(set(offer)) != len(offer):

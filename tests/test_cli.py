@@ -370,6 +370,49 @@ def test_verify_with_no_case_checked_is_usage_error(argv, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["clique-gj", "j=2"],
+    ["even-cycle", "n=6", "j=2"],
+    ["even-cycle-csp", "n=6", "j=2"],
+    ["girth-isolation", "h=cycle:6"],
+    ["reflexive-c4"],
+    ["clique-pad", "j=2", "n=6"],
+])
+def test_verify_trials_zero_checks_no_source(argv, capsys):
+    """``--trials N`` caps every seeded or fixed suite at N sentences, so
+    ``--trials 0`` checks none and exits 2; ``--trials 1`` checks one."""
+    assert run(["verify", *argv, "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "summary: 0 agree, 0 disagree, 0 budget-skipped\n"
+    assert captured.err == "error: no case agreed, disagreed or ran out of budget\n"
+    assert run(["verify", *argv, "--trials", "1"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "summary: 1 agree, 0 disagree, 0 budget-skipped"
+    )
+
+
+@pytest.mark.parametrize("argv, cases", [
+    (["c4star-macros"], 184),
+    (["odd-cycle-path", "n=5", "j=2"], 6),
+])
+def test_verify_trials_leaves_exhaustive_and_fixed_case_suites_whole(argv, cases, capsys):
+    assert run(["verify", *argv, "--trials", "0"]) == 0
+    zero = capsys.readouterr().out
+    assert run(["verify", *argv]) == 0
+    assert capsys.readouterr().out == zero
+    assert zero.splitlines()[-1] == f"summary: {cases} agree, 0 disagree, 0 budget-skipped"
+
+
+def test_verify_help_says_what_trials_caps(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["verify", "--help"])
+    # argparse wraps the help text, breaking lines after a hyphen too
+    out = " ".join(capsys.readouterr().out.split()).replace("- ", "-")
+    assert "--trials N check at most N source sentences (default 20)" in out
+    assert "c4star-macros checks its exhaustive suite" in out
+    assert "odd-cycle-path its fixed cases whatever N is" in out
+
+
 def test_verify_girth_isolation_parses_template_parameter(capsys):
     assert run(["verify", "girth-isolation", "h=cycle:6", "--trials", "3"]) == 0
     out = capsys.readouterr().out

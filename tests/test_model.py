@@ -212,6 +212,50 @@ def test_fragment_spec_parsing():
         parse_fragment_spec("X=")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("clique:1_0", "bad integer in family spec 'clique:1_0'"),
+    ("clique:+3", "bad integer in family spec 'clique:+3'"),
+    ("clique:\u0663", "bad integer in family spec 'clique:\u0663'"),
+    ("bipartite:2,\uff13", "bad integer in family spec 'bipartite:2,\uff13'"),
+    ("forest:0-1_0", "bad edge '0-1_0' in family spec"),
+    ("graph:0-1,+1-2", "bad edge '+1-2' in family spec"),
+    ("forest:0-\u0661", "bad edge '0-\u0661' in family spec"),
+])
+def test_family_spec_numbers_are_ascii_digits(text, message):
+    """``int`` also reads ``1_0``, ``+3`` and other scripts' digits; the
+    spec, like the text formats, takes ASCII digits only."""
+    with pytest.raises(InvalidStructureError) as info:
+        parse_family_spec(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("X=\u0661,2", "bad threshold set 'X=\u0661,2'"),
+    ("X=1_0", "bad threshold set 'X=1_0'"),
+    ("X=+2", "bad threshold set 'X=+2'"),
+    ("prefix=2^\u0663", "bad fragment spec 'prefix=2^\u0663'"),
+    ("prefix=2^\u06631*", "bad fragment spec 'prefix=2^\u06631*'"),
+])
+def test_fragment_spec_numbers_are_ascii_digits(text, message):
+    with pytest.raises(InvalidStructureError) as info:
+        parse_fragment_spec(text)
+    assert str(info.value) == message
+
+
+def test_spec_numbers_keep_whitespace_and_a_leading_minus():
+    assert parse_family_spec(" clique: 3 ") == parse_family_spec("clique:3")
+    assert parse_family_spec("bipartite: 2 ,3") == parse_family_spec("bipartite:2,3")
+    assert parse_family_spec("forest:0 - 1") == parse_family_spec("forest:0-1")
+    assert parse_fragment_spec("X= 1 , 2").thresholds == frozenset({1, 2})
+    assert parse_fragment_spec("prefix=2^31*").m == 3
+    with pytest.raises(InvalidStructureError) as info:
+        parse_family_spec("clique:-3")
+    assert str(info.value) == "clique size must be >= 1"
+    with pytest.raises(InvalidStructureError) as info:
+        parse_fragment_spec("X=-1")
+    assert str(info.value) == "thresholds must be >= 1"
+
+
 def test_graph_view_properties():
     g = graph_view(build_template(model.complete_bipartite(2, 3)))
     assert g.complete_bipartite_sides() == (2, 3)

@@ -58,6 +58,7 @@ RECORDS = {
         (ComplexityClass.IN_L, "Thm 2 i"),
         "ComplexityVerdict(complexity=<ComplexityClass.IN_L: 'L'>, citation='Thm 2 i')",
     ),
+    ComplexityClass: (("name", "label"), ("IN_L", "L"), "<ComplexityClass.IN_L: 'L'>"),
     ResidueSet: (("modulus", "bits"), (6, 5), "ResidueSet(modulus=6, bits=5)"),
     StrategyNode: (
         ("offer", "children"),
@@ -226,3 +227,11 @@ def test_validation_messages(build, error, message):
 
 def test_open_verdict_needs_no_citation():
     assert str(ComplexityVerdict(ComplexityClass.OPEN, "")) == "Open"
+
+
+def test_complexity_classes_are_six_named_members():
+    members = [ComplexityClass.IN_L, ComplexityClass.IN_P, ComplexityClass.NP_COMPLETE,
+               ComplexityClass.NP_HARD, ComplexityClass.PSPACE_COMPLETE, ComplexityClass.OPEN]
+    assert [c.label for c in members] == [
+        "L", "P", "NP-complete", "NP-hard", "Pspace-complete", "Open"]
+    assert all(getattr(ComplexityClass, c.name) is c for c in members)
