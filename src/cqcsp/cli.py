@@ -59,6 +59,8 @@ def _parse_params(tokens: list[str]) -> dict:
         if "=" not in tok:
             raise InvalidStructureError(f"expected key=value parameter, got {tok!r}")
         key, value = tok.split("=", 1)
+        if key in params:
+            raise InvalidStructureError(f"parameter {key!r} given twice")
         if key == "h":
             params[key] = build_template(parse_family_spec(value))
         else:
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=20,
         metavar="N",
         help="check at most N source sentences (default 20); c4star-macros checks its"
-        " exhaustive suite and odd-cycle-path its fixed cases whatever N is",
+        " exhaustive suite whatever N is",
     )
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--node-budget", type=_count, default=None)

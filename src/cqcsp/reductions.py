@@ -2,8 +2,9 @@
 sentence/template transformation, plus an oracle-backed equivalence
 verifier.
 
-Each reduction is declared once, as a ``RuleSpec`` in ``RULES``, and is
-compiled one way: ``compile_rule(rule(name, **params), source_template, s)``.
+Each reduction is declared once, as a ``RuleSpec`` in ``RULES``, and every
+rule is compiled one way: ``compile_rule(rule(name, **params),
+source_template, s)``.
 
 Fresh variables follow the ``<orig>~<role>~<index>`` naming scheme and are
 kept disjoint from source variables, so compiled sentences never collide.
@@ -28,7 +29,6 @@ from .model import (
     build_template,
     clique,
     cycle,
-    make_structure,
     nae_boolean,
     once_per_instance,
     reflexive_cycle,
@@ -48,7 +48,11 @@ class ReductionRule(Record):
         object.__setattr__(self, "params", params)
         if self.name not in RULES:
             raise InvalidStructureError(f"unknown reduction rule {self.name!r}")
-        for key in RULES[self.name].params:
+        takes = RULES[self.name].params
+        for key, _ in self.params:
+            if key not in takes:
+                raise InvalidStructureError(f"rule {self.name!r} takes no parameter {key!r}")
+        for key in takes:
             if self.get(key) is None:
                 raise InvalidStructureError(f"rule {self.name!r} needs {key}=<value>")
 
@@ -308,6 +312,36 @@ def universal_path_gadget(
     return GadgetBlueprint(fresh, tuple(quantifiers), atoms, (x,))
 
 
+def _universals_as_paths(
+    n: int, j: int, universal: int, rs: Sentence, names: _Names,
+    prefix: list[Quantifier], atoms: list[Atom],
+) -> None:
+    """Quantify the source variables in order: each threshold-``universal``
+    one as its path block on the n-cycle, every other one existentially.
+    Appends to ``prefix`` and ``atoms``."""
+    for q in rs.prefix:
+        if q.threshold == universal:
+            gadget = universal_path_gadget(n, j, q.variable, names)
+            prefix.extend(gadget.quantifiers)
+            atoms.extend(gadget.atoms)
+        else:
+            prefix.append(Quantifier(1, q.variable))
+
+
+def _odd_cycle_sentence(n: int, j: int, s: Sentence) -> Sentence:
+    """Compile a quantified sentence over the n-cycle (odd n), thresholds
+    {1, n}, into one over the same cycle with thresholds {1, j}: every
+    universal becomes its path block, and the source atoms are kept."""
+    if n % 2 == 0 or not 2 <= j < n:
+        raise InvalidStructureError("needs odd n >= 3 and 2 <= j < n")
+    rs = _resolve_for(s, n, {1, n}, "odd-cycle reduction")
+    names = _Names([q.variable for q in rs.prefix])
+    prefix: list[Quantifier] = []
+    atoms = list(rs.atoms)
+    _universals_as_paths(n, j, n, rs, names, prefix, atoms)
+    return Sentence(tuple(prefix), tuple(atoms))
+
+
 def even_cycle_offsets(n: int, j: int) -> tuple[int, list[int]]:
     """(r, alpha) for the even-cycle reduction: r is the path length
     correction and alpha the threshold-j cycle indices, ending at n/2+1."""
@@ -353,13 +387,7 @@ def _even_cycle_sentence(
     rest = [w[i] for i in range(1, r + 1)] + [v[i] for i in range(n) if i not in set(alpha)]
     prefix.extend(Quantifier(1, u) for u in rest)
 
-    for q in rs.prefix:
-        if source_is_qcsp and q.threshold == half:
-            gadget = universal_path_gadget(n, j, q.variable, names)
-            prefix.extend(gadget.quantifiers)
-            atoms.extend(gadget.atoms)
-        else:
-            prefix.append(Quantifier(1, q.variable))
+    _universals_as_paths(n, j, half, rs, names, prefix, atoms)
 
     for e, (x, y) in enumerate(_dedup_edges(rs)):
         fresh = _chain_of_copies(names, v, x, y, f"e{e}", atoms)
@@ -620,8 +648,6 @@ def compile_rule(
 ) -> tuple[Structure, Sentence]:
     """Compile one source under the rule; raises on precondition failure."""
     spec = RULES[rule_.name]
-    if spec.compile is None:
-        raise InvalidStructureError(f"rule {rule_.name!r} has no direct compiler")
     if source_template != rule_.source_template():
         raise InvalidStructureError(spec.mismatch)
     compiled = spec.compile(rule_, source)
@@ -639,31 +665,6 @@ def corrupt_compiled(target: tuple[Structure, Sentence]) -> tuple[Structure, Sen
     first = s.prefix[0].variable
     mutated = (name, tuple(first for _ in vs))
     return template, Sentence(s.prefix, s.atoms[:-1] + (mutated,))
-
-
-def universal_path_cases(n: int, j: int) -> list[tuple[str, bool, Structure, Sentence]]:
-    """Soundness and adversary-completeness checks for the path block on
-    the n-cycle: the block alone must hold, and for every target vertex the
-    block with that vertex excluded for x must fail."""
-    gadget = universal_path_gadget(n, j, "x")
-    base = build_template(cycle(n))
-    sentence = Sentence(gadget.quantifiers, gadget.atoms)
-    cases: list[tuple[str, bool, Structure, Sentence]] = [
-        ("prover-soundness", True, base, sentence)
-    ]
-    sig = [("E", 2), ("Avoid", 1)]
-    for target_value in range(n):
-        template = make_structure(
-            sig,
-            n,
-            {
-                "E": set(base.tuples("E")),
-                "Avoid": {(u,) for u in range(n) if u != target_value},
-            },
-        )
-        avoided = Sentence(gadget.quantifiers, gadget.atoms + (("Avoid", ("x",)),))
-        cases.append((f"adversary-forces-{target_value}", False, template, avoided))
-    return cases
 
 
 def _random_graph_sentence(
@@ -702,63 +703,37 @@ def verify_reduction(
     run gets ``budget`` nodes (None means the oracle's default, 10^7), and
     a case whose run exceeds it is reported as budget-skipped, never as
     passed.  Precondition violations are reported per source.
-    A rule with fixed cases is checked on those instead of ``sources``,
-    each case's expected verdict standing in for the source verdict.
     """
     report = ReductionReport(rule_)
-    spec = RULES[rule_.name]
-    if spec.cases is not None:
-        for index, (label, expected, template, s) in enumerate(spec.cases(rule_)):
-            start = time.perf_counter()
-            want = _yes_no(expected)
-            report.cases.append(_check(index, label, lambda: want, (template, s), budget, start))
-        return report
-
     for index, source in enumerate(sources):
         label = str(source)
         start = time.perf_counter()
         try:
-            compiled = compile_rule(rule_, source_template, source)
+            template, s = compile_rule(rule_, source_template, source)
             if corrupt:
-                compiled = corrupt_compiled(compiled)
+                template, s = corrupt_compiled((template, s))
         except InvalidStructureError as exc:
             report.cases.append(
                 ReductionCase(index, label, "?", "?", f"precondition({exc})")
             )
             continue
-
-        def source_verdict() -> str:
-            return _yes_no(oracle.evaluate(source_template, source, budget=budget))
-
-        report.cases.append(_check(index, label, source_verdict, compiled, budget, start))
+        # a node-budget stop leaves the verdicts not reached as '?'
+        verdicts = ["?", "?"]
+        try:
+            verdicts[0] = _yes_no(oracle.evaluate(source_template, source, budget=budget))
+            verdicts[1] = _yes_no(oracle.evaluate(template, s, budget=budget))
+            status = "agree" if verdicts[0] == verdicts[1] else "DISAGREE"
+        except oracle.BudgetExceededError:
+            status = "budget-skipped"
+        report.cases.append(ReductionCase(
+            index, label, *verdicts, status, len(s.prefix), len(s.atoms),
+            time.perf_counter() - start,
+        ))
     return report
 
 
 def _yes_no(verdict: bool) -> str:
     return "yes" if verdict else "no"
-
-
-def _check(
-    index: int,
-    label: str,
-    source_verdict: Callable[[], str],
-    target: tuple[Structure, Sentence],
-    budget: int | None,
-    start: float,
-) -> ReductionCase:
-    """Compare the source verdict with the oracle's verdict on the target; a
-    node-budget stop leaves the verdicts not reached as '?'."""
-    template, s = target
-    verdicts = ["?", "?"]
-    try:
-        verdicts[0] = source_verdict()
-        verdicts[1] = _yes_no(oracle.evaluate(template, s, budget=budget))
-        status = "agree" if verdicts[0] == verdicts[1] else "DISAGREE"
-    except oracle.BudgetExceededError:
-        status = "budget-skipped"
-    return ReductionCase(
-        index, label, *verdicts, status, len(s.prefix), len(s.atoms), time.perf_counter() - start
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -771,24 +746,18 @@ class RuleSpec(Record):
     (``source_template(rule)``, ``target_template(rule)``), its compiler
     ``compile(rule, source sentence) -> target sentence``, its seeded
     source suite ``sources(rule, trials, rng)`` and the error for any other
-    source template (``mismatch``).  A rule without a compiler
-    (``target_template`` and ``compile`` None) is checked on its fixed
-    ``cases(rule)`` (label, expected verdict, template, sentence)
-    instead."""
+    source template (``mismatch``)."""
 
-    _fields = (
-        "params", "source_template", "target_template", "compile", "sources", "mismatch", "cases"
-    )
+    _fields = ("params", "source_template", "target_template", "compile", "sources", "mismatch")
 
     def __init__(
         self,
         params: tuple[str, ...],
         source_template: Callable[[ReductionRule], Structure],
-        target_template: Callable[[ReductionRule], Structure] | None,
-        compile: Callable[[ReductionRule, Sentence], Sentence] | None,
+        target_template: Callable[[ReductionRule], Structure],
+        compile: Callable[[ReductionRule, Sentence], Sentence],
         sources: Callable[[ReductionRule, int, random.Random], list[Sentence]],
-        mismatch: str = "",
-        cases: Callable[[ReductionRule], list] | None = None,
+        mismatch: str,
     ) -> None:
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "source_template", source_template)
@@ -796,7 +765,6 @@ class RuleSpec(Record):
         object.__setattr__(self, "compile", compile)
         object.__setattr__(self, "sources", sources)
         object.__setattr__(self, "mismatch", mismatch)
-        object.__setattr__(self, "cases", cases)
 
 
 def _nae_sources(rule_: ReductionRule, trials: int, rng: random.Random) -> list[Sentence]:
@@ -914,10 +882,10 @@ RULES: dict[str, RuleSpec] = {
     "odd-cycle-path": RuleSpec(
         ("n", "j"),
         lambda r: build_template(cycle(r.get("n"))),
-        None,
-        None,
-        lambda r, trials, rng: [],
-        cases=lambda r: universal_path_cases(r.get("n"), r.get("j")),
+        lambda r: build_template(cycle(r.get("n"))),
+        lambda r, s: _odd_cycle_sentence(r.get("n"), r.get("j"), s),
+        _random_sources(lambda r: [1, r.get("n")]),
+        "sources live on the n-cycle",
     ),
     "even-cycle": RuleSpec(
         ("n", "j"),

@@ -363,8 +363,9 @@ def test_criterion_5_reduction_equivalence(zoo):
         run(rule, build_template(model.clique(n)),
             rd.default_sources(rule, trials=50 if not FAST else 10, seed=1))
 
-    # odd-cycle universal path block: soundness + adversary completeness
-    run(rd.rule("odd-cycle-path", n=5, j=2), build_template(model.cycle(5)), [])
+    # QCSP(C5) to thresholds {1, 2}: each universal becomes its path block
+    odd_rule = rd.rule("odd-cycle-path", n=5, j=2)
+    run(odd_rule, build_template(model.cycle(5)), rd.default_sources(odd_rule, trials=20, seed=1))
 
     # reflexive 4-cycle macros, exhaustive <= 2 quantifiers
     macro_rule = rd.rule("c4star-macros")

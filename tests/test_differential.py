@@ -306,8 +306,7 @@ def test_dispatch_hits_match_oracle(data):
 
 
 # rule -> (parameters, thresholds drawn (None is the for-all sugar), most
-# variables, most atoms).  odd-cycle-path has no compiler: it is checked on
-# its fixed cases.  Enumerating each space, every target decides within
+# variables, most atoms).  Enumerating each space, every target decides within
 # 172,376 nodes (girth-isolation on "E1 x0 E1 x1 E1 x2 | E(x1,x2) &
 # E(x2,x0)", 104 variables); COMPILE_BUDGET leaves room for the atom
 # orders drawn, and a budget stop fails the test.
@@ -321,6 +320,7 @@ COMPILED_RULES = {
     "girth-isolation": ({"h": "cycle:6"}, (1,), 3, 2),
     "reflexive-c4": ({}, (1, 4, None), 2, 2),
     "c4star-macros": ({}, (1, 2, 3, 4, None), 3, 3),
+    "odd-cycle-path": ({"n": 5, "j": 2}, (1, 5, None), 3, 3),
 }
 COMPILE_BUDGET = 500_000
 
@@ -336,7 +336,7 @@ def _rule(name: str) -> rd.ReductionRule:
 
 
 def test_every_compiled_rule_is_drawn():
-    assert set(COMPILED_RULES) == set(rd.RULES) - {"odd-cycle-path"}
+    assert set(COMPILED_RULES) == set(rd.RULES)
 
 
 @st.composite

@@ -18,6 +18,11 @@ K2, K2, K2, C4 and C6, so each now has its twin's verdicts, and its entry
 is set from the twin's rather than written out.  Only ``hj:3`` changed a
 verdict class (Open rows that the 6-cycle's theorem covers); the rest
 changed citations only.
+
+``odd-cycle-path`` gained its compile digest, and its verify digest was
+re-pinned, when the rule became a compiler from QCSP(C_n): its `verify`
+output moved from the path block's six fixed cases to twenty seeded
+sources.
 """
 
 from __future__ import annotations
@@ -45,6 +50,7 @@ RULES = [
     ("girth-isolation", {"h": "cycle:6"}, model.clique(3)),
     ("reflexive-c4", {}, model.clique(4)),
     ("c4star-macros", {}, model.reflexive_cycle(4)),
+    ("odd-cycle-path", {"n": 5, "j": 2}, model.cycle(5)),
 ]
 
 CLASSIFY_FAMILIES = (
@@ -170,6 +176,7 @@ COMPILED = {
     "girth-isolation": "b91d7f6d7564bf556740cf84c2defa397d78688c1b4c0577e43ef1dd10026ddb",
     "reflexive-c4": "18ab8f004e2b4241a96f3bf340b5607f58c8818ffe4726bb73981bb10389528b",
     "c4star-macros": "afc4c8852901538aa7f7854bccb8f148a740968cada4feb3a1e0b3dd6f38d2f0",
+    "odd-cycle-path": "906cc0d52cf4b59bf46d55d57eb751854935557056d57cb26b0ef83f0967d97c",
 }
 DISPATCH = {
     "K1": "b32ec90407adf1b3ee7dc9dbe045d9006b1dfb50a4b5b9c55fd67335f84a3d97",
@@ -244,7 +251,7 @@ VERIFY = {
     "nae": "9d0b91eabfe320d1204077c9dbb13ab750d3e91e4a969bedca98d667929db673",
     "c4star-macros": "6d01a953b0cf69ddfe353ab9fc572dde60a385c27c281c11fd5ad1323f7f26ce",
     "reflexive-c4": "bd8227ffce188453cfb0fd649c8d464f2c13445cf8e505deb8189410209c99de",
-    "odd-cycle-path": "56c12bb600f4e698466043453a978c1685b004a01f3bb4e37e273c2212f47e7a",
+    "odd-cycle-path": "6ff3f47fb4d94981bd12e4eda9c90f058ff4ca8987b0ada1c75c9e31f7addd40",
 }
 
 STRATEGY = {

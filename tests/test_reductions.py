@@ -14,6 +14,7 @@ from cqcsp.model import (
 from cqcsp.textio import parse_sentence, render_sentence
 from cqcsp.oracle import evaluate
 
+from conftest import brute_count_eval
 from test_golden import RULES as GOLDEN_RULES, _params
 
 
@@ -189,15 +190,29 @@ def test_universal_path_gadget_shape():
         rd.universal_path_gadget(3, 3, "x")
 
 
+def _path_block_cases(n: int, j: int):
+    """The path block alone on the n-cycle, then for each vertex v the
+    block with an ``Avoid`` relation that excludes v for its attachment."""
+    gadget = rd.universal_path_gadget(n, j, "x")
+    base = build_template(model.cycle(n))
+    yield True, base, Sentence(gadget.quantifiers, gadget.atoms)
+    avoided = Sentence(gadget.quantifiers, gadget.atoms + (("Avoid", ("x",)),))
+    edges = set(base.tuples("E"))
+    for v in range(n):
+        avoid = {(u,) for u in range(n) if u != v}
+        template = make_structure([("E", 2), ("Avoid", 1)], n, {"E": edges, "Avoid": avoid})
+        yield False, template, avoided
+
+
 def test_universal_path_gadget_soundness_and_completeness():
-    report = rd.verify_reduction(
-        rd.rule("odd-cycle-path", n=5, j=2),
-        build_template(model.cycle(5)),
-        [],
-    )
-    assert report.ok()
-    assert len(report.cases) == 6
-    assert all(c.status == "agree" for c in report.cases)
+    """On every odd n <= 7 and 2 <= j < n, the block holds on its own (the
+    prover survives every adversary path), and excluding any one vertex
+    for x makes it fail (the adversary can force x onto every vertex)."""
+    for n, j in [(n, j) for n in (3, 5, 7) for j in range(2, n)]:
+        for want, template, s in _path_block_cases(n, j):
+            assert evaluate(template, s) == want, (n, j)
+            if n <= 5 and j == 2:
+                assert brute_count_eval(template, s) == want, (n, j)
 
 
 def test_even_cycle_offsets():
@@ -367,14 +382,31 @@ def test_macro_expansion_exhaustive(zoo):
 def test_compile_rule_rejects_another_source_template(name, params, wrong, zoo):
     rule = rd.rule(name, **_params(params))
     message = rd.RULES[name].mismatch
+    # C5 is odd-cycle-path's own source template; C6 stands in for it there
+    template = zoo["C6"] if zoo[wrong] == rule.source_template() else zoo[wrong]
     with pytest.raises(InvalidStructureError, match=f"^{re.escape(message)}$"):
-        rd.compile_rule(rule, zoo[wrong], parse_sentence("E1 u |"))
+        rd.compile_rule(rule, template, parse_sentence("E1 u |"))
 
 
-def test_compile_rule_needs_a_compiler(zoo):
-    rule = rd.rule("odd-cycle-path", n=5, j=2)
-    with pytest.raises(InvalidStructureError, match="^rule 'odd-cycle-path' has no direct compiler$"):
-        rd.compile_rule(rule, zoo["C5"], parse_sentence("E1 u |"))
+@pytest.mark.parametrize("n, j", [(6, 2), (5, 1), (5, 5)])
+def test_odd_cycle_path_needs_an_odd_cycle(n, j):
+    """The path block simulates a universal only on an odd cycle: at n = 4,
+    j = 2, 2 of 40 sources seeded 1 disagree, so even n is a precondition
+    miss."""
+    rule = rd.rule("odd-cycle-path", n=n, j=j)
+    with pytest.raises(InvalidStructureError, match=r"^needs odd n >= 3 and 2 <= j < n$"):
+        _compile(rule, parse_sentence("E1 u |"))
+
+
+@pytest.mark.parametrize("name", sorted(rd.RULES))
+def test_fault_injection_is_caught_on_every_rule(name):
+    """A corrupted compile disagrees with its source on each rule's own
+    seeded suite."""
+    params, _ = next((p, f) for r, p, f in GOLDEN_RULES if r == name)
+    rule = rd.rule(name, **_params(params))
+    sources = rd.default_sources(rule, trials=20, seed=1)
+    report = rd.verify_reduction(rule, rule.source_template(), sources, corrupt=True)
+    assert report.disagreements()
 
 
 def test_compiled_sentences_roundtrip_and_are_wellformed(zoo):
@@ -390,6 +422,7 @@ def test_compiled_sentences_roundtrip_and_are_wellformed(zoo):
         _compile(rd.rule("clique-1j", n=4, j=2), src),
         _compile(rd.rule("reflexive-c4"), src),
         _compile(rd.rule("even-cycle", n=6, j=2), src),
+        _compile(rd.rule("odd-cycle-path", n=5, j=2), src),
         _compile(rd.rule("girth-isolation", h=zoo["C6"]), parse_sentence("E1 u E1 v | E(u,v)")),
         _compile(rd.rule("c4star-macros"), parse_sentence("E3 x | E(x,x)")),
     ]
